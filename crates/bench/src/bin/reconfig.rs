@@ -32,13 +32,13 @@ use std::time::Instant;
 use san_bench::tsv;
 use san_fabric::engine::FabricEvent;
 use san_fabric::updown::UpDownMap;
-use san_fabric::{Endpoint, LinkId, NodeId, Route, Topology};
+use san_fabric::{Endpoint, LinkId, NodeId, Route, RouteHints, Topology};
 use san_ft::{MapperConfig, ProtocolConfig, ReliableFirmware};
 use san_nic::testkit::{inbox, Collector, StreamSender};
 use san_nic::{Cluster, ClusterConfig, HostAgent, IdleHost};
 use san_sim::{Duration, Time};
 use san_telemetry::Telemetry;
-use san_topo::{candidate_routes, validate, RouteCache, TopoSpec};
+use san_topo::{validate, GenericDiversePlanner, RouteCache, RoutePlanner, TopoSpec};
 
 const MESSAGES: u64 = 400;
 const BYTES: u32 = 2048;
@@ -215,15 +215,16 @@ fn run_policy(
     let grow_extra = free_pair(topo0);
 
     // Planner hints on the healthy fabric (scale_map's hinted on-demand).
+    let mut planner = GenericDiversePlanner::new();
     if policy != Policy::Static {
         for (s, d) in [(src, dst), (dst, src)] {
-            let cands = candidate_routes(topo0, s, d, HINT_K, |_| true);
+            let cands = planner.pair_routes(topo0, s, d, HINT_K, &|_| true);
             if let Some(fw) = cluster.nics[s.idx()]
                 .fw
                 .as_any_mut()
                 .downcast_mut::<ReliableFirmware>()
             {
-                fw.offer_route_candidates(d, cands);
+                fw.offer_route_hints(d, RouteHints::from_strategy(cands, planner.id(), 0, false));
             }
         }
     }
@@ -285,20 +286,21 @@ fn run_policy(
             for (s, d) in [(src, dst), (dst, src)] {
                 let cands: Vec<Route> = {
                     let usable = cluster.engine.planner_filter();
-                    // The closure wrapper supplies the `Copy` bound the
-                    // opaque filter type does not advertise.
-                    #[allow(clippy::redundant_closure)]
-                    candidate_routes(cluster.engine.topology(), s, d, HINT_K, |l| usable(l))
+                    planner.pair_routes(cluster.engine.topology(), s, d, HINT_K, &usable)
                 };
                 if let Some(first) = cands.first() {
                     cluster.nics[s.idx()].core.routes.set(d, *first);
                 }
+                let epoch = cluster.engine.reconfig_epoch();
                 if let Some(fw) = cluster.nics[s.idx()]
                     .fw
                     .as_any_mut()
                     .downcast_mut::<ReliableFirmware>()
                 {
-                    fw.offer_route_candidates(d, cands);
+                    fw.offer_route_hints(
+                        d,
+                        RouteHints::from_strategy(cands, planner.id(), epoch, false),
+                    );
                 }
             }
             out.ctrl_us += c0.elapsed().as_micros() as u64;
@@ -336,15 +338,18 @@ fn run_policy(
                     for (s, d) in [(src, dst), (dst, src)] {
                         let cands: Vec<Route> = {
                             let usable = cluster.engine.planner_filter();
-                            #[allow(clippy::redundant_closure)]
-                            candidate_routes(cluster.engine.topology(), s, d, HINT_K, |l| usable(l))
+                            planner.pair_routes(cluster.engine.topology(), s, d, HINT_K, &usable)
                         };
+                        let epoch = cluster.engine.reconfig_epoch();
                         if let Some(fw) = cluster.nics[s.idx()]
                             .fw
                             .as_any_mut()
                             .downcast_mut::<ReliableFirmware>()
                         {
-                            fw.offer_route_candidates(d, cands);
+                            fw.offer_route_hints(
+                                d,
+                                RouteHints::from_strategy(cands, planner.id(), epoch, false),
+                            );
                         }
                     }
                     out.ctrl_us += c0.elapsed().as_micros() as u64;

@@ -37,13 +37,13 @@ use std::time::Instant;
 use san_bench::tsv;
 use san_fabric::engine::FabricEvent;
 use san_fabric::updown::UpDownMap;
-use san_fabric::{Endpoint, LinkId, NodeId, Route, SwitchId, Topology};
+use san_fabric::{Endpoint, LinkId, NodeId, Route, RouteHints, SwitchId, Topology};
 use san_ft::{MapperConfig, ProtocolConfig, ReliableFirmware};
 use san_nic::testkit::{inbox, Collector, StreamSender};
 use san_nic::{Cluster, ClusterConfig, HostAgent, IdleHost};
 use san_sim::{Duration, Time};
 use san_telemetry::Telemetry;
-use san_topo::{candidate_routes, validate, RouteCache, TopoSpec};
+use san_topo::{validate, GenericDiversePlanner, RouteCache, RoutePlanner, TopoSpec};
 
 const MESSAGES: u64 = 400;
 const BYTES: u32 = 2048;
@@ -205,7 +205,7 @@ fn run_ondemand(
     dst: NodeId,
     scen: &Scenario,
     updown: bool,
-    hints: &[(NodeId, NodeId, Vec<Route>)],
+    hints: &[(NodeId, NodeId, RouteHints)],
     tel: &Telemetry,
 ) -> (usize, san_ft::MapStats, san_ft::MapStats, f64) {
     let ib = inbox();
@@ -239,13 +239,13 @@ fn run_ondemand(
     } else {
         cluster.install_shortest_routes();
     }
-    for (s, d, routes) in hints {
+    for (s, d, h) in hints {
         if let Some(fw) = cluster.nics[s.idx()]
             .fw
             .as_any_mut()
             .downcast_mut::<ReliableFirmware>()
         {
-            fw.offer_route_candidates(*d, routes.clone());
+            fw.offer_route_hints(*d, h.clone());
         }
     }
     let kill_at = Time::from_millis(2);
@@ -376,9 +376,18 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
         topo.shortest_route(src, dst, |_| true)
             .expect("pair routable")
     };
-    let cands = candidate_routes(&topo, src, dst, HINT_K, |_| true);
-    let back = candidate_routes(&topo, dst, src, HINT_K, |_| true);
-    let hints = vec![(src, dst, cands.clone()), (dst, src, back)];
+    let mut planner = GenericDiversePlanner::new();
+    let cands = planner.pair_routes(&topo, src, dst, HINT_K, &|_| true);
+    let back = planner.pair_routes(&topo, dst, src, HINT_K, &|_| true);
+    let id = planner.id();
+    let hints = vec![
+        (
+            src,
+            dst,
+            RouteHints::from_strategy(cands.clone(), id, 0, false),
+        ),
+        (dst, src, RouteHints::from_strategy(back, id, 0, false)),
+    ];
 
     // Cold start first: the blind-exploration baseline. With deep
     // signatures on, this must *converge* even on the fat trees whose

@@ -1,4 +1,4 @@
-//! The scenario model: a serde-able [`Campaign`] describing a randomized
+//! The scenario model: a JSON-parsed [`Campaign`] describing a randomized
 //! fault mix, and the generator that samples concrete seeded [`Trial`]s
 //! from it.
 //!

@@ -1,9 +1,9 @@
 //! Hand-rolled JSON: a small value model with a recursive-descent parser
 //! and a stable pretty-printer.
 //!
-//! The workspace's `serde` is an offline no-op shim (derives are marker
-//! traits), so campaign and repro files are (de)serialized by hand through
-//! this module. Two properties matter more than generality:
+//! The workspace builds offline with no serialization framework, so
+//! campaign and repro files are read and written by hand through this
+//! module. Two properties matter more than generality:
 //!
 //! * **Byte-stable emission** — objects keep insertion order and numbers
 //!   print through Rust's shortest-round-trip formatting, so the same

@@ -5,7 +5,7 @@
 //! repository's unit tests each probe one scenario. This crate turns the
 //! claim into a falsifiable, randomized test harness:
 //!
-//! * [`campaign`] — a serde-able scenario model: a [`Campaign`] describes
+//! * [`campaign`] — a JSON-parsed scenario model: a [`Campaign`] describes
 //!   a *family* of runs (fault-probability spans, flap/kill/storm counts,
 //!   topology, traffic shape, protocol knobs); `Campaign::sample(i)`
 //!   derives a fully concrete, replayable [`Trial`] from `(seed, i)`.
@@ -35,8 +35,5 @@ pub use campaign::{
 };
 pub use json::Json;
 pub use oracle::{check, Observation, Violation, ViolationKind};
-pub use runner::{
-    run_campaign, run_trial, run_trial_traced, run_trial_traced_legacy_heap, CampaignOutcome,
-    TrialOutcome,
-};
+pub use runner::{run_campaign, run_trial, run_trial_traced, CampaignOutcome, TrialOutcome};
 pub use shrink::{shrink, ShrinkResult};

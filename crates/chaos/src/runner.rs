@@ -24,7 +24,7 @@ use san_sim::{Duration, Time};
 use san_telemetry::{Telemetry, TraceKind};
 
 use san_fabric::RouteHints;
-use san_topo::planner::planner_for;
+use san_topo::planner_for;
 
 use crate::campaign::{mix_seed, Campaign, TopologySpec, Trial};
 use crate::oracle::{self, Delivery, NodeEnd, Observation, PairExpect, Violation};
@@ -246,18 +246,6 @@ pub fn run_trial(trial: &Trial) -> TrialOutcome {
 /// [`run_trial`], additionally returning the trial's trace-ring scan
 /// (for `san-chaos replay --trace` and post-mortem tooling).
 pub fn run_trial_traced(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceScan) {
-    run_trial_on(trial, false)
-}
-
-/// [`run_trial_traced`] on the legacy binary-heap scheduler instead of the
-/// timing wheel. The knob is runner-level on purpose — it is not part of
-/// the trial value, because it must never change an outcome; equivalence
-/// tests compare this against [`run_trial_traced`] byte for byte.
-pub fn run_trial_traced_legacy_heap(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceScan) {
-    run_trial_on(trial, true)
-}
-
-fn run_trial_on(trial: &Trial, legacy_heap: bool) -> (TrialOutcome, san_telemetry::TraceScan) {
     let built = trial.topology.build();
     let n = built.hosts.len();
 
@@ -266,7 +254,6 @@ fn run_trial_on(trial: &Trial, legacy_heap: bool) -> (TrialOutcome, san_telemetr
         send_bufs: trial.protocol.send_bufs,
         seed: trial.seed,
         telemetry: telemetry.clone(),
-        legacy_heap,
         ..ClusterConfig::default()
     };
 

@@ -1,10 +1,9 @@
 //! Protocol configuration — the paper's Table 1 parameter space.
 
 use san_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// How the sender decides when to set the ACK-request bit (§4.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FeedbackPolicy {
     /// The paper's sender-based feedback: the request interval scales with
     /// the free-buffer level — scarce buffers → request on every packet;
@@ -44,7 +43,7 @@ impl FeedbackPolicy {
 }
 
 /// Retransmission-protocol configuration (§4.1, Table 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProtocolConfig {
     /// Retransmission timer interval *and* the age threshold after which an
     /// unacknowledged packet is considered lost. Paper sweep: 10 µs – 1 s;
@@ -193,7 +192,7 @@ impl ProtocolConfig {
 }
 
 /// On-demand mapper configuration (§4.2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MapperConfig {
     /// How long to wait for a batch of probes before concluding silence.
     pub probe_timeout: Duration,

@@ -112,13 +112,6 @@ impl ReliableFirmware {
         self.mapper.offer_hints(dst, hints);
     }
 
-    /// Deprecated: provenance-less shim over
-    /// [`ReliableFirmware::offer_route_hints`] — wraps the routes as
-    /// manually offered hints.
-    pub fn offer_route_candidates(&mut self, dst: NodeId, routes: Vec<Route>) {
-        self.mapper.offer_candidates(dst, routes);
-    }
-
     /// Send-side state toward `dst` (for tests and reports).
     pub fn sender(&self, dst: NodeId) -> &SenderState {
         &self.senders[dst.idx()]

@@ -324,13 +324,6 @@ impl Mapper {
         }
     }
 
-    /// Deprecated: provenance-less shim over [`Mapper::offer_hints`] — the
-    /// routes are wrapped as manually offered hints (strategy `"manual"`,
-    /// epoch 0). Kept for callers predating [`RouteHints`].
-    pub fn offer_candidates(&mut self, dst: NodeId, routes: Vec<Route>) {
-        self.offer_hints(dst, RouteHints::manual(routes));
-    }
-
     /// Take back the descriptors parked for `dst`.
     pub fn release_descriptors(&mut self, dst: NodeId) -> Vec<SendDesc> {
         self.held.remove(&dst).unwrap_or_default()

@@ -1,7 +1,7 @@
 //! On-demand mapper behaviour: probe economics, BFS order, identity checks,
 //! caching of side discoveries, and queued requests.
 
-use san_fabric::{topology, NodeId};
+use san_fabric::{topology, NodeId, RouteHints};
 use san_ft::{MapperConfig, ProtocolConfig, ReliableFirmware};
 use san_nic::testkit::{inbox, make_desc, Collector, Inbox};
 use san_nic::{Cluster, ClusterConfig, HostAgent, HostCtx, IdleHost};
@@ -351,7 +351,7 @@ fn offered_candidates_resolve_without_exploration() {
         .as_any_mut()
         .downcast_mut::<ReliableFirmware>()
         .unwrap()
-        .offer_route_candidates(dst, candidates);
+        .offer_route_hints(dst, RouteHints::manual(candidates));
     assert!(run_until_count(&mut c, &ib, 1, Time::from_secs(1)));
     let st = fw_of(&c, 0).mapper_stats();
     assert_eq!(st.hint_resolved.get(), 1, "the hint phase must resolve");
@@ -394,7 +394,7 @@ fn dead_candidates_fall_back_to_exploration() {
         .as_any_mut()
         .downcast_mut::<ReliableFirmware>()
         .unwrap()
-        .offer_route_candidates(dst, candidates.clone());
+        .offer_route_hints(dst, RouteHints::manual(candidates.clone()));
     assert!(run_until_count(&mut c, &ib, 1, Time::from_secs(1)));
     let st = fw_of(&c, 0).mapper_stats();
     assert_eq!(st.hint_resolved.get(), 1, "surviving candidate resolves");
@@ -421,7 +421,7 @@ fn dead_candidates_fall_back_to_exploration() {
         .as_any_mut()
         .downcast_mut::<ReliableFirmware>()
         .unwrap()
-        .offer_route_candidates(dst, vec![candidates[0], candidates[0]]);
+        .offer_route_hints(dst, RouteHints::manual(vec![candidates[0], candidates[0]]));
     assert!(run_until_count(&mut c, &ib, 1, Time::from_secs(5)));
     let st = fw_of(&c, 0).mapper_stats();
     assert_eq!(st.hint_resolved.get(), 0, "dead hints must not resolve");

@@ -1,56 +1,33 @@
-//! Legacy binary-heap scheduler keyed on `(time, sequence)`.
+//! Reference binary-heap scheduler keyed on `(time, sequence)`.
 //!
-//! This is the reference implementation the timing wheel must match pop for
-//! pop: the sequence number makes simultaneous events fire in insertion
-//! order, which is what makes whole-system runs reproducible. It stays in the
-//! tree for the wheel-vs-heap equivalence tests and the scheduler
-//! microbenchmark, and as a runtime fallback (`EventQueue::legacy_heap` in
-//! `san-sim`).
+//! This is the implementation the timing wheel must match pop for pop: the
+//! sequence number makes simultaneous events fire in insertion order, which
+//! is what makes whole-system runs reproducible. It is compiled only for
+//! tests, as the oracle of the wheel-vs-heap unit tests and proptests in
+//! [`crate::wheel`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::wheel::Entry;
+
 /// Deterministic priority queue of `(u64 nanos, payload)` events.
 #[derive(Debug)]
-pub struct HeapQueue<E> {
+pub(crate) struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
 }
 
-#[derive(Debug)]
-pub(crate) struct Entry<E> {
-    pub(crate) key: Reverse<(u64, u64)>,
-    pub(crate) ev: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
 impl<E> HeapQueue<E> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            heap: BinaryHeap::with_capacity(1024),
+            heap: BinaryHeap::new(),
             seq: 0,
         }
     }
 
     /// Insert an event at absolute time `at` (nanoseconds).
-    #[inline]
-    pub fn push(&mut self, at: u64, ev: E) {
+    pub(crate) fn push(&mut self, at: u64, ev: E) {
         let s = self.seq;
         self.seq += 1;
         self.heap.push(Entry {
@@ -60,37 +37,21 @@ impl<E> HeapQueue<E> {
     }
 
     /// Remove and return the earliest event (FIFO among ties).
-    #[inline]
-    pub fn pop(&mut self) -> Option<(u64, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, E)> {
         self.heap.pop().map(|e| (e.key.0 .0, e.ev))
     }
 
     /// Timestamp of the next event without removing it.
-    #[inline]
-    pub fn peek_time(&self) -> Option<u64> {
+    pub(crate) fn peek_time(&self) -> Option<u64> {
         self.heap.peek().map(|e| e.key.0 .0)
     }
 
-    #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
-    #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever pushed (diagnostic).
-    #[inline]
-    pub fn pushed_total(&self) -> u64 {
-        self.seq
-    }
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

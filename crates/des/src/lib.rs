@@ -7,8 +7,8 @@
 //!   an overflow tier for far-future timers. O(1) schedule and near-O(1) fire
 //!   close to the horizon, with pop order *identical* to a binary heap keyed
 //!   on `(time, insertion sequence)` — the determinism contract of the repo.
-//! * [`heap::HeapQueue`] — the legacy `BinaryHeap` scheduler, kept as the
-//!   reference implementation for equivalence tests and microbenchmarks.
+//! * `heap::HeapQueue` — a plain `BinaryHeap` scheduler, compiled only for
+//!   tests as the reference the wheel's pop order is proven against.
 //! * [`arena`] — slab allocator with stable `u32` indices + generation tags
 //!   (in-flight packets), a chain arena for wormhole channel-occupancy lists,
 //!   and a box pool for packet recycling on the NIC hot path.
@@ -21,7 +21,8 @@
 //! preserves.
 
 pub mod arena;
-pub mod heap;
+#[cfg(test)]
+mod heap;
 pub mod intern;
 pub mod sync;
 pub mod wheel;

@@ -36,8 +36,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::heap::Entry;
-
 const LEVELS: usize = 4;
 const SLOT_BITS: u32 = 8;
 const SLOTS: usize = 1 << SLOT_BITS;
@@ -111,10 +109,36 @@ impl<E> Level<E> {
     }
 }
 
+/// A heap entry ordered by `Reverse((time, seq))`, so `BinaryHeap` pops the
+/// earliest event first and ties in insertion order.
+#[derive(Debug)]
+pub(crate) struct Entry<E> {
+    pub(crate) key: Reverse<(u64, u64)>,
+    pub(crate) ev: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
 /// Deterministic timing-wheel scheduler of `(u64 nanos, payload)` events.
 ///
-/// Same API and pop order as [`crate::heap::HeapQueue`]; `peek_time` takes
-/// `&mut self` because peeking may have to sweep slots into the due window.
+/// Pops in the same order as a binary heap keyed on `(time, seq)`;
+/// `peek_time` takes `&mut self` because peeking may have to sweep slots
+/// into the due window.
 #[derive(Debug)]
 pub struct TimingWheel<E> {
     levels: Vec<Level<E>>,
@@ -289,12 +313,6 @@ impl<E> TimingWheel<E> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total number of events ever pushed (diagnostic).
-    #[inline]
-    pub fn pushed_total(&self) -> u64 {
-        self.seq
     }
 }
 

@@ -17,7 +17,6 @@
 //!    repairs, compiled into fabric events at simulation start.
 
 use san_sim::{Sim, SimRng, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::FabricEvent;
 use crate::ids::{Endpoint, LinkId, SwitchId};
@@ -30,7 +29,7 @@ use crate::ids::{Endpoint, LinkId, SwitchId};
 /// stressful test") — a Gilbert–Elliott two-state channel that alternates
 /// between a good state (no faults) and a bad state where every packet is
 /// lost/corrupted with the given probabilities.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TransientFaults {
     /// Probability a packet silently vanishes on the wire (in the bad state
     /// when `burst` is set, else independently per packet).
@@ -42,7 +41,7 @@ pub struct TransientFaults {
 }
 
 /// Gilbert–Elliott channel parameters (per-packet state transitions).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BurstModel {
     /// Probability of entering the bad state on each packet while good.
     pub p_enter: f64,
@@ -118,7 +117,7 @@ impl TransientFaults {
 }
 
 /// One scheduled permanent-fault action.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum PermanentFault {
     /// Link dies at the given time.
     LinkDown {
@@ -231,7 +230,7 @@ impl PermanentFault {
 }
 
 /// A schedule of permanent faults.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// The scheduled actions (any order; scheduling sorts by time).
     pub actions: Vec<PermanentFault>,

@@ -4,30 +4,29 @@
 //! type-size guidance in the perf book) while making it impossible to mix up
 //! a host index with a switch index at compile time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A host (equivalently: the NIC plugged into that host). Hosts have exactly
 /// one network port in this model, as on the paper's Myrinet testbed.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);
 
 /// A crossbar switch. Myrinet switches have no identity visible on the wire —
 /// this ID exists only inside the simulator and for full-map baselines; the
 /// on-demand mapper must discover switch identity by probing.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub u16);
 
 /// A port number on a switch.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(pub u8);
 
 /// An undirected link between two endpoints.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 /// One side of a link.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Endpoint {
     /// A host's single network port.
     Host(NodeId),

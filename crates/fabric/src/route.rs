@@ -5,7 +5,6 @@
 //! (§3.1). Routes are short (network diameters of a few hops), so we store
 //! them inline — no heap traffic on the per-packet hot path.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of switch hops a route can describe. The paper's testbed
@@ -14,7 +13,7 @@ use std::fmt;
 pub const MAX_HOPS: usize = 16;
 
 /// An inline source route: `ports[i]` is the output port at the i-th switch.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Route {
     ports: [u8; MAX_HOPS],
     len: u8,

@@ -189,10 +189,6 @@ pub struct ClusterConfig {
     /// Observability handle every layer registers into. The default is
     /// metrics-only; pass `Telemetry::with_trace(..)` to record events.
     pub telemetry: Telemetry,
-    /// Run the event queue on the legacy binary-heap scheduler instead of
-    /// the timing wheel. Both orders are identical by contract; this knob
-    /// exists so equivalence tests can prove it trial-by-trial.
-    pub legacy_heap: bool,
 }
 
 impl Default for ClusterConfig {
@@ -203,7 +199,6 @@ impl Default for ClusterConfig {
             send_bufs: 32,
             seed: 1,
             telemetry: Telemetry::new(),
-            legacy_heap: false,
         }
     }
 }
@@ -256,11 +251,7 @@ impl Cluster {
             })
             .collect();
         Self {
-            sim: if cfg.legacy_heap {
-                Sim::new_with_legacy_heap(cfg.seed)
-            } else {
-                Sim::new(cfg.seed)
-            },
+            sim: Sim::new(cfg.seed),
             engine,
             nics,
             hosts,

@@ -49,23 +49,11 @@ pub struct Sim<E> {
 }
 
 impl<E> Sim<E> {
-    /// Create a simulation starting at time zero with the given RNG seed,
-    /// on the default timing-wheel scheduler.
+    /// Create a simulation starting at time zero with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         Self {
             now: Time::ZERO,
             queue: EventQueue::new(),
-            rng: SimRng::seed_from(seed),
-        }
-    }
-
-    /// Like [`Sim::new`] but on the legacy binary-heap scheduler — the
-    /// reference implementation used by equivalence tests. Pop order is
-    /// identical on both backends; only wall-clock speed differs.
-    pub fn new_with_legacy_heap(seed: u64) -> Self {
-        Self {
-            now: Time::ZERO,
-            queue: EventQueue::legacy_heap(),
             rng: SimRng::seed_from(seed),
         }
     }

@@ -5,18 +5,11 @@
 //! scheduler's internal layout (and therefore pop order of ties) would
 //! depend on incidental history.
 //!
-//! Two interchangeable backends share that contract:
-//!
-//! * [`san_des::wheel::TimingWheel`] — hierarchical timing wheel, the
-//!   default. O(1) schedule and near-O(1) fire close to the horizon.
-//! * [`san_des::heap::HeapQueue`] — the original `BinaryHeap`, kept as the
-//!   reference scheduler ([`EventQueue::legacy_heap`]) for equivalence
-//!   tests and the scheduler microbenchmark.
-//!
-//! Both pop the exact same `(time, insertion-sequence)` total order, so the
-//! choice never changes simulation results — only wall-clock speed.
+//! The backend is [`san_des::wheel::TimingWheel`], a hierarchical timing
+//! wheel with O(1) schedule and near-O(1) fire close to the horizon. Its
+//! pop order is proven identical to a `(time, seq)` binary heap by the
+//! `san-des` property tests.
 
-use san_des::heap::HeapQueue;
 use san_des::wheel::TimingWheel;
 
 use crate::time::Time;
@@ -24,85 +17,46 @@ use crate::time::Time;
 /// Deterministic priority queue of timestamped events.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    inner: Inner<E>,
-}
-
-#[derive(Debug)]
-enum Inner<E> {
-    Wheel(TimingWheel<E>),
-    Heap(HeapQueue<E>),
+    wheel: TimingWheel<E>,
 }
 
 impl<E> EventQueue<E> {
-    /// Empty queue on the default timing-wheel backend.
+    /// Empty queue.
     pub fn new() -> Self {
         Self {
-            inner: Inner::Wheel(TimingWheel::new()),
+            wheel: TimingWheel::new(),
         }
-    }
-
-    /// Empty queue on the legacy binary-heap backend (reference scheduler).
-    pub fn legacy_heap() -> Self {
-        Self {
-            inner: Inner::Heap(HeapQueue::new()),
-        }
-    }
-
-    /// True when running on the legacy heap backend.
-    pub fn is_legacy_heap(&self) -> bool {
-        matches!(self.inner, Inner::Heap(_))
     }
 
     /// Insert an event at absolute time `at`.
     #[inline]
     pub fn push(&mut self, at: Time, ev: E) {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.push(at.nanos(), ev),
-            Inner::Heap(h) => h.push(at.nanos(), ev),
-        }
+        self.wheel.push(at.nanos(), ev);
     }
 
     /// Remove and return the earliest event (FIFO among ties).
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.pop().map(|(t, ev)| (Time::from_nanos(t), ev)),
-            Inner::Heap(h) => h.pop().map(|(t, ev)| (Time::from_nanos(t), ev)),
-        }
+        self.wheel.pop().map(|(t, ev)| (Time::from_nanos(t), ev))
     }
 
     /// Timestamp of the next event without removing it. Takes `&mut self`
     /// because the wheel may sweep slots forward to find it.
     #[inline]
     pub fn peek_time(&mut self) -> Option<Time> {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.peek_time().map(Time::from_nanos),
-            Inner::Heap(h) => h.peek_time().map(Time::from_nanos),
-        }
+        self.wheel.peek_time().map(Time::from_nanos)
     }
 
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Wheel(w) => w.len(),
-            Inner::Heap(h) => h.len(),
-        }
+        self.wheel.len()
     }
 
     /// True when empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events ever pushed (diagnostic).
-    #[inline]
-    pub fn pushed_total(&self) -> u64 {
-        match &self.inner {
-            Inner::Wheel(w) => w.pushed_total(),
-            Inner::Heap(h) => h.pushed_total(),
-        }
+        self.wheel.is_empty()
     }
 }
 
@@ -116,39 +70,28 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
 
-    fn both() -> [EventQueue<&'static str>; 2] {
-        [EventQueue::new(), EventQueue::legacy_heap()]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.push(Time::from_nanos(5), "b");
-            q.push(Time::from_nanos(1), "a");
-            q.push(Time::from_nanos(9), "c");
-            assert_eq!(q.peek_time(), Some(Time::from_nanos(1)));
-            assert_eq!(q.pop(), Some((Time::from_nanos(1), "a")));
-            assert_eq!(q.pop(), Some((Time::from_nanos(5), "b")));
-            assert_eq!(q.pop(), Some((Time::from_nanos(9), "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(Time::from_nanos(5), "b");
+        q.push(Time::from_nanos(1), "a");
+        q.push(Time::from_nanos(9), "c");
+        assert_eq!(q.peek_time(), Some(Time::from_nanos(1)));
+        assert_eq!(q.pop(), Some((Time::from_nanos(1), "a")));
+        assert_eq!(q.pop(), Some((Time::from_nanos(5), "b")));
+        assert_eq!(q.pop(), Some((Time::from_nanos(9), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn fifo_among_ties() {
-        for backend in 0..2 {
-            let mut q = if backend == 0 {
-                EventQueue::new()
-            } else {
-                EventQueue::legacy_heap()
-            };
-            let t = Time::from_nanos(7);
-            for i in 0..1000u32 {
-                q.push(t, i);
-            }
-            for i in 0..1000u32 {
-                assert_eq!(q.pop().unwrap().1, i);
-            }
+        let mut q = EventQueue::new();
+        let t = Time::from_nanos(7);
+        for i in 0..1000u32 {
+            q.push(t, i);
+        }
+        for i in 0..1000u32 {
+            assert_eq!(q.pop().unwrap().1, i);
         }
     }
 
@@ -162,13 +105,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 3);
         assert_eq!(q.pop().unwrap().1, 2);
         assert!(q.is_empty());
-        assert_eq!(q.pushed_total(), 3);
-    }
-
-    #[test]
-    fn backend_flags() {
-        assert!(!EventQueue::<u8>::new().is_legacy_heap());
-        assert!(EventQueue::<u8>::legacy_heap().is_legacy_heap());
     }
 }
 
@@ -178,22 +114,19 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Popping must yield a nondecreasing time sequence, and ties must
-        /// preserve insertion order, for any input schedule — on both
-        /// backends, which must also agree with each other exactly.
+        /// Popping must yield every pushed event exactly once, in
+        /// nondecreasing time, with ties in insertion order, for any input
+        /// schedule.
         #[test]
         fn pop_order_is_total(times in proptest::collection::vec(0u64..50, 1..200)) {
-            let mut wheel = EventQueue::new();
-            let mut heap = EventQueue::legacy_heap();
+            let mut q = EventQueue::new();
             for (i, &t) in times.iter().enumerate() {
-                wheel.push(Time::from_nanos(t), i);
-                heap.push(Time::from_nanos(t), i);
+                q.push(Time::from_nanos(t), i);
             }
             let mut last: Option<(Time, usize)> = None;
-            loop {
-                let (a, b) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(a, b);
-                let Some((t, i)) = a else { break };
+            let mut popped = 0;
+            while let Some((t, i)) = q.pop() {
+                prop_assert_eq!(t, Time::from_nanos(times[i]));
                 if let Some((lt, li)) = last {
                     prop_assert!(t >= lt);
                     if t == lt {
@@ -201,7 +134,9 @@ mod proptests {
                     }
                 }
                 last = Some((t, i));
+                popped += 1;
             }
+            prop_assert_eq!(popped, times.len());
         }
     }
 }

@@ -5,7 +5,6 @@
 //! ~584 years of range, far more than any experiment needs, while keeping
 //! arithmetic branch-free.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -19,11 +18,11 @@ pub const MILLIS: u64 = 1_000_000;
 pub const SECS: u64 = 1_000_000_000;
 
 /// An absolute instant on the virtual clock (nanoseconds since start).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(pub u64);
 
 /// A span of virtual time in nanoseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub u64);
 
 impl Time {

@@ -1,9 +1,9 @@
 //! Exporters: JSON and CSV dumps plus a compact end-of-run text summary.
 //!
-//! The JSON/CSV emitters are hand-rolled (the build environment vendors a
-//! marker-only serde stand-in, see `shims/serde`); the formats are small
-//! and fixed, and every value is emitted through the helpers here so the
-//! output stays valid JSON/CSV by construction.
+//! The JSON/CSV emitters are hand-rolled (the workspace builds offline with
+//! no serialization framework); the formats are small and fixed, and every
+//! value is emitted through the helpers here so the output stays valid
+//! JSON/CSV by construction.
 
 use std::fmt::Write as _;
 use std::fs;

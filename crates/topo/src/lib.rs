@@ -30,9 +30,9 @@
 //!   and a generic fallback when the wiring stops looking like a torus.
 //!
 //! The planner's route sets double as *mapper hints*: `san-ft`'s on-demand
-//! mapper accepts candidate routes and verifies them with single host
+//! mapper accepts them as `RouteHints` and verifies them with single host
 //! probes before falling back to its BFS exploration (see
-//! `Mapper::offer_candidates`), which turns a multi-hundred-probe remap on
+//! `Mapper::offer_hints`), which turns a multi-hundred-probe remap on
 //! a 128-host fabric into a handful of probes when a planner (or cache) is
 //! warm.
 
@@ -46,8 +46,8 @@ pub mod validate;
 
 pub use atlas::{Fabric, TopoClass, TopoSpec};
 pub use planner::{
-    candidate_routes, plan, planner_for, GenericDiversePlanner, PlanHints, PlanRequest, PlanTable,
-    Planned, RouteCache, RoutePlanner,
+    planner_for, GenericDiversePlanner, PlanHints, PlanRequest, PlanTable, Planned, RouteCache,
+    RoutePlanner,
 };
 pub use symmetry::TorusSymmetryPlanner;
 pub use validate::Survey;

@@ -148,7 +148,6 @@ pub trait RoutePlanner {
 
 /// The topology-agnostic strategy: BFS distance labels + equal-cost DFS
 /// pool, greedy link-diversity selection, then link-disjoint detours.
-/// Byte-identical to the historical free-function planner.
 #[derive(Debug, Default)]
 pub struct GenericDiversePlanner {
     steps: u64,
@@ -205,23 +204,9 @@ pub fn planner_for(spec: &TopoSpec) -> Box<dyn RoutePlanner> {
 /// same-first-hop ECMP routes together) is not used directly. Empty when
 /// the pair is disconnected.
 ///
-/// Deprecated: thin shim over [`GenericDiversePlanner`]; new callers
-/// should go through [`RoutePlanner`] (via [`planner_for`]) so strategy
-/// selection and step accounting work.
-pub fn candidate_routes(
-    topo: &Topology,
-    from: NodeId,
-    to: NodeId,
-    k: usize,
-    alive: impl Fn(LinkId) -> bool + Copy,
-) -> Vec<Route> {
-    let mut steps = 0;
-    candidate_routes_counted(topo, from, to, k, &alive, &mut steps)
-}
-
-/// The generic strategy's per-pair body, with the work counter threaded
-/// through: every BFS neighbor scan, every DFS port examined, and a
-/// whole-fabric charge per detour shortest-path call count as one step.
+/// This is the generic strategy's per-pair body, with the work counter
+/// threaded through: every BFS neighbor scan, every DFS port examined, and
+/// a whole-fabric charge per detour shortest-path call count as one step.
 pub(crate) fn candidate_routes_counted(
     topo: &Topology,
     from: NodeId,
@@ -465,28 +450,6 @@ impl PlanTable {
     }
 }
 
-/// Plan up to `k` candidates for every ordered pair of `hosts`.
-///
-/// Deprecated: thin shim over [`GenericDiversePlanner`]; new callers
-/// should build a [`PlanRequest`] against a [`RoutePlanner`] so strategy
-/// selection and carry-over hints are available.
-pub fn plan(
-    topo: &Topology,
-    hosts: &[NodeId],
-    k: usize,
-    alive: impl Fn(LinkId) -> bool + Copy,
-) -> PlanTable {
-    GenericDiversePlanner::new()
-        .plan(&PlanRequest {
-            topo,
-            hosts,
-            k,
-            alive: &alive,
-            hints: None,
-        })
-        .table
-}
-
 /// Digest of an alive-link set, given the dead list (sorted internally so
 /// callers can pass ids in any order).
 pub fn alive_fingerprint(dead: &[LinkId]) -> u64 {
@@ -717,7 +680,7 @@ mod tests {
         // Cross-pod pair: k/2 aggs × k/2 cores... but minimal path count is
         // (k/2)² = 4 for k=4 (choice of agg and core on the up path).
         let (a, b) = (f.hosts[0], *f.hosts.last().unwrap());
-        let routes = candidate_routes(&f.topo, a, b, 16, |_| true);
+        let routes = GenericDiversePlanner::new().pair_routes(&f.topo, a, b, 16, &|_| true);
         assert_eq!(routes.len(), 4, "(k/2)^2 minimal routes, got {routes:?}");
         for r in &routes {
             assert_eq!(r.len(), 5);
@@ -733,7 +696,7 @@ mod tests {
     fn disjoint_alternates_extend_equal_cost() {
         let f = TopoSpec::Testbed(1).build();
         let (a, b) = (f.hosts[0], f.hosts[1]);
-        let routes = candidate_routes(&f.topo, a, b, 4, |_| true);
+        let routes = GenericDiversePlanner::new().pair_routes(&f.topo, a, b, 4, &|_| true);
         assert!(routes.len() >= 2, "redundant testbed has alternates");
         for r in &routes {
             assert!(trace_ok(&f.topo, a, b, r));
@@ -749,7 +712,8 @@ mod tests {
         let f = TopoSpec::Testbed(1).build();
         let (a, b) = (f.hosts[0], f.hosts[1]);
         let dead = [f.spare_links[0], f.spare_links[1]];
-        let routes = candidate_routes(&f.topo, a, b, 4, |l| !dead.contains(&l));
+        let alive = |l: LinkId| !dead.contains(&l);
+        let routes = GenericDiversePlanner::new().pair_routes(&f.topo, a, b, 4, &alive);
         assert!(!routes.is_empty(), "detour exists");
         for r in &routes {
             let links = route_links(&f.topo, a, r).unwrap();
@@ -762,7 +726,7 @@ mod tests {
     fn plan_covers_all_pairs_and_updown_is_safe() {
         let f = TopoSpec::FatTree { k: 4 }.build();
         let sample = crate::validate::sample_hosts(&f.hosts, 6);
-        let table = plan(&f.topo, &sample, 4, |_| true);
+        let table = RouteCache::new(4).plan(&f.topo, &sample, &[]);
         assert_eq!(table.len(), 6 * 5);
         // Minimal fat-tree routes are up-then-down, hence deadlock-free.
         assert!(table.deadlock_free(&f.topo));
@@ -776,7 +740,7 @@ mod tests {
             hosts: 1,
         }
         .build();
-        let table = plan(&f.topo, &f.hosts, 1, |_| true);
+        let table = RouteCache::new(1).plan(&f.topo, &f.hosts, &[]);
         assert!(
             !table.deadlock_free(&f.topo),
             "minimal wrap-around routes must form channel cycles"
@@ -784,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn trait_plan_matches_free_functions_and_counts_steps() {
+    fn trait_plan_matches_pair_routes_and_counts_steps() {
         let f = TopoSpec::FatTree { k: 4 }.build();
         let hosts = crate::validate::sample_hosts(&f.hosts, 6);
         let mut p = GenericDiversePlanner::new();
@@ -796,17 +760,20 @@ mod tests {
             alive: &alive,
             hints: None,
         });
-        let legacy = plan(&f.topo, &hosts, 3, |_| true);
-        assert_eq!(planned.table.fingerprint(), legacy.fingerprint());
         assert_eq!(planned.kept_pairs, 0);
-        assert_eq!(planned.replanned_pairs, legacy.len());
+        assert_eq!(planned.replanned_pairs, planned.table.len());
+        assert_eq!(planned.table.len(), 6 * 5);
         assert!(p.steps() > 0, "generic planning must account its search");
-        // Per-pair shim equivalence.
-        let (a, b) = (hosts[0], hosts[1]);
-        assert_eq!(
-            p.pair_routes(&f.topo, a, b, 3, &alive),
-            candidate_routes(&f.topo, a, b, 3, |_| true)
-        );
+        // Whole-table planning is per-pair planning, pair by pair.
+        let mut fresh = GenericDiversePlanner::new();
+        for &a in &hosts {
+            for &b in &hosts {
+                if a != b {
+                    let routes = fresh.pair_routes(&f.topo, a, b, 3, &alive);
+                    assert_eq!(planned.table.routes(a, b), routes.as_slice());
+                }
+            }
+        }
     }
 
     #[test]

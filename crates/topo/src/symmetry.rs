@@ -458,7 +458,7 @@ impl RoutePlanner for TorusSymmetryPlanner {
 mod tests {
     use super::*;
     use crate::atlas::TopoSpec;
-    use crate::planner::{candidate_routes, planner_for};
+    use crate::planner::{planner_for, GenericDiversePlanner};
     use crate::validate::{disjoint_count, route_links};
 
     fn trace_ok(topo: &Topology, a: NodeId, b: NodeId, r: &Route) -> bool {
@@ -488,7 +488,7 @@ mod tests {
         ] {
             let routes = p.pair_routes(&f.topo, a, b, 4, &alive);
             assert!(!routes.is_empty());
-            let generic = candidate_routes(&f.topo, a, b, 4, |_| true);
+            let generic = GenericDiversePlanner::new().pair_routes(&f.topo, a, b, 4, &alive);
             assert_eq!(
                 routes[0].len(),
                 generic[0].len(),
@@ -534,8 +534,10 @@ mod tests {
         let (a, b) = (f.hosts[0], *f.hosts.last().unwrap());
         // Deliberately wrong declaration: extents that don't match.
         let mut p = TorusSymmetryPlanner::new(&[4, 4]);
-        let routes = p.pair_routes(&f.topo, a, b, 4, &(|_: LinkId| true));
-        assert_eq!(routes, candidate_routes(&f.topo, a, b, 4, |_| true));
+        let alive = |_: LinkId| true;
+        let routes = p.pair_routes(&f.topo, a, b, 4, &alive);
+        let generic = GenericDiversePlanner::new().pair_routes(&f.topo, a, b, 4, &alive);
+        assert_eq!(routes, generic);
     }
 
     #[test]
@@ -543,7 +545,7 @@ mod tests {
         let spec = TopoSpec::parse("torus2d:8x8x2").unwrap();
         let f = spec.build();
         let mut torus = TorusSymmetryPlanner::new(&[8, 8]);
-        let mut generic = crate::planner::GenericDiversePlanner::new();
+        let mut generic = GenericDiversePlanner::new();
         let alive = |_: LinkId| true;
         let hosts = crate::validate::sample_hosts(&f.hosts, 16);
         let mut diversity = (0usize, 0usize);

@@ -4,8 +4,9 @@
 //! degraded alive-sets. This is what lets chaos trials and benches trust
 //! a cached plan as a stand-in for a full replan.
 
+use san_fabric::LinkId;
 use san_topo::atlas::TopoSpec;
-use san_topo::planner::{plan, RouteCache};
+use san_topo::{GenericDiversePlanner, PlanRequest, RouteCache, RoutePlanner};
 
 fn specs() -> Vec<TopoSpec> {
     vec![
@@ -45,7 +46,15 @@ fn cached_plan_is_byte_identical_to_fresh_recompute() {
 
         let mut fresh = RouteCache::new(4);
         let recomputed = fresh.plan(&f.topo, &f.hosts, &dead);
-        let direct = plan(&f.topo, &f.hosts, 4, |l| !dead.contains(&l));
+        let direct = GenericDiversePlanner::new()
+            .plan(&PlanRequest {
+                topo: &f.topo,
+                hosts: &f.hosts,
+                k: 4,
+                alive: &|l: LinkId| !dead.contains(&l),
+                hints: None,
+            })
+            .table;
 
         assert_eq!(
             hit.fingerprint(),

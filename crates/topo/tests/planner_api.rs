@@ -7,8 +7,11 @@
 //! captured from the pre-trait planner; if any of them moves, the generic
 //! strategy changed behaviour, not just shape.
 
-use san_topo::planner::{plan, planner_for, PlanRequest, RouteCache};
-use san_topo::{validate, TopoSpec};
+use san_fabric::{NodeId, Topology};
+use san_topo::{
+    planner_for, validate, GenericDiversePlanner, PlanRequest, PlanTable, RouteCache, RoutePlanner,
+    TopoSpec,
+};
 
 /// `(spec, k, sampled hosts, fingerprint of the historical plan)`.
 const PINS: &[(&str, usize, usize, u64)] = &[
@@ -18,12 +21,26 @@ const PINS: &[(&str, usize, usize, u64)] = &[
     ("regular:16x4x2:3", 4, 8, 0x3b5171f78bcbd3c7),
 ];
 
+/// Every ordered pair of `hosts`, planned by the generic strategy over a
+/// healthy fabric.
+fn generic_plan(topo: &Topology, hosts: &[NodeId], k: usize) -> PlanTable {
+    GenericDiversePlanner::new()
+        .plan(&PlanRequest {
+            topo,
+            hosts,
+            k,
+            alive: &|_| true,
+            hints: None,
+        })
+        .table
+}
+
 #[test]
 fn generic_strategy_is_byte_identical_to_historical_plans() {
     for &(spec, k, sample, pin) in PINS {
         let f = TopoSpec::parse(spec).unwrap().build();
         let hosts = validate::sample_hosts(&f.hosts, sample);
-        let table = plan(&f.topo, &hosts, k, |_| true);
+        let table = generic_plan(&f.topo, &hosts, k);
         assert_eq!(
             table.fingerprint(),
             pin,
@@ -67,7 +84,7 @@ fn family_selected_planner_matches_generic_on_non_tori() {
         });
         assert_eq!(
             planned.table.fingerprint(),
-            plan(&f.topo, &hosts, 3, |_| true).fingerprint()
+            generic_plan(&f.topo, &hosts, 3).fingerprint()
         );
     }
 }

@@ -9,9 +9,8 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 use san_fabric::{Endpoint, LinkId, NodeId, Route, Topology};
-use san_topo::planner::{planner_for, RoutePlanner};
 use san_topo::validate::{self, route_links};
-use san_topo::TopoSpec;
+use san_topo::{planner_for, RoutePlanner, TopoSpec};
 
 fn trace_ok(topo: &Topology, a: NodeId, b: NodeId, r: &Route) -> bool {
     topo.trace_route(a, r, |_| true) == Some(Endpoint::Host(b))

@@ -30,6 +30,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== benchmark crate (perf/ compiles against the workspace APIs; its tests pass)"
+cargo test -q --offline --manifest-path perf/Cargo.toml
+
 echo "== san-mc smoke (exhaustive 2-node model check + leak-knob canary)"
 # tiny2/wrap2 must verify exhaustively (with liveness); leak2 must FAIL
 # with a conservation counterexample — if the checker stops finding the
@@ -42,7 +45,7 @@ cargo run --release -q -p san-bench --bin engine -- --smoke
 echo "== scale_map smoke (atlas + planner-hint remap gate)"
 cargo run --release -q -p san-bench --bin scale_map -- --smoke
 
-echo "== topo smoke (planner-strategy equivalence + torus floor + cold-start gate)"
+echo "== topo smoke (planner-strategy selection + torus floor + cold-start gate)"
 cargo run --release -q -p san-bench --bin topo -- --smoke
 
 echo "== reconfig smoke (three-policy live-reconfiguration gate)"
