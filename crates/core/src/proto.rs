@@ -104,7 +104,7 @@ impl RttEstimator {
 }
 
 /// Send-side state toward one destination node.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SenderState {
     /// Next sequence number to assign.
     pub next_seq: u32,
@@ -166,6 +166,49 @@ impl Default for SenderState {
             cwnd: u32::MAX,
             unsent_tail: 0,
         }
+    }
+}
+
+/// Field-wise, so `clone_from` keeps the destination's queue buffer (the
+/// model checker overwrites one scratch successor per transition). Both
+/// methods name every field: a new field fails to compile until it is
+/// copied here.
+impl Clone for SenderState {
+    fn clone(&self) -> Self {
+        let mut s = Self::default();
+        s.clone_from(self);
+        s
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            next_seq,
+            generation,
+            retrans_q,
+            since_ack_req,
+            last_progress,
+            retx_busy_until,
+            mapping,
+            map_attempts,
+            remap_backoff_until,
+            rtt,
+            karn_barrier,
+            cwnd,
+            unsent_tail,
+        } = self;
+        *next_seq = src.next_seq;
+        *generation = src.generation;
+        retrans_q.clone_from(&src.retrans_q);
+        *since_ack_req = src.since_ack_req;
+        *last_progress = src.last_progress;
+        *retx_busy_until = src.retx_busy_until;
+        *mapping = src.mapping;
+        *map_attempts = src.map_attempts;
+        *remap_backoff_until = src.remap_backoff_until;
+        rtt.clone_from(&src.rtt);
+        *karn_barrier = src.karn_barrier;
+        *cwnd = src.cwnd;
+        *unsent_tail = src.unsent_tail;
     }
 }
 

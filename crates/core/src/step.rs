@@ -38,10 +38,14 @@ use crate::proto::{ReceiverState, RxVerdict, SenderState, MIN_CWND};
 /// path-reset window (~62 ms) before the final verdict is accepted.
 pub const MAX_MAP_ATTEMPTS: u32 = 7;
 
-/// A pure state-machine seam: one step consumes a state and an event and
-/// produces the successor state plus the actions the step emitted, with
-/// no side effects. Drivers (the simulator firmware, the model checker,
-/// the bridge tests) interpret the actions against their own world.
+/// A pure state-machine seam: one step turns a state into its successor
+/// under an event and reports the actions the step emitted, with no side
+/// effects. Drivers (the simulator firmware, the model checker, the
+/// bridge tests) interpret the actions against their own world.
+///
+/// The step is in place so a driver that explores many successors of one
+/// state (the model checker) can reuse a single scratch state and action
+/// buffer; a driver that needs the predecessor clones it first.
 pub trait ProtocolStep {
     /// The machine's state value.
     type State;
@@ -49,8 +53,8 @@ pub trait ProtocolStep {
     type Event;
     /// One emitted action.
     type Action;
-    /// Apply `ev` to `state`, returning the successor and emitted actions.
-    fn step(&self, state: &Self::State, ev: &Self::Event) -> (Self::State, Vec<Self::Action>);
+    /// Advance `state` by `ev`, appending the emitted actions to `out`.
+    fn step(&self, state: &mut Self::State, ev: &Self::Event, out: &mut Vec<Self::Action>);
 }
 
 // ---------------------------------------------------------------------------
@@ -374,7 +378,7 @@ pub enum NodeAction {
 }
 
 /// The whole protocol state of one NIC as a value.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NodeState {
     /// Per-peer send-side state (indexed by node id).
     pub senders: Vec<SenderState>,
@@ -405,6 +409,52 @@ impl NodeState {
     /// Free buffers remaining.
     pub fn pool_free(&self) -> usize {
         self.pool.iter().filter(|b| b.is_none()).count()
+    }
+}
+
+/// Field-wise, so `clone_from` keeps every buffer of the destination (the
+/// model checker overwrites one scratch successor per transition). Both
+/// methods name every field: a new field fails to compile until it is
+/// copied here.
+impl Clone for NodeState {
+    fn clone(&self) -> Self {
+        Self {
+            senders: self.senders.clone(),
+            receivers: self.receivers.clone(),
+            pool: self.pool.clone(),
+            pending: self.pending.clone(),
+            held: self.held.clone(),
+            retry_pending: self.retry_pending.clone(),
+            route_ok: self.route_ok.clone(),
+            tx_counter: self.tx_counter,
+            completed: self.completed.clone(),
+            failed: self.failed.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            senders,
+            receivers,
+            pool,
+            pending,
+            held,
+            retry_pending,
+            route_ok,
+            tx_counter,
+            completed,
+            failed,
+        } = self;
+        senders.clone_from(&src.senders);
+        receivers.clone_from(&src.receivers);
+        pool.clone_from(&src.pool);
+        pending.clone_from(&src.pending);
+        held.clone_from(&src.held);
+        retry_pending.clone_from(&src.retry_pending);
+        route_ok.clone_from(&src.route_ok);
+        *tx_counter = src.tx_counter;
+        completed.clone_from(&src.completed);
+        failed.clone_from(&src.failed);
     }
 }
 
@@ -812,21 +862,19 @@ impl ProtocolStep for NodeModel {
     type Event = NodeEvent;
     type Action = NodeAction;
 
-    fn step(&self, state: &NodeState, ev: &NodeEvent) -> (NodeState, Vec<NodeAction>) {
-        let mut st = state.clone();
-        let mut out = Vec::new();
+    fn step(&self, st: &mut NodeState, ev: &NodeEvent, out: &mut Vec<NodeAction>) {
         match *ev {
             NodeEvent::PostSend { dst, payload } => {
                 st.pending.push_back(ModelDesc { dst, payload });
-                self.pump(&mut st, &mut out);
+                self.pump(st, out);
             }
-            NodeEvent::RxData { src, ref pkt } => self.rx_data(&mut st, &mut out, src, pkt),
+            NodeEvent::RxData { src, ref pkt } => self.rx_data(st, out, src, pkt),
             NodeEvent::RxAck {
                 src,
                 ack_seq,
                 ack_gen,
-            } => self.apply_ack(&mut st, &mut out, src, ack_seq, ack_gen),
-            NodeEvent::ScanTick { dst } => self.replay(&mut st, &mut out, dst, true),
+            } => self.apply_ack(st, out, src, ack_seq, ack_gen),
+            NodeEvent::ScanTick { dst } => self.replay(st, out, dst, true),
             NodeEvent::SuspectPermFail { dst } => {
                 let s = &st.senders[dst];
                 if !s.mapping && !st.retry_pending[dst] && !s.retrans_q.is_empty() {
@@ -835,12 +883,9 @@ impl ProtocolStep for NodeModel {
                     out.push(NodeAction::StartMapping { dst });
                 }
             }
-            NodeEvent::MapResolved { dst, found } => {
-                self.map_resolved(&mut st, &mut out, dst, found)
-            }
-            NodeEvent::RemapRetry { dst } => self.remap_retry(&mut st, &mut out, dst),
+            NodeEvent::MapResolved { dst, found } => self.map_resolved(st, out, dst, found),
+            NodeEvent::RemapRetry { dst } => self.remap_retry(st, out, dst),
         }
-        (st, out)
     }
 }
 
@@ -852,11 +897,18 @@ mod tests {
         NodeModel::new(0, 2, 2)
     }
 
+    /// Step `st` in place; returns the emitted actions.
+    fn step(m: &NodeModel, st: &mut NodeState, ev: NodeEvent) -> Vec<NodeAction> {
+        let mut out = Vec::new();
+        m.step(st, &ev, &mut out);
+        out
+    }
+
     #[test]
     fn post_assigns_and_transmits() {
         let m = two_node_model();
-        let s0 = m.initial_state(0, 0);
-        let (s1, a1) = m.step(&s0, &NodeEvent::PostSend { dst: 1, payload: 0 });
+        let mut s1 = m.initial_state(0, 0);
+        let a1 = step(&m, &mut s1, NodeEvent::PostSend { dst: 1, payload: 0 });
         assert_eq!(a1.len(), 1);
         match a1[0] {
             NodeAction::Transmit {
@@ -878,15 +930,15 @@ mod tests {
         let m = two_node_model();
         let mut st = m.initial_state(0, 0);
         for p in 0..3u64 {
-            let (next, _) = m.step(&st, &NodeEvent::PostSend { dst: 1, payload: p });
-            st = next;
+            step(&m, &mut st, NodeEvent::PostSend { dst: 1, payload: p });
         }
         assert_eq!(st.pool_free(), 0);
         assert_eq!(st.pending.len(), 1, "third post waits for a buffer");
         // Ack the first packet: the pending descriptor admits.
-        let (st, acts) = m.step(
-            &st,
-            &NodeEvent::RxAck {
+        let acts = step(
+            &m,
+            &mut st,
+            NodeEvent::RxAck {
                 src: 1,
                 ack_seq: 0,
                 ack_gen: 0,
@@ -904,10 +956,9 @@ mod tests {
         let m = two_node_model();
         let mut st = m.initial_state(0, 0);
         for p in 0..2u64 {
-            let (next, _) = m.step(&st, &NodeEvent::PostSend { dst: 1, payload: p });
-            st = next;
+            step(&m, &mut st, NodeEvent::PostSend { dst: 1, payload: p });
         }
-        let (st, acts) = m.step(&st, &NodeEvent::ScanTick { dst: 1 });
+        let acts = step(&m, &mut st, NodeEvent::ScanTick { dst: 1 });
         let replays: Vec<&NodeAction> = acts
             .iter()
             .filter(|a| matches!(a, NodeAction::Transmit { first: false, .. }))
@@ -923,7 +974,7 @@ mod tests {
     #[test]
     fn receiver_deposits_in_order_and_acks_on_request() {
         let m = NodeModel::new(1, 2, 2);
-        let st = m.initial_state(0, 0);
+        let mut st = m.initial_state(0, 0);
         let pkt = ModelPacket {
             seq: 0,
             generation: 0,
@@ -931,7 +982,7 @@ mod tests {
             ack_request: true,
             piggy: None,
         };
-        let (st, acts) = m.step(&st, &NodeEvent::RxData { src: 0, pkt });
+        let acts = step(&m, &mut st, NodeEvent::RxData { src: 0, pkt });
         assert!(matches!(acts[0], NodeAction::Deposit { payload: 7, .. }));
         assert!(matches!(acts[1], NodeAction::AckTx { ack_seq: 0, .. }));
         assert_eq!(st.receivers[0].expected, 1);
@@ -943,18 +994,18 @@ mod tests {
         m.max_map_attempts = 1;
         let mut st = m.initial_state(0, 0);
         for p in 0..2u64 {
-            let (next, _) = m.step(&st, &NodeEvent::PostSend { dst: 1, payload: p });
-            st = next;
+            step(&m, &mut st, NodeEvent::PostSend { dst: 1, payload: p });
         }
-        let (st, acts) = m.step(&st, &NodeEvent::SuspectPermFail { dst: 1 });
+        let acts = step(&m, &mut st, NodeEvent::SuspectPermFail { dst: 1 });
         assert!(matches!(acts[0], NodeAction::StartMapping { dst: 1 }));
         assert!(st.senders[1].mapping);
         // Post while mapping: descriptor parks in the mapper.
-        let (st, _) = m.step(&st, &NodeEvent::PostSend { dst: 1, payload: 2 });
+        step(&m, &mut st, NodeEvent::PostSend { dst: 1, payload: 2 });
         assert_eq!(st.held[1].len(), 1);
-        let (st, acts) = m.step(
-            &st,
-            &NodeEvent::MapResolved {
+        let acts = step(
+            &m,
+            &mut st,
+            NodeEvent::MapResolved {
                 dst: 1,
                 found: false,
             },
@@ -979,38 +1030,35 @@ mod tests {
             m.max_map_attempts = 2;
             m.knobs.leak_stale_retry_descs = leak;
             let mut st = m.initial_state(0, 0);
-            let (next, _) = m.step(&st, &NodeEvent::PostSend { dst: 1, payload: 0 });
-            st = next;
-            let (next, _) = m.step(&st, &NodeEvent::SuspectPermFail { dst: 1 });
-            st = next;
+            step(&m, &mut st, NodeEvent::PostSend { dst: 1, payload: 0 });
+            step(&m, &mut st, NodeEvent::SuspectPermFail { dst: 1 });
             // Spurious unreachable: retry scheduled, attempts = 1.
-            let (next, _) = m.step(
-                &st,
-                &NodeEvent::MapResolved {
+            step(
+                &m,
+                &mut st,
+                NodeEvent::MapResolved {
                     dst: 1,
                     found: false,
                 },
             );
-            st = next;
             assert!(st.retry_pending[1]);
             // A post during the backoff parks in the mapper.
-            let (next, _) = m.step(&st, &NodeEvent::PostSend { dst: 1, payload: 1 });
-            st = next;
+            step(&m, &mut st, NodeEvent::PostSend { dst: 1, payload: 1 });
             assert_eq!(st.held[1].len(), 1);
             // Progress resumes: route restored + attempts reset via an ACK.
             st.route_ok[1] = true;
-            let (next, _) = m.step(
-                &st,
-                &NodeEvent::RxAck {
+            step(
+                &m,
+                &mut st,
+                NodeEvent::RxAck {
                     src: 1,
                     ack_seq: 0,
                     ack_gen: 0,
                 },
             );
-            st = next;
             assert_eq!(st.senders[1].map_attempts, 0);
             // The stale retry fires.
-            let (st, _) = m.step(&st, &NodeEvent::RemapRetry { dst: 1 });
+            step(&m, &mut st, NodeEvent::RemapRetry { dst: 1 });
             let accounted = st.pending.len()
                 + st.held[1].len()
                 + st.senders[1].retrans_q.len()

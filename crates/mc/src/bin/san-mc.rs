@@ -47,6 +47,15 @@ fn main() -> ExitCode {
     }
 }
 
+/// Refuse configs the model cannot represent, naming the first one.
+fn invalid(configs: &[McConfig]) -> Option<ExitCode> {
+    let (cfg, e) = configs
+        .iter()
+        .find_map(|c| c.validate().err().map(|e| (c, e)))?;
+    eprintln!("config `{}`: {e}", cfg.name);
+    Some(ExitCode::from(2))
+}
+
 fn cmd_list() -> ExitCode {
     for cfg in McConfig::presets() {
         println!(
@@ -136,6 +145,9 @@ fn cmd_check(args: &[String]) -> ExitCode {
             None => return usage(),
         }
     };
+    if let Some(code) = invalid(&configs) {
+        return code;
+    }
 
     let mut all_ok = true;
     for cfg in &configs {
@@ -181,6 +193,9 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     let Some(cfg) = McConfig::by_name(name) else {
         return usage();
     };
+    if let Some(code) = invalid(std::slice::from_ref(&cfg)) {
+        return code;
+    }
     let text = match std::fs::read_to_string(file) {
         Ok(t) => t,
         Err(e) => {
@@ -241,6 +256,9 @@ fn cmd_stats(args: &[String]) -> ExitCode {
             None => return usage(),
         }
     };
+    if let Some(code) = invalid(&configs) {
+        return code;
+    }
     println!(
         "{:<8} {:>10} {:>12} {:>7} {:>10} {:>12} {:>9}",
         "config", "states", "transitions", "depth", "dedup", "states/sec", "seconds"

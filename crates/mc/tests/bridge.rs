@@ -22,7 +22,9 @@
 
 use proptest::prelude::*;
 use san_fabric::topology;
-use san_ft::step::{FaultKnobs, ModelPacket, NodeAction, NodeEvent, NodeModel, ProtocolStep};
+use san_ft::step::{
+    FaultKnobs, ModelPacket, NodeAction, NodeEvent, NodeModel, NodeState, ProtocolStep,
+};
 use san_ft::{FeedbackPolicy, ProtocolConfig, ReliableFirmware, MAX_MAP_ATTEMPTS};
 use san_nic::testkit::{inbox, Collector, StreamSender};
 use san_nic::{Cluster, ClusterConfig, Firmware, HostAgent};
@@ -131,10 +133,15 @@ fn run_model(msgs: u64, pool: u16, every_k: u32, drop_interval: Option<u64>) -> 
     let mut deposits = Vec::new();
     let mut drops = Vec::new();
 
-    // Route one step's actions into the channels/observation log.
-    let mut on_actions = |actions: Vec<NodeAction>,
-                          wire: &mut VecDeque<ModelPacket>,
-                          acks: &mut VecDeque<(u32, u16)>| {
+    // Step one model in place and route the actions into the
+    // channels/observation log.
+    let mut step = |m: &NodeModel,
+                    st: &mut NodeState,
+                    ev: NodeEvent,
+                    wire: &mut VecDeque<ModelPacket>,
+                    acks: &mut VecDeque<(u32, u16)>| {
+        let mut actions = Vec::new();
+        m.step(st, &ev, &mut actions);
         for act in actions {
             match act {
                 NodeAction::Transmit { pkt, .. } => wire.push_back(pkt),
@@ -154,9 +161,8 @@ fn run_model(msgs: u64, pool: u16, every_k: u32, drop_interval: Option<u64>) -> 
 
     // Phase 1: the host posts everything up front (StreamSender does).
     for payload in 0..msgs {
-        let (next, out) = ma.step(&sa, &NodeEvent::PostSend { dst: 1, payload });
-        sa = next;
-        on_actions(out, &mut wire, &mut acks);
+        let ev = NodeEvent::PostSend { dst: 1, payload };
+        step(&ma, &mut sa, ev, &mut wire, &mut acks);
     }
     // Phase 2: rounds of deliver-everything / ack-everything / scan-tick
     // until the stream completes and drains — the model analogue of the
@@ -170,26 +176,20 @@ fn run_model(msgs: u64, pool: u16, every_k: u32, drop_interval: Option<u64>) -> 
             break;
         }
         while let Some(pkt) = wire.pop_front() {
-            let (next, out) = mb.step(&sb, &NodeEvent::RxData { src: 0, pkt });
-            sb = next;
-            on_actions(out, &mut wire, &mut acks);
+            let ev = NodeEvent::RxData { src: 0, pkt };
+            step(&mb, &mut sb, ev, &mut wire, &mut acks);
         }
         while let Some((ack_seq, ack_gen)) = acks.pop_front() {
-            let (next, out) = ma.step(
-                &sa,
-                &NodeEvent::RxAck {
-                    src: 1,
-                    ack_seq,
-                    ack_gen,
-                },
-            );
-            sa = next;
-            on_actions(out, &mut wire, &mut acks);
+            let ev = NodeEvent::RxAck {
+                src: 1,
+                ack_seq,
+                ack_gen,
+            };
+            step(&ma, &mut sa, ev, &mut wire, &mut acks);
         }
         if !sa.senders[1].retrans_q.is_empty() && wire.is_empty() && acks.is_empty() {
-            let (next, out) = ma.step(&sa, &NodeEvent::ScanTick { dst: 1 });
-            sa = next;
-            on_actions(out, &mut wire, &mut acks);
+            let ev = NodeEvent::ScanTick { dst: 1 };
+            step(&ma, &mut sa, ev, &mut wire, &mut acks);
         }
     }
     assert_eq!(sa.completed[1], msgs, "model must complete the stream");

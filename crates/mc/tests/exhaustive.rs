@@ -8,7 +8,12 @@
 //! and the leak-knob counterexample with its model and simulator
 //! replays.
 
-use san_mc::{check, replay_model, replay_on_sim, CheckOpts, McConfig};
+use std::collections::{HashSet, VecDeque};
+
+use san_fabric::fingerprint::Fnv;
+use san_mc::{
+    apply, check, enabled, encode, replay_model, replay_on_sim, CheckOpts, McConfig, SysState,
+};
 use san_telemetry::Telemetry;
 
 fn run(cfg: &McConfig, liveness: bool) -> san_mc::CheckReport {
@@ -162,6 +167,96 @@ fn budgets_truncate_cleanly() {
     let r = check(&cfg, &opts, &Telemetry::new());
     assert!(r.truncated);
     assert!(r.counterexample.is_none());
+}
+
+/// Totals of [`reference_bfs`].
+#[derive(Debug, PartialEq, Eq)]
+struct Walk {
+    states: usize,
+    transitions: usize,
+    dedup_hits: usize,
+    /// FNV-1a over every new state's key, in discovery order.
+    key_digest: u64,
+}
+
+/// Fold one key into `h`: its length, then its bytes as zero-padded
+/// little-endian words.
+fn fold_key(h: &mut Fnv, key: &[u8]) {
+    h.u64(key.len() as u64);
+    for chunk in key.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h.u64(u64::from_le_bytes(word));
+    }
+}
+
+/// A plain breadth-first search over the public, allocating model API
+/// (`enabled`, `apply`, `encode`), independent of the checker's scratch
+/// successor. Along the way it `clone_from`s every newly discovered
+/// state into a scratch that holds the previous one and demands the copy
+/// print exactly like its source, so a field `clone_from` skips shows.
+fn reference_bfs(cfg: &McConfig) -> Walk {
+    let init = SysState::initial(cfg);
+    let mut h = Fnv::new();
+    let mut visited: HashSet<Vec<u8>> = HashSet::new();
+    let key = encode(cfg, &init);
+    fold_key(&mut h, &key);
+    visited.insert(key);
+    let mut scratch = init.clone();
+    let mut frontier = VecDeque::from([init]);
+    let (mut transitions, mut dedup_hits) = (0, 0);
+    while let Some(st) = frontier.pop_front() {
+        for ev in enabled(cfg, &st) {
+            transitions += 1;
+            let (succ, viols) = apply(cfg, &st, &ev);
+            assert!(viols.is_empty(), "{} violates {viols:?}", cfg.name);
+            let key = encode(cfg, &succ);
+            if visited.contains(&key) {
+                dedup_hits += 1;
+                continue;
+            }
+            fold_key(&mut h, &key);
+            visited.insert(key);
+            scratch.clone_from(&succ);
+            assert_eq!(format!("{scratch:?}"), format!("{succ:?}"));
+            frontier.push_back(succ);
+        }
+    }
+    Walk {
+        states: visited.len(),
+        transitions,
+        dedup_hits,
+        key_digest: h.finish(),
+    }
+}
+
+/// The reference search must discover the same keys, byte for byte and
+/// in the same order, as the allocating `Vec<Vec<u8>>` encoder did (the
+/// digests were captured from it), and reach the checker's exact counts.
+fn assert_reference_walk(cfg: &McConfig, key_digest: u64) {
+    let walk = reference_bfs(cfg);
+    let r = run(cfg, false);
+    assert!(r.verified());
+    let expected = Walk {
+        states: r.states,
+        transitions: r.transitions,
+        dedup_hits: r.dedup_hits,
+        key_digest,
+    };
+    assert_eq!(walk, expected, "{}", cfg.name);
+}
+
+/// tiny2 reorders, so its keys exercise the sorted channel records,
+/// piggy-backed and plain packets mixed.
+#[test]
+fn tiny2_keys_match_the_reference_digest() {
+    assert_reference_walk(&McConfig::tiny2(), 0xabf0_c78a_5a10_fe76);
+}
+
+/// remap2 exercises link death, mapping, generation bumps and retries.
+#[test]
+fn remap2_keys_match_the_reference_digest() {
+    assert_reference_walk(&McConfig::remap2(), 0x3c53_29b0_f323_bcdc);
 }
 
 /// The checker streams progress through the shared telemetry registry —

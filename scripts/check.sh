@@ -39,6 +39,9 @@ echo "== san-mc smoke (exhaustive 2-node model check + leak-knob canary)"
 # re-introduced PR 2 leak, this gate trips.
 cargo run --release -q -p san-mc -- check --smoke
 
+echo "== san-mc benchmark configs (2-node failure model, two-way traffic, 3-node incast)"
+cargo run --release -q -p san-mc -- check remap2 bidir2 incast3
+
 echo "== engine smoke (scheduler throughput floor + shard determinism gate)"
 cargo run --release -q -p san-bench --bin engine -- --smoke
 

@@ -1,0 +1,45 @@
+//! Tier-1 pins on the `san-mc` model checker: the canonical config's
+//! exact state space and the leak-knob config's exact shortest
+//! counterexample. A change to the protocol kernel, the adversary, the
+//! canonical encoding or the search order moves one of them.
+
+use san_mc::{check, to_lines, CheckOpts, McConfig};
+use san_telemetry::Telemetry;
+
+/// The shortest event path to the re-introduced stale-retry leak, in
+/// BFS discovery order.
+const LEAK2_TRACE: &str = "\
+post 0 1
+deliver-data 0 1 0
+tick 0 1
+deliver-data 0 1 0
+permfail 0 1
+post 0 1
+resolve 0 1 0
+deliver-ack 1 0 0
+retry-fire 0 1
+";
+
+#[test]
+fn tiny2_state_space_is_pinned() {
+    let r = check(&McConfig::tiny2(), &CheckOpts::default(), &Telemetry::new());
+    assert!(r.verified(), "tiny2 must verify: {:?}", r.counterexample);
+    assert_eq!(r.states, 37_705, "states");
+    assert_eq!(r.transitions, 243_751, "transitions");
+    assert_eq!(r.dedup_hits, 206_047, "dedup hits");
+    assert_eq!(r.max_depth_seen, 25, "depth");
+}
+
+#[test]
+fn leak2_counterexample_is_pinned() {
+    let r = check(&McConfig::leak2(), &CheckOpts::default(), &Telemetry::new());
+    let cex = r
+        .counterexample
+        .expect("leak2 must produce a counterexample");
+    assert_eq!(cex.violation.invariant, "descriptor-conservation");
+    assert_eq!(
+        cex.violation.detail,
+        "pair 0->1: posted 2 but accounted 1 (pending 0, held 0, queued 0, completed 1, failed 0)"
+    );
+    assert_eq!(to_lines(&cex.trace), LEAK2_TRACE);
+}
