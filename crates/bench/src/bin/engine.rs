@@ -5,10 +5,11 @@
 //! parallel engine at the largest size.
 //!
 //! Traffic is a fixed shift permutation (host `i` streams to host
-//! `i + n/2 mod n`) with routes installed only for the pairs that talk —
-//! route setup stays O(n · E), not the n² BFS of
-//! `Cluster::install_shortest_routes`, so the measurement is the engine,
-//! not the setup.
+//! `i + n/2 mod n`) with routes installed only for the pairs that talk:
+//! one stopped-early search per talking host, and a NIC table holding one
+//! route instead of the n − 1 that `Cluster::install_shortest_routes`
+//! installs (itself one search per host, O(n · E) overall), so the
+//! measurement is the engine, not the setup.
 //!
 //! The default run writes `BENCH_engine.json` (`--json <path>` overrides):
 //! per-fabric rows and the largest host count each family finishes inside

@@ -20,6 +20,7 @@
 //! | `scale_map` | Table 3 beyond 4 hops — on-demand (planner-hinted) vs full-map reconfiguration on 128-host atlas fabrics (`--smoke` = small-fabric CI gate) |
 //! | `tenants` | multi-tenant congestion-knee study — tenant count × wire loss × adaptive response on a 128-host fat-tree, per-tenant tail latency + Jain fairness, emits `BENCH_workload.json` (`--smoke` = 2-tenant incast CI gate) |
 //! | `reconfig` | live-reconfiguration policy study — full static remap vs on-demand mapping vs incremental DBR-style patching across a drain→detach→re-grow cycle under traffic, emits `BENCH_reconfig.json` (`--smoke` = small-fabric CI gate) |
+//! | `route_setup` | set-up cost of a mapped cluster — `Cluster::new` plus a full shortest-path or UP*/DOWN* route table — on atlas fabrics up to 1024 hosts |
 //! | `topo` | cross-topology routing study — fat-tree vs torus2d/3d vs near-regular at 128 hosts: `RoutePlanner` strategy steps + diversity, hint survival under faults, one-link remap under a stream, san-workload throughput, emits `BENCH_topo.json` (`--smoke` = strategy-equivalence + torus-floor + cold-start CI gate) |
 //!
 //! Every binary accepts `--quick` (reduced volume; the default) or `--full`

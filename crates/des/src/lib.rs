@@ -12,7 +12,6 @@
 //! * [`arena`] — slab allocator with stable `u32` indices + generation tags
 //!   (in-flight packets), a chain arena for wormhole channel-occupancy lists,
 //!   and a box pool for packet recycling on the NIC hot path.
-//! * [`intern`] — byte-buffer interner with stable `u32` ids (route tables).
 //! * [`sync`] — conservative time-window synchronization for sharded
 //!   parallel simulation (CMB-style lookahead windows over a spin barrier).
 //!
@@ -23,6 +22,5 @@
 pub mod arena;
 #[cfg(test)]
 mod heap;
-pub mod intern;
 pub mod sync;
 pub mod wheel;

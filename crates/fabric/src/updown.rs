@@ -225,7 +225,8 @@ impl UpDownMap {
     }
 
     /// Compute an UP*/DOWN*-legal route from `from` to `to`, shortest among
-    /// legal routes (BFS over (switch, phase) states).
+    /// legal routes (BFS over (switch, phase) states). `None` when no legal
+    /// route exists within the [`MAX_HOPS`] = 16 hop budget.
     pub fn route(
         &self,
         topo: &Topology,
@@ -236,18 +237,68 @@ impl UpDownMap {
         if from == to {
             return Some(Route::empty());
         }
-        let first = topo.link_at(Endpoint::Host(from))?;
+        let mut found = None;
+        self.search_hosts(topo, from, alive, |h, route| {
+            if h == to {
+                found = Some(route());
+            }
+            found.is_some()
+        });
+        found
+    }
+
+    /// Every host's [`UpDownMap::route`] from `src`, indexed by
+    /// destination, from one search: entry `b` (including `b == src`) is
+    /// exactly `route(topo, src, b, alive)`.
+    ///
+    /// # Panics
+    /// Panics if `src` is not a host of `topo`.
+    pub fn routes_from(
+        &self,
+        topo: &Topology,
+        src: NodeId,
+        alive: impl Fn(LinkId) -> bool,
+    ) -> Vec<Option<Route>> {
+        let mut row = vec![None; topo.num_hosts()];
+        row[src.idx()] = Some(Route::empty());
+        self.search_hosts(topo, src, alive, |h, route| {
+            row[h.idx()].get_or_insert_with(route);
+            false
+        });
+        row
+    }
+
+    /// The breadth-first search behind [`UpDownMap::route`] and
+    /// [`UpDownMap::routes_from`], over (switch, went-down) states: once a
+    /// down step is taken, up steps are forbidden. States leave the queue
+    /// in BFS order and ports are scanned in ascending order; a route that
+    /// already has [`MAX_HOPS`] bytes is not extended. `hit(h, route)` is
+    /// called for every alive link into a host; a switch can be scanned in
+    /// both phases, so a host can be hit twice, and its first hit is its
+    /// route. `route()` builds the route on demand, as in the search behind
+    /// [`Topology::shortest_route`]. The search stops as soon as `hit`
+    /// returns true.
+    fn search_hosts(
+        &self,
+        topo: &Topology,
+        from: NodeId,
+        alive: impl Fn(LinkId) -> bool,
+        mut hit: impl FnMut(NodeId, &dyn Fn() -> Route) -> bool,
+    ) {
+        let Some(first) = topo.link_at(Endpoint::Host(from)) else {
+            return;
+        };
         if !alive(first) {
-            return None;
+            return;
         }
         let s0 = match topo.link(first).other(Endpoint::Host(from)) {
-            Endpoint::Host(h) => return (h == to).then(Route::empty),
+            Endpoint::Host(h) => {
+                hit(h, &Route::empty);
+                return;
+            }
             Endpoint::Switch(s, _) => s,
         };
-        // State: (switch, already_went_down). Once a down step is taken, up
-        // steps are forbidden.
-        let ns = topo.num_switches();
-        let mut seen = vec![[false; 2]; ns];
+        let mut seen = vec![[false; 2]; topo.num_switches()];
         let mut q = VecDeque::new();
         seen[s0.idx()][0] = true;
         q.push_back((s0, false, Route::empty()));
@@ -263,8 +314,11 @@ impl UpDownMap {
                     continue;
                 }
                 match topo.link(link).other(Endpoint::Switch(s, PortId(p))) {
-                    Endpoint::Host(h) if h == to => return Some(route.then(p)),
-                    Endpoint::Host(_) => {}
+                    Endpoint::Host(h) => {
+                        if hit(h, &|| route.then(p)) {
+                            return;
+                        }
+                    }
                     Endpoint::Switch(s2, _) => {
                         let Some(dir) = self.step_dir(s, s2) else {
                             continue;
@@ -283,23 +337,18 @@ impl UpDownMap {
                 }
             }
         }
-        None
     }
 
     /// Compute the full routing table: routes for every ordered host pair
-    /// (the "full network map" whose cost the paper's scheme avoids paying).
+    /// (the "full network map" whose cost the paper's scheme avoids
+    /// paying), one [`UpDownMap::routes_from`] search per source.
     pub fn full_table(
         &self,
         topo: &Topology,
         alive: impl Fn(LinkId) -> bool + Copy,
     ) -> Vec<Vec<Option<Route>>> {
-        let n = topo.num_hosts();
-        (0..n)
-            .map(|a| {
-                (0..n)
-                    .map(|b| self.route(topo, NodeId(a as u16), NodeId(b as u16), alive))
-                    .collect()
-            })
+        (0..topo.num_hosts())
+            .map(|a| self.routes_from(topo, NodeId(a as u16), alive))
             .collect()
     }
 }
@@ -523,6 +572,50 @@ mod tests {
         assert_eq!(m.level, UpDownMap::build(&t, |_| true).unwrap().level);
         assert_eq!(m.level[s2.idx()], Some(2));
         assert_eq!(stats.relabeled, 1);
+    }
+
+    /// Row `src` of [`UpDownMap::routes_from`] against the per-pair
+    /// search, entry by entry.
+    fn assert_row_matches(
+        m: &UpDownMap,
+        t: &Topology,
+        src: NodeId,
+        alive: impl Fn(LinkId) -> bool + Copy,
+    ) {
+        let row = m.routes_from(t, src, alive);
+        assert_eq!(row.len(), t.num_hosts());
+        for (b, r) in row.iter().enumerate() {
+            let b = NodeId(b as u16);
+            assert_eq!(*r, m.route(t, src, b, alive), "{src} -> {b}");
+        }
+    }
+
+    #[test]
+    fn route_rows_edge_cases() {
+        // A source with no link, or a dead first link, reaches only itself.
+        let (mut t, a, b) = topology::pair_via_switch();
+        let stray = t.add_host();
+        let m = UpDownMap::build(&t, |_| true).unwrap();
+        let row = m.routes_from(&t, stray, |_| true);
+        assert_eq!(row, vec![None, None, Some(Route::empty())]);
+        assert_eq!(m.routes_from(&t, a, |_| true)[stray.idx()], None);
+        let la = t.link_at(Endpoint::Host(a)).unwrap();
+        let row = m.routes_from(&t, a, |l| l != la);
+        assert_eq!(row, vec![Some(Route::empty()), None, None]);
+        for src in [a, b, stray] {
+            assert_row_matches(&m, &t, src, |_| true);
+            assert_row_matches(&m, &t, src, |l| l != la);
+        }
+        // Beyond the hop budget: a chain is all down steps from its head,
+        // so only its length stops the route.
+        for (k, reach) in [(MAX_HOPS, true), (MAX_HOPS + 1, false)] {
+            let (t, a, b) = topology::chain(k);
+            let m = UpDownMap::build(&t, |_| true).unwrap();
+            let row = m.routes_from(&t, a, |_| true);
+            assert_eq!(row[b.idx()].is_some(), reach, "chain({k})");
+            assert_row_matches(&m, &t, a, |_| true);
+            assert_row_matches(&m, &t, b, |_| true);
+        }
     }
 
     #[test]

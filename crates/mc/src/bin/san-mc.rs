@@ -15,7 +15,8 @@
 //! counterexample (the checker proving it still catches the PR 2 bug).
 //! `trace` replays a serialized counterexample against the model (and,
 //! with `--sim`, its environment schedule against the real simulator).
-//! `stats` prints per-config state-space sizes and throughput.
+//! `stats` prints per-config state-space sizes, the peak BFS frontier and
+//! throughput.
 
 use std::process::ExitCode;
 
@@ -260,19 +261,20 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         return code;
     }
     println!(
-        "{:<8} {:>10} {:>12} {:>7} {:>10} {:>12} {:>9}",
-        "config", "states", "transitions", "depth", "dedup", "states/sec", "seconds"
+        "{:<8} {:>10} {:>12} {:>7} {:>10} {:>9} {:>12} {:>9}",
+        "config", "states", "transitions", "depth", "dedup", "frontier", "states/sec", "seconds"
     );
     for cfg in &configs {
         let tel = Telemetry::new();
         let report = check(cfg, &CheckOpts::default(), &tel);
         println!(
-            "{:<8} {:>10} {:>12} {:>7} {:>10} {:>12} {:>9.2}",
+            "{:<8} {:>10} {:>12} {:>7} {:>10} {:>9} {:>12} {:>9.2}",
             report.config,
             report.states,
             report.transitions,
             report.max_depth_seen,
             report.dedup_hits,
+            report.frontier_peak,
             tel.gauge("mc.states_per_sec").get(),
             report.elapsed_secs
         );

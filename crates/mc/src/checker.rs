@@ -60,6 +60,10 @@ pub struct CheckReport {
     pub dedup_hits: usize,
     /// Deepest BFS level reached.
     pub max_depth_seen: usize,
+    /// Largest BFS frontier: the queue length after each completed
+    /// expansion, starting at 1 for the initial state (0 when the initial
+    /// state already violates an invariant).
+    pub frontier_peak: usize,
     /// True when a budget stopped the search before exhaustion.
     pub truncated: bool,
     /// First (shortest) counterexample, if any.
@@ -111,6 +115,7 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
         transitions: 0,
         dedup_hits: 0,
         max_depth_seen: 0,
+        frontier_peak: 0,
         truncated: false,
         counterexample: None,
         elapsed_secs: 0.0,
@@ -146,6 +151,7 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
         return report;
     }
     frontier.push_back((0, init));
+    report.frontier_peak = 1;
 
     'search: while let Some((id, st)) = frontier.pop_front() {
         let depth = reached[id as usize].as_ref().map_or(0, |r| r.depth);
@@ -208,6 +214,7 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
             }
             frontier.push_back((succ_id, succ.clone()));
         }
+        report.frontier_peak = report.frontier_peak.max(frontier.len());
     }
 
     report.elapsed_secs = t0.elapsed().as_secs_f64();

@@ -12,7 +12,6 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use san_des::intern::{InternId, Interner};
 use san_fabric::engine::Engine;
 use san_fabric::{NodeId, Packet, PacketFlags, PacketKind, Route};
 use san_sim::{Resource, Sim, Time};
@@ -152,45 +151,59 @@ impl NicStats {
     }
 }
 
-/// Per-destination route table. Route buffers are interned: each distinct
-/// route is stored once and destinations hold dense `u32` ids, so the
-/// dominant per-NIC O(n) cost is 4 bytes per peer plus the (much smaller)
-/// set of distinct routes — up*/down* and spare-tree tables repeat routes
-/// heavily through shared trunks.
+/// Per-destination route table: a 4-byte slot per peer indexing one
+/// [`Route`] per installed peer. A re-`set` overwrites the peer's route in
+/// place and an invalidated peer keeps its storage for the next `set`, so
+/// the table never holds more routes than peers it has seen. Tables that
+/// route only the pairs that talk (the 1024-host permutation benchmarks)
+/// hold one route per NIC, which is why every peer costs a 4-byte slot
+/// rather than an 18-byte `Option<Route>`.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
-    ids: Vec<InternId>,
-    pool: Interner<Route>,
+    slots: Vec<u32>,
+    routes: Vec<Route>,
 }
 
 impl RouteTable {
+    /// Slot of a peer that was never installed.
+    const VACANT: u32 = u32::MAX;
+    /// Set on the slot of an invalidated peer; the low bits still index
+    /// its storage. Indices stay below it: peers are `u16` node ids.
+    const FORGOTTEN: u32 = 1 << 31;
+
     /// A table for `n` destinations, all unknown.
     pub fn new(n: usize) -> Self {
         Self {
-            ids: vec![InternId::NONE; n],
-            pool: Interner::new(),
+            slots: vec![Self::VACANT; n],
+            routes: Vec::new(),
         }
     }
     /// Route to `dst`, if known.
     pub fn get(&self, dst: NodeId) -> Option<Route> {
-        let id = *self.ids.get(dst.idx())?;
-        (!id.is_none()).then(|| *self.pool.resolve(id))
+        let slot = *self.slots.get(dst.idx())?;
+        (slot & Self::FORGOTTEN == 0).then(|| self.routes[slot as usize])
     }
     /// Install a route.
     pub fn set(&mut self, dst: NodeId, r: Route) {
-        self.ids[dst.idx()] = self.pool.intern(r);
+        let slot = &mut self.slots[dst.idx()];
+        if *slot == Self::VACANT {
+            *slot = self.routes.len() as u32;
+            self.routes.push(r);
+        } else {
+            *slot &= !Self::FORGOTTEN;
+            self.routes[*slot as usize] = r;
+        }
     }
     /// Forget a route (permanent-failure handling).
     pub fn invalidate(&mut self, dst: NodeId) {
-        self.ids[dst.idx()] = InternId::NONE;
+        self.slots[dst.idx()] |= Self::FORGOTTEN;
     }
     /// Number of known routes.
     pub fn known(&self) -> usize {
-        self.ids.iter().filter(|id| !id.is_none()).count()
-    }
-    /// Number of distinct route buffers behind the table.
-    pub fn distinct_routes(&self) -> usize {
-        self.pool.len()
+        self.slots
+            .iter()
+            .filter(|&&s| s & Self::FORGOTTEN == 0)
+            .count()
     }
 }
 
@@ -738,6 +751,26 @@ mod tests {
         assert_eq!(rt.known(), 1);
         // Out-of-range lookups are None, not panics.
         assert!(rt.get(NodeId(99)).is_none());
+        // Invalidating a never-installed peer leaves it unknown.
+        rt.invalidate(NodeId(3));
+        assert!(rt.get(NodeId(3)).is_none());
+        assert_eq!(rt.known(), 1);
+    }
+
+    #[test]
+    fn route_table_reuses_a_peers_storage() {
+        let mut rt = RouteTable::new(3);
+        rt.set(NodeId(1), Route::from_ports(&[1]));
+        rt.set(NodeId(2), Route::from_ports(&[2]));
+        // Re-set overwrites in place; re-set after invalidate reuses the
+        // peer's storage, so storage never exceeds one route per peer.
+        rt.set(NodeId(1), Route::from_ports(&[4, 5]));
+        rt.invalidate(NodeId(2));
+        rt.set(NodeId(2), Route::from_ports(&[6]));
+        assert_eq!(rt.routes.len(), 2);
+        assert_eq!(rt.get(NodeId(1)).unwrap().ports(), &[4, 5]);
+        assert_eq!(rt.get(NodeId(2)).unwrap().ports(), &[6]);
+        assert_eq!(rt.known(), 2);
     }
 
     #[test]

@@ -4,13 +4,55 @@
 //! connected, no over-subscribed switch port budgets, and a working
 //! UP*/DOWN* full map (`UpDownMap::build` succeeds and routes every
 //! sampled pair). `validate::check` is exactly that bundle, so each case
-//! below is "build an arbitrary spec, then `check` it".
+//! below is "build an arbitrary spec, then `check` it". Each case also
+//! checks that the one-search-per-source route rows equal the per-pair
+//! searches, with every link alive and with one seeded dead link.
 
 use proptest::prelude::*;
+use san_fabric::fingerprint_topology;
+use san_fabric::updown::UpDownMap;
+use san_fabric::{LinkId, NodeId, Topology};
+use san_sim::SimRng;
 use san_topo::atlas::TopoSpec;
 use san_topo::validate;
 
-/// Build the (seed-resolved) spec and run the full validator bundle.
+/// For each sampled source and every destination, row entry `b` of both
+/// disciplines' one-search rows must equal the per-pair route to `b`
+/// (`None` on both sides when `b` is unreachable).
+fn rows_match_pairs(
+    topo: &Topology,
+    sources: &[NodeId],
+    alive: impl Fn(LinkId) -> bool + Copy,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    let map = UpDownMap::build(topo, alive).expect("atlas fabrics have switches");
+    for &a in sources {
+        let shortest = topo.shortest_routes_from(a, alive);
+        let updown = map.routes_from(topo, a, alive);
+        for b in (0..topo.num_hosts()).map(|b| NodeId(b as u16)) {
+            prop_assert_eq!(
+                shortest[b.idx()],
+                topo.shortest_route(a, b, alive),
+                "{}: shortest {} -> {}",
+                label,
+                a,
+                b
+            );
+            prop_assert_eq!(
+                updown[b.idx()],
+                map.route(topo, a, b, alive),
+                "{}: UP*/DOWN* {} -> {}",
+                label,
+                a,
+                b
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Build the (seed-resolved) spec, run the full validator bundle, then
+/// check the route rows against the per-pair searches.
 fn assert_valid(spec: TopoSpec, seed: u64) -> Result<(), TestCaseError> {
     let resolved = spec.resolved(seed);
     let fab = resolved.build();
@@ -27,13 +69,23 @@ fn assert_valid(spec: TopoSpec, seed: u64) -> Result<(), TestCaseError> {
                 "{}: zero-hop diameter over distinct hosts",
                 resolved.format()
             );
-            Ok(())
         }
         Err(e) => {
             prop_assert!(false, "{}: {e}", resolved.format());
-            Ok(())
         }
     }
+    let topo = &fab.topo;
+    let sources = validate::sample_hosts(&fab.hosts, 8);
+    let label = resolved.format();
+    rows_match_pairs(topo, &sources, |_| true, &label)?;
+    let mut rng = SimRng::seed_from(fingerprint_topology(topo) ^ seed);
+    let dead = LinkId(rng.below(topo.num_links() as u64) as u32);
+    rows_match_pairs(
+        topo,
+        &sources,
+        |l| l != dead,
+        &format!("{label} without link {}", dead.0),
+    )
 }
 
 proptest! {

@@ -1,7 +1,8 @@
 //! Tier-1 pins on the `san-mc` model checker: the canonical config's
-//! exact state space and the leak-knob config's exact shortest
-//! counterexample. A change to the protocol kernel, the adversary, the
-//! canonical encoding or the search order moves one of them.
+//! exact state space (counts, depth and peak frontier) and the leak-knob
+//! config's exact shortest counterexample. A change to the protocol
+//! kernel, the adversary, the canonical encoding or the search order moves
+//! one of them.
 
 use san_mc::{check, to_lines, CheckOpts, McConfig};
 use san_telemetry::Telemetry;
@@ -28,6 +29,7 @@ fn tiny2_state_space_is_pinned() {
     assert_eq!(r.transitions, 243_751, "transitions");
     assert_eq!(r.dedup_hits, 206_047, "dedup hits");
     assert_eq!(r.max_depth_seen, 25, "depth");
+    assert_eq!(r.frontier_peak, 6_063, "frontier peak");
 }
 
 #[test]
