@@ -23,7 +23,7 @@
 use san_fabric::{NodeId, Packet, PacketFlags, PacketKind, Route};
 use san_nic::{BufId, Firmware, NicCore, NicCtx, SendDesc};
 use san_sim::{Duration, Time};
-use san_telemetry::{Gauge, TraceKind};
+use san_telemetry::TraceKind;
 
 use crate::config::{MapperConfig, ProtocolConfig};
 use crate::ft_trace;
@@ -45,17 +45,6 @@ pub const TOKEN_PKT_BASE: u64 = 1 << 48;
 /// in an (untrusted) unreachable verdict: `TOKEN_REMAP_RETRY_BASE | dst`.
 pub const TOKEN_REMAP_RETRY_BASE: u64 = 1 << 49;
 
-/// Per-destination adaptive-control gauges (`ft.node.<n>.dst.<d>.*`),
-/// registered only when adaptive RTO or window damping is enabled.
-struct DstGauges {
-    /// Current age threshold for the destination's queue, µs.
-    rto_us: Gauge,
-    /// Consecutive-expiry backoff exponent.
-    backoff: Gauge,
-    /// Outstanding-window clamp (pool capacity when fully open).
-    cwnd: Gauge,
-}
-
 /// The reliable firmware (retransmission + optional on-demand mapping).
 pub struct ReliableFirmware {
     cfg: ProtocolConfig,
@@ -68,9 +57,9 @@ pub struct ReliableFirmware {
     /// Data packets processed by the injector so far (drop-interval clock).
     tx_counter: u64,
     n_nodes: usize,
-    /// Per-destination RTO/backoff/window gauges; `None` unless an adaptive
-    /// extension is on (the paper baseline registers nothing extra).
-    gauges: Option<Vec<DstGauges>>,
+    /// The periodic scan's list of non-empty queues, kept across firings
+    /// so that its storage is reused.
+    active: Vec<NodeId>,
 }
 
 /// Bound on buffered out-of-order packets per source in the selective
@@ -88,7 +77,7 @@ impl ReliableFirmware {
             mapper: Mapper::new(mapper_cfg),
             tx_counter: 0,
             n_nodes,
-            gauges: None,
+            active: Vec::new(),
         }
     }
 
@@ -182,21 +171,6 @@ impl ReliableFirmware {
         )
     }
 
-    /// Publish `dst`'s adaptive-control state to its telemetry gauges.
-    fn publish_gauges(&self, dst: NodeId) {
-        let Some(gs) = &self.gauges else { return };
-        let g = &gs[dst.idx()];
-        let s = &self.senders[dst.idx()];
-        g.rto_us
-            .set((self.age_threshold(dst).nanos() / 1_000) as i64);
-        g.backoff.set(s.rtt.backoff() as i64);
-        g.cwnd.set(if s.cwnd == u32::MAX {
-            -1
-        } else {
-            s.cwnd as i64
-        });
-    }
-
     fn arm_timer(&self, core: &NicCore, ctx: &mut NicCtx) {
         let node = core.node;
         // Self-pacing: the timer handler runs *on* the LANai, so the next
@@ -223,15 +197,11 @@ impl ReliableFirmware {
         core.stats.acks_rx.hit();
         core.cpu.acquire(ctx.now(), core.timing.ack_proc);
         let s = &mut self.senders[peer.idx()];
-        let freed = {
-            let pool = &core.pool;
-            s.take_acked(ack_seq, ack_gen, |b| {
-                let p = pool.pkt(b);
-                (p.seq, p.generation)
-            })
-        };
-        let n_freed = freed.len();
-        if !freed.is_empty() {
+        let n_freed = s.acked_prefix(ack_seq, ack_gen, |b| {
+            let p = core.pool.pkt(b);
+            (p.seq, p.generation)
+        });
+        if n_freed > 0 {
             s.last_progress = ctx.now();
             // Karn's rule: the newest acknowledged packet yields an RTT
             // sample only if it was sequenced *after* the last go-back-N
@@ -239,11 +209,14 @@ impl ReliableFirmware {
             // (first copy or second?) and must not feed the estimator.
             // A clean round trip also ends any backoff episode and reopens
             // the damped window.
-            let newest = *freed.last().unwrap();
+            let newest = s.retrans_q[n_freed - 1];
             let (newest_seq, sent_at) = (core.pool.pkt(newest).seq, core.pool.last_tx(newest));
             let clean = s.sample_eligible(newest_seq) && sent_at > Time::ZERO;
             if clean && self.cfg.adaptive_rto {
                 s.rtt.sample(ctx.now().since(sent_at));
+            }
+            for b in s.retrans_q.drain(..n_freed) {
+                core.pool.release(b);
             }
             ack_progress(
                 s,
@@ -251,14 +224,10 @@ impl ReliableFirmware {
                 self.cfg.window_damping,
                 core.pool.capacity() as u32,
             );
-            for b in freed {
-                core.pool.release(b);
-            }
             core.request_pump();
             if self.cfg.window_damping {
                 self.fill_window(core, ctx, peer);
             }
-            self.publish_gauges(peer);
         }
         ft_trace(
             core,
@@ -435,7 +404,6 @@ impl ReliableFirmware {
             self.arm_pkt_timer(core, ctx, dst, seq);
         }
         self.senders[dst.idx()].retx_busy_until = core.net_tx.free_at();
-        self.publish_gauges(dst);
     }
 
     /// Transmit parked packets (window-damping suffix) while the reopened
@@ -658,21 +626,6 @@ impl Firmware for ReliableFirmware {
         // The mapper is built before the NIC exists; re-home its stats onto
         // the simulation's registry now that the telemetry handle is known.
         self.mapper.register_metrics(&core.telemetry, core.node);
-        if self.cfg.adaptive_rto || self.cfg.window_damping {
-            let me = core.node.0;
-            self.gauges = Some(
-                (0..self.n_nodes)
-                    .map(|d| {
-                        let base = format!("ft.node.{me}.dst.{d}");
-                        DstGauges {
-                            rto_us: core.telemetry.gauge(&format!("{base}.rto_us")),
-                            backoff: core.telemetry.gauge(&format!("{base}.backoff")),
-                            cwnd: core.telemetry.gauge(&format!("{base}.cwnd")),
-                        }
-                    })
-                    .collect(),
-            );
-        }
         self.arm_timer(core, ctx);
     }
 
@@ -900,14 +853,17 @@ impl Firmware for ReliableFirmware {
         );
         let now = ctx.now();
         // One scan of all retransmission queues (the paper's single timer).
-        let active: Vec<NodeId> = (0..self.n_nodes)
-            .filter(|&i| !self.senders[i].retrans_q.is_empty())
-            .map(|i| NodeId(i as u16))
-            .collect();
+        let mut active = std::mem::take(&mut self.active);
+        active.clear();
+        active.extend(
+            (0..self.n_nodes)
+                .filter(|&i| !self.senders[i].retrans_q.is_empty())
+                .map(|i| NodeId(i as u16)),
+        );
         let scan_cost =
             core.timing.timer_scan_base + core.timing.timer_scan_per_queue * active.len() as u64;
         core.cpu.acquire(now, scan_cost);
-        for dst in active {
+        for &dst in &active {
             // Adaptive mode ages each queue against its own estimate; fixed
             // mode against the configured timer (identical to the seed).
             let threshold = self.age_threshold(dst);
@@ -934,6 +890,7 @@ impl Firmware for ReliableFirmware {
                 }
             }
         }
+        self.active = active;
         self.arm_timer(core, ctx);
     }
 

@@ -242,28 +242,26 @@ impl SenderState {
         seq_leq(self.karn_barrier, seq)
     }
 
-    /// Pop every buffer acknowledged by the cumulative `ack_seq` (same
-    /// generation only), returning them for release. Returns an empty vec
-    /// for stale-generation ACKs.
-    pub fn take_acked(
-        &mut self,
+    /// Length of the retransmission-queue prefix that the cumulative
+    /// `ack_seq` acknowledges (same generation only; 0 for stale-generation
+    /// ACKs). Callers `drain(..n)` it from `retrans_q` and release the
+    /// buffers, so an ACK allocates nothing.
+    pub fn acked_prefix(
+        &self,
         ack_seq: u32,
         ack_gen: u16,
         seq_of: impl Fn(BufId) -> (u32, u16),
-    ) -> Vec<BufId> {
+    ) -> usize {
         if ack_gen != self.generation {
-            return Vec::new();
+            return 0;
         }
-        let mut freed = Vec::new();
-        while let Some(&head) = self.retrans_q.front() {
-            let (seq, gen) = seq_of(head);
-            if gen == self.generation && seq_leq(seq, ack_seq) {
-                freed.push(self.retrans_q.pop_front().unwrap());
-            } else {
-                break;
-            }
-        }
-        freed
+        self.retrans_q
+            .iter()
+            .take_while(|&&b| {
+                let (seq, gen) = seq_of(b);
+                gen == self.generation && seq_leq(seq, ack_seq)
+            })
+            .count()
     }
 }
 
@@ -370,17 +368,17 @@ mod tests {
             s.retrans_q.push_back(BufId(i));
         }
         let seq_of = |b: BufId| ((b.0 - 10) as u32, 0u16);
-        let freed = s.take_acked(2, 0, seq_of);
+        let n = s.acked_prefix(2, 0, seq_of);
+        assert_eq!(n, 3);
+        let freed: Vec<BufId> = s.retrans_q.drain(..n).collect();
         assert_eq!(freed, vec![BufId(10), BufId(11), BufId(12)]);
         assert_eq!(s.retrans_q.len(), 2);
         // Re-acking the same value frees nothing more.
-        assert!(s.take_acked(2, 0, seq_of).is_empty());
+        assert_eq!(s.acked_prefix(2, 0, seq_of), 0);
         // Stale generation frees nothing.
-        assert!(s.take_acked(4, 9, seq_of).is_empty());
-        // Acking everything empties the queue.
-        let freed = s.take_acked(4, 0, seq_of);
-        assert_eq!(freed.len(), 2);
-        assert!(s.retrans_q.is_empty());
+        assert_eq!(s.acked_prefix(4, 9, seq_of), 0);
+        // Acking everything covers the whole queue.
+        assert_eq!(s.acked_prefix(4, 0, seq_of), 2);
     }
 
     #[test]
@@ -511,18 +509,18 @@ mod proptests {
             }
         }
 
-        /// take_acked never frees out of order and never frees beyond the
-        /// cumulative ack.
+        /// acked_prefix never frees out of order and never frees beyond
+        /// the cumulative ack.
         #[test]
         fn acked_prefix_is_exact(n in 1usize..50, ack in 0u32..60) {
             let mut s = SenderState::default();
             for i in 0..n {
                 s.retrans_q.push_back(BufId(i as u16));
             }
-            let freed = s.take_acked(ack, 0, |b| (b.0 as u32, 0));
+            let k = s.acked_prefix(ack, 0, |b| (b.0 as u32, 0));
             let expect = ((ack as usize) + 1).min(n);
-            prop_assert_eq!(freed.len(), expect);
-            for (i, b) in freed.iter().enumerate() {
+            prop_assert_eq!(k, expect);
+            for (i, b) in s.retrans_q.drain(..k).enumerate() {
                 prop_assert_eq!(b.0 as usize, i);
             }
         }

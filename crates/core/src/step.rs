@@ -634,23 +634,22 @@ impl NodeModel {
         ack_seq: u32,
         ack_gen: u16,
     ) {
-        let (senders, pool) = (&mut st.senders, &st.pool);
-        let s = &mut senders[peer];
-        let freed = s.take_acked(ack_seq, ack_gen, |b| {
+        let (s, pool) = (&mut st.senders[peer], &mut st.pool);
+        let n = s.acked_prefix(ack_seq, ack_gen, |b| {
             let mb = pool[b.0 as usize].as_ref().expect("queued buf occupied");
             (mb.seq, mb.generation)
         });
-        if freed.is_empty() {
+        if n == 0 {
             return;
         }
-        let newest = *freed.last().unwrap();
+        let newest = s.retrans_q[n - 1];
         let newest_seq = pool[newest.0 as usize].as_ref().unwrap().seq;
         let clean = s.sample_eligible(newest_seq);
-        ack_progress(s, clean, false, self.pool_capacity as u32);
-        for b in freed {
-            st.pool[b.0 as usize] = None;
-            st.completed[peer] += 1;
+        for b in s.retrans_q.drain(..n) {
+            pool[b.0 as usize] = None;
         }
+        st.completed[peer] += n as u64;
+        ack_progress(s, clean, false, self.pool_capacity as u32);
         self.pump(st, out);
     }
 

@@ -4,11 +4,14 @@
 //!   semantics the fabric engine previously hand-rolled for in-flight
 //!   packets (`Vec<Option<Flight>>` + epoch vector + LIFO free list), so
 //!   porting onto it changes no slot-reuse order and therefore no trace.
-//! * [`ChainArena`] — singly linked chains of `u32` values carved out of one
-//!   shared node pool. Wormhole flights hold a chain of acquired channels;
-//!   with thousands of concurrent flights this replaces a `Vec` allocation
-//!   per flight with two `u32`s in the flight plus pooled nodes.
-//! * [`Pool`] — recycles `Box<T>` allocations on the NIC packet hot path.
+//!   A flight keeps its held channels and recorded ports inline, so the
+//!   slab slot is all the storage it needs.
+//! * [`Pool`] — recycles `Box<T>` allocations on the NIC packet hot path:
+//!   every wire, receive and host-delivery event's packet box.
+//!
+//! With these and the timing wheel's node arena, a steady-state run
+//! allocates nothing per event; the root crate's `alloc_free_run` test
+//! pins that.
 
 /// Slab with stable indices, LIFO slot reuse, and per-slot generation tags.
 ///
@@ -128,133 +131,6 @@ impl<T> Default for Slab<T> {
     }
 }
 
-const NIL: u32 = u32::MAX;
-
-/// Handle to one chain inside a [`ChainArena`]. An empty chain is all-NIL.
-#[derive(Debug, Clone, Copy)]
-pub struct Chain {
-    head: u32,
-    tail: u32,
-    len: u32,
-}
-
-impl Chain {
-    pub const EMPTY: Chain = Chain {
-        head: NIL,
-        tail: NIL,
-        len: 0,
-    };
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl Default for Chain {
-    fn default() -> Self {
-        Self::EMPTY
-    }
-}
-
-/// Node pool for singly linked `u32` chains (insertion-ordered iteration).
-#[derive(Debug, Default)]
-pub struct ChainArena {
-    /// `(value, next)`; vacant nodes reuse `next` as the free-list link.
-    nodes: Vec<(u32, u32)>,
-    free_head: u32,
-}
-
-impl ChainArena {
-    pub fn new() -> Self {
-        Self {
-            nodes: Vec::new(),
-            free_head: NIL,
-        }
-    }
-
-    /// Append `value` to `chain`.
-    pub fn push(&mut self, chain: &mut Chain, value: u32) {
-        let idx = if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = self.nodes[idx as usize].1;
-            self.nodes[idx as usize] = (value, NIL);
-            idx
-        } else {
-            self.nodes.push((value, NIL));
-            (self.nodes.len() - 1) as u32
-        };
-        if chain.tail == NIL {
-            chain.head = idx;
-        } else {
-            self.nodes[chain.tail as usize].1 = idx;
-        }
-        chain.tail = idx;
-        chain.len += 1;
-    }
-
-    /// Last value of the chain, if any.
-    #[inline]
-    pub fn last(&self, chain: &Chain) -> Option<u32> {
-        if chain.tail == NIL {
-            None
-        } else {
-            Some(self.nodes[chain.tail as usize].0)
-        }
-    }
-
-    /// Iterate values in insertion order.
-    pub fn iter<'a>(&'a self, chain: &Chain) -> impl Iterator<Item = u32> + 'a {
-        let mut cur = chain.head;
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                None
-            } else {
-                let (v, next) = self.nodes[cur as usize];
-                cur = next;
-                Some(v)
-            }
-        })
-    }
-
-    /// Free the chain's nodes back to the pool, returning its values.
-    pub fn take(&mut self, chain: &mut Chain) -> Vec<u32> {
-        let mut out = Vec::with_capacity(chain.len());
-        let mut cur = chain.head;
-        while cur != NIL {
-            let (v, next) = self.nodes[cur as usize];
-            out.push(v);
-            self.nodes[cur as usize].1 = self.free_head;
-            self.free_head = cur;
-            cur = next;
-        }
-        *chain = Chain::EMPTY;
-        out
-    }
-
-    /// Free the chain's nodes without collecting the values.
-    pub fn clear(&mut self, chain: &mut Chain) {
-        let mut cur = chain.head;
-        while cur != NIL {
-            let next = self.nodes[cur as usize].1;
-            self.nodes[cur as usize].1 = self.free_head;
-            self.free_head = cur;
-            cur = next;
-        }
-        *chain = Chain::EMPTY;
-    }
-
-    /// Total pooled nodes (live + free), for diagnostics.
-    pub fn pooled_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
 /// Bounded recycler for `Box<T>` allocations.
 ///
 /// The NIC layer boxes every packet it schedules through the event queue;
@@ -322,33 +198,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.capacity(), 2);
         assert_eq!(s.iter().map(|(i, _)| i).collect::<Vec<_>>(), vec![0, 1]);
-    }
-
-    #[test]
-    fn chain_preserves_insertion_order_and_recycles() {
-        let mut arena = ChainArena::new();
-        let mut c1 = Chain::EMPTY;
-        let mut c2 = Chain::EMPTY;
-        arena.push(&mut c1, 10);
-        arena.push(&mut c2, 99);
-        arena.push(&mut c1, 20);
-        arena.push(&mut c1, 30);
-        assert_eq!(arena.iter(&c1).collect::<Vec<_>>(), vec![10, 20, 30]);
-        assert_eq!(arena.last(&c1), Some(30));
-        assert_eq!(c1.len(), 3);
-        assert_eq!(arena.take(&mut c1), vec![10, 20, 30]);
-        assert!(c1.is_empty());
-        assert_eq!(arena.iter(&c2).collect::<Vec<_>>(), vec![99]);
-        // Freed nodes are reused; pool does not grow.
-        let before = arena.pooled_nodes();
-        let mut c3 = Chain::EMPTY;
-        arena.push(&mut c3, 1);
-        arena.push(&mut c3, 2);
-        arena.push(&mut c3, 3);
-        assert_eq!(arena.pooled_nodes(), before);
-        assert_eq!(arena.iter(&c3).collect::<Vec<_>>(), vec![1, 2, 3]);
-        arena.clear(&mut c3);
-        assert!(arena.last(&c3).is_none());
     }
 
     #[test]

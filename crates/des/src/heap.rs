@@ -9,7 +9,30 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::wheel::Entry;
+/// A heap entry ordered by `Reverse((time, seq))`, so `BinaryHeap` pops the
+/// earliest event first and ties in insertion order.
+#[derive(Debug)]
+struct Entry<E> {
+    key: Reverse<(u64, u64)>,
+    ev: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
 
 /// Deterministic priority queue of `(u64 nanos, payload)` events.
 #[derive(Debug)]

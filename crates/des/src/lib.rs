@@ -7,11 +7,13 @@
 //!   an overflow tier for far-future timers. O(1) schedule and near-O(1) fire
 //!   close to the horizon, with pop order *identical* to a binary heap keyed
 //!   on `(time, insertion sequence)` — the determinism contract of the repo.
+//!   Pending events live in one node arena linked into intrusive per-slot
+//!   lists, so scheduling allocates only when the pending count peaks.
 //! * `heap::HeapQueue` — a plain `BinaryHeap` scheduler, compiled only for
 //!   tests as the reference the wheel's pop order is proven against.
 //! * [`arena`] — slab allocator with stable `u32` indices + generation tags
-//!   (in-flight packets), a chain arena for wormhole channel-occupancy lists,
-//!   and a box pool for packet recycling on the NIC hot path.
+//!   (in-flight packets) and a box pool for packet recycling on the NIC hot
+//!   path.
 //! * [`sync`] — conservative time-window synchronization for sharded
 //!   parallel simulation (CMB-style lookahead windows over a spin barrier).
 //!

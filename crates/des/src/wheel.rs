@@ -20,6 +20,19 @@
 //! on `(time, seq)`, and every push below the sweep frontier goes straight
 //! into that heap.
 //!
+//! # Storage
+//!
+//! Every pending event lives in one node arena, `Vec<Node<E>>`, whose
+//! vacant nodes form a LIFO free list threaded through `next`. Each wheel
+//! slot is an intrusive FIFO list of node indices (`head`/`tail` per slot,
+//! beside the occupancy bitmap), and `due` and `overflow` are binary heaps
+//! of `(time, seq, node)` keys. A cascade relinks indices instead of moving
+//! payloads, and no slot owns a buffer that a sweep frees and the next push
+//! regrows: the arena only grows when the pending count reaches a new peak,
+//! so a steady-state run schedules and fires events without allocating.
+//! This is the per-slot list of Varghese & Lauck's hierarchical wheels
+//! (SOSP '87).
+//!
 //! # Invariants
 //!
 //! * `swept_until` is the exclusive sweep frontier, always a multiple of the
@@ -32,6 +45,8 @@
 //!   slot, redistributing one higher-level slot at a time when a level-0
 //!   epoch is exhausted. Scans start at the frontier's own slot (inclusive),
 //!   so rolling into a new epoch can never skip events parked higher up.
+//! * A node is in exactly one place: a slot list, `due`, `overflow` (all
+//!   with `ev: Some`), or the free list (`ev: None`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,6 +58,8 @@ const BASE_SHIFT: u32 = 6;
 /// Shift of the top level's epoch: times equal under `>> TOP_EPOCH_SHIFT`
 /// fit somewhere in the wheels once the frontier is in that epoch.
 const TOP_EPOCH_SHIFT: u32 = BASE_SHIFT + SLOT_BITS * LEVELS as u32;
+/// End of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
 #[inline]
 fn shift(level: usize) -> u32 {
@@ -59,25 +76,37 @@ fn epoch_of(t: u64, level: usize) -> u64 {
     t >> (shift(level) + SLOT_BITS)
 }
 
+/// One pending event (or, with `ev: None`, a free-list entry).
 #[derive(Debug)]
-struct Level<E> {
-    slots: Vec<Vec<(u64, u64, E)>>,
+struct Node<E> {
+    t: u64,
+    seq: u64,
+    /// Next node of the same slot list, or of the free list.
+    next: u32,
+    ev: Option<E>,
+}
+
+/// `(time, seq, node)`, ordered so that `BinaryHeap` pops the earliest
+/// event first and ties in insertion order; `seq` is unique, so the node
+/// index never decides.
+type Key = Reverse<(u64, u64, u32)>;
+
+#[derive(Debug)]
+struct Level {
+    /// First and last node of each slot's FIFO list (`NIL` when empty).
+    head: [u32; SLOTS],
+    tail: [u32; SLOTS],
     /// One bit per slot; set iff the slot is non-empty.
     occ: [u64; SLOTS / 64],
 }
 
-impl<E> Level<E> {
+impl Level {
     fn new() -> Self {
         Self {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
+            head: [NIL; SLOTS],
+            tail: [NIL; SLOTS],
             occ: [0; SLOTS / 64],
         }
-    }
-
-    #[inline]
-    fn put(&mut self, slot: usize, item: (u64, u64, E)) {
-        self.slots[slot].push(item);
-        self.occ[slot >> 6] |= 1u64 << (slot & 63);
     }
 
     #[inline]
@@ -102,35 +131,12 @@ impl<E> Level<E> {
         }
     }
 
+    /// Detach a slot's whole list, returning its first node.
     #[inline]
-    fn take(&mut self, slot: usize) -> Vec<(u64, u64, E)> {
+    fn take(&mut self, slot: usize) -> u32 {
         self.occ[slot >> 6] &= !(1u64 << (slot & 63));
-        std::mem::take(&mut self.slots[slot])
-    }
-}
-
-/// A heap entry ordered by `Reverse((time, seq))`, so `BinaryHeap` pops the
-/// earliest event first and ties in insertion order.
-#[derive(Debug)]
-pub(crate) struct Entry<E> {
-    pub(crate) key: Reverse<(u64, u64)>,
-    pub(crate) ev: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+        self.tail[slot] = NIL;
+        std::mem::replace(&mut self.head[slot], NIL)
     }
 }
 
@@ -141,10 +147,14 @@ impl<E> Ord for Entry<E> {
 /// into the due window.
 #[derive(Debug)]
 pub struct TimingWheel<E> {
-    levels: Vec<Level<E>>,
-    overflow: BinaryHeap<Entry<E>>,
-    /// Events already inside the sweep frontier, keyed `(time, seq)`.
-    due: BinaryHeap<Entry<E>>,
+    /// Every pending event, plus the vacant nodes of the free list.
+    nodes: Vec<Node<E>>,
+    /// Head of the LIFO free list threaded through `Node::next`.
+    free: u32,
+    levels: Vec<Level>,
+    overflow: BinaryHeap<Key>,
+    /// Events already inside the sweep frontier.
+    due: BinaryHeap<Key>,
     /// Exclusive sweep frontier; multiple of the level-0 granularity.
     swept_until: u64,
     seq: u64,
@@ -154,6 +164,8 @@ pub struct TimingWheel<E> {
 impl<E> TimingWheel<E> {
     pub fn new() -> Self {
         Self {
+            nodes: Vec::new(),
+            free: NIL,
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             overflow: BinaryHeap::new(),
             due: BinaryHeap::with_capacity(64),
@@ -169,28 +181,68 @@ impl<E> TimingWheel<E> {
         let s = self.seq;
         self.seq += 1;
         self.len += 1;
-        self.place(at, s, ev);
+        let node = Node {
+            t: at,
+            seq: s,
+            next: NIL,
+            ev: Some(ev),
+        };
+        let idx = if self.free == NIL {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("fewer than 2^32 - 1 pending events");
+            self.nodes.push(node);
+            idx
+        } else {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
+        };
+        self.place(idx);
     }
 
-    fn place(&mut self, at: u64, s: u64, ev: E) {
+    /// File node `idx` under the frontier: `due`, a wheel slot or overflow.
+    fn place(&mut self, idx: u32) {
+        let (at, s) = {
+            let n = &self.nodes[idx as usize];
+            (n.t, n.seq)
+        };
         if at < self.swept_until {
-            self.due.push(Entry {
-                key: Reverse((at, s)),
-                ev,
-            });
+            self.due.push(Reverse((at, s, idx)));
             return;
         }
         let c = self.swept_until;
         for lvl in 0..LEVELS {
             if epoch_of(at, lvl) == epoch_of(c, lvl) {
-                self.levels[lvl].put(slot_of(at, lvl), (at, s, ev));
+                let slot = slot_of(at, lvl);
+                self.nodes[idx as usize].next = NIL;
+                let level = &mut self.levels[lvl];
+                match level.tail[slot] {
+                    NIL => {
+                        level.head[slot] = idx;
+                        level.occ[slot >> 6] |= 1u64 << (slot & 63);
+                    }
+                    tail => self.nodes[tail as usize].next = idx,
+                }
+                level.tail[slot] = idx;
                 return;
             }
         }
-        self.overflow.push(Entry {
-            key: Reverse((at, s)),
-            ev,
-        });
+        self.overflow.push(Reverse((at, s, idx)));
+    }
+
+    /// Empty a higher-level slot, filing each of its nodes anew (lower
+    /// down, now that the frontier has reached it).
+    fn cascade(&mut self, lvl: usize, slot: usize) {
+        let mut cur = self.levels[lvl].take(slot);
+        while cur != NIL {
+            let next = self.nodes[cur as usize].next;
+            debug_assert!(self.nodes[cur as usize].t >= self.swept_until);
+            self.place(cur);
+            cur = next;
+        }
     }
 
     /// Advance the sweep frontier until at least one event sits in `due`.
@@ -202,15 +254,12 @@ impl<E> TimingWheel<E> {
         }
         loop {
             // Adopt overflow events whose top epoch the frontier has entered.
-            while let Some(e) = self.overflow.peek() {
-                if e.key.0 .0 >> TOP_EPOCH_SHIFT != self.swept_until >> TOP_EPOCH_SHIFT {
+            while let Some(&Reverse((t, _, idx))) = self.overflow.peek() {
+                if t >> TOP_EPOCH_SHIFT != self.swept_until >> TOP_EPOCH_SHIFT {
                     break;
                 }
-                let Entry {
-                    key: Reverse((t, s)),
-                    ev,
-                } = self.overflow.pop().unwrap();
-                self.place(t, s, ev);
+                self.overflow.pop();
+                self.place(idx);
             }
 
             // Cascade any occupied higher-level slot the frontier sits in.
@@ -225,10 +274,7 @@ impl<E> TimingWheel<E> {
             for lvl in 1..LEVELS {
                 let slot = slot_of(self.swept_until, lvl);
                 if self.levels[lvl].is_occupied(slot) {
-                    for (t, s, ev) in self.levels[lvl].take(slot) {
-                        debug_assert!(t >= self.swept_until);
-                        self.place(t, s, ev);
-                    }
+                    self.cascade(lvl, slot);
                     cascaded = true;
                 }
             }
@@ -238,12 +284,12 @@ impl<E> TimingWheel<E> {
 
             // Sweep the nearest occupied level-0 slot in the current epoch.
             if let Some(slot) = self.levels[0].next_occupied(slot_of(self.swept_until, 0)) {
-                for (t, s, ev) in self.levels[0].take(slot) {
-                    debug_assert!(t >= self.swept_until);
-                    self.due.push(Entry {
-                        key: Reverse((t, s)),
-                        ev,
-                    });
+                let mut cur = self.levels[0].take(slot);
+                while cur != NIL {
+                    let n = &self.nodes[cur as usize];
+                    debug_assert!(n.t >= self.swept_until);
+                    self.due.push(Reverse((n.t, n.seq, cur)));
+                    cur = n.next;
                 }
                 let epoch_base = self.swept_until >> shift(1) << shift(1);
                 self.swept_until = epoch_base.saturating_add(((slot as u64) + 1) << BASE_SHIFT);
@@ -260,10 +306,7 @@ impl<E> TimingWheel<E> {
                     let epoch_base = self.swept_until >> shift(lvl + 1) << shift(lvl + 1);
                     let slot_base = epoch_base + ((slot as u64) << shift(lvl));
                     self.swept_until = self.swept_until.max(slot_base);
-                    for (t, s, ev) in self.levels[lvl].take(slot) {
-                        debug_assert!(t >= self.swept_until);
-                        self.place(t, s, ev);
-                    }
+                    self.cascade(lvl, slot);
                     moved = true;
                     break;
                 }
@@ -273,11 +316,10 @@ impl<E> TimingWheel<E> {
             }
 
             // Wheels empty: jump the frontier to the overflow horizon.
-            if self.overflow.is_empty() {
+            let Some(&Reverse((t_min, _, _))) = self.overflow.peek() else {
                 debug_assert_eq!(self.len, 0);
                 return false;
-            }
-            let t_min = self.overflow.peek().unwrap().key.0 .0;
+            };
             let target = t_min >> TOP_EPOCH_SHIFT << TOP_EPOCH_SHIFT;
             debug_assert!(target > self.swept_until);
             self.swept_until = self.swept_until.max(target);
@@ -290,9 +332,13 @@ impl<E> TimingWheel<E> {
         if self.due.is_empty() && !self.refill() {
             return None;
         }
-        let e = self.due.pop().unwrap();
+        let Reverse((t, _, idx)) = self.due.pop().expect("refill filled due");
+        let node = &mut self.nodes[idx as usize];
+        let ev = node.ev.take().expect("pending node holds its event");
+        node.next = self.free;
+        self.free = idx;
         self.len -= 1;
-        Some((e.key.0 .0, e.ev))
+        Some((t, ev))
     }
 
     /// Timestamp of the next event without removing it. `&mut` because the
@@ -302,7 +348,7 @@ impl<E> TimingWheel<E> {
         if self.due.is_empty() && !self.refill() {
             return None;
         }
-        Some(self.due.peek().unwrap().key.0 .0)
+        Some(self.due.peek().expect("refill filled due").0 .0)
     }
 
     #[inline]
@@ -423,6 +469,37 @@ mod tests {
     }
 
     #[test]
+    fn arena_never_outgrows_the_peak_pending_count() {
+        // A steady depth of 64 with delays spanning all four levels and the
+        // overflow tier: freed nodes are reused, so the arena stays at the
+        // peak pending count however many events pass through.
+        let mut q = TimingWheel::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut now = 0u64;
+        for i in 0..100_000u32 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = x >> 20;
+            // One span per level (16.4 µs, 4.2 ms, 1.07 s, 275 s), then
+            // beyond the top one.
+            let delay = match (x >> 60) % 5 {
+                0 => r % (1 << 14),
+                1 => (1 << 14) + r % (1 << 22),
+                2 => (1 << 22) + r % (1 << 30),
+                3 => (1 << 30) + r % (1 << 38),
+                _ => (1 << 38) + r % (1 << 40),
+            };
+            if q.len() == 64 {
+                now = q.pop().unwrap().0;
+            }
+            q.push(now + delay, i);
+        }
+        assert_eq!(q.len(), 64);
+        assert!(q.nodes.len() <= 64, "arena grew to {}", q.nodes.len());
+    }
+
+    #[test]
     fn matches_heap_on_dense_bursts() {
         let mut w = TimingWheel::new();
         let mut h = HeapQueue::new();
@@ -493,6 +570,8 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
         /// Wheel and heap pop identical `(time, payload)` sequences for any
         /// schedule, including same-tick ties (satellite requirement).
         #[test]

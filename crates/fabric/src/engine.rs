@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use san_des::arena::{Chain, ChainArena, Slab};
+use san_des::arena::Slab;
 use san_sim::{Duration, Sim, SimRng, Time};
 use san_telemetry::{Layer, Telemetry, TraceEvent, TraceKind};
 
@@ -30,7 +30,7 @@ use crate::fault::TransientFaults;
 use crate::fingerprint::{fingerprint_topology, WiringDelta};
 use crate::ids::{Endpoint, LinkId, NodeId, PortId, SwitchId};
 use crate::packet::Packet;
-use crate::route::Route;
+use crate::route::{Route, MAX_HOPS};
 use crate::topology::{Link, Topology, WireError};
 
 /// Physical constants of the fabric.
@@ -297,17 +297,68 @@ struct Channel {
     acquired_at: Time,
 }
 
+/// Most channels a flight can hold, and most switches it can enter: its
+/// injection link plus one per route byte. A flight whose route runs out
+/// inside the network is absorbed at the switch after its last route byte,
+/// the `MAX_HOPS + 1`-th at most.
+const MAX_HELD: usize = MAX_HOPS + 1;
+
+/// A packet in flight. Its channel and port records are inline arrays, so
+/// injecting, advancing and retiring a flight never allocates.
 #[derive(Debug)]
 struct Flight {
     pkt: Packet,
     src: NodeId,
-    /// Acquired channels, insertion-ordered, in the engine's [`ChainArena`].
-    held: Chain,
+    /// Acquired channels, in acquisition order (`held[..n_held]`).
+    held: [u32; MAX_HELD],
+    n_held: u8,
     hop_idx: usize,
-    reverse_in_ports: Vec<u8>,
+    /// Input port at each switch entered, in order (`in_ports[..n_in_ports]`);
+    /// reversed, they are the delivered packet's return route.
+    in_ports: [u8; MAX_HELD],
+    n_in_ports: u8,
     ser_done: Time,
     waiting_on: Option<u32>,
     will_drop_on_wire: bool,
+}
+
+impl Flight {
+    /// A flight at route position `hop_idx` that holds nothing yet.
+    fn new(pkt: Packet, src: NodeId, hop_idx: usize, will_drop_on_wire: bool) -> Self {
+        Flight {
+            pkt,
+            src,
+            held: [0; MAX_HELD],
+            n_held: 0,
+            hop_idx,
+            in_ports: [0; MAX_HELD],
+            n_in_ports: 0,
+            ser_done: Time::MAX, // set on first acquire
+            waiting_on: None,
+            will_drop_on_wire,
+        }
+    }
+
+    fn held(&self) -> &[u32] {
+        &self.held[..self.n_held as usize]
+    }
+
+    fn in_ports(&self) -> &[u8] {
+        &self.in_ports[..self.n_in_ports as usize]
+    }
+
+    /// The channel the head crossed last.
+    fn last_held(&self) -> u32 {
+        *self
+            .held()
+            .last()
+            .expect("a granted flight holds a channel")
+    }
+
+    /// Holds or waits on a channel matching `pred`.
+    fn touches(&self, pred: impl Fn(u32) -> bool) -> bool {
+        self.held().iter().any(|&c| pred(c)) || self.waiting_on.is_some_and(pred)
+    }
 }
 
 /// The traversal engine. Owns the topology, channel occupancy, and all
@@ -322,8 +373,6 @@ pub struct Engine {
     /// (identical to the hand-rolled slab this replaced, so event-epoch
     /// matching and slot-assignment order are unchanged).
     flights: Slab<Flight>,
-    /// Node pool for every flight's held-channel chain.
-    chains: ChainArena,
     /// Link-ownership map for sharded runs; `None` (default) is the serial
     /// engine, byte-identical to the pre-sharding build.
     shard_map: Option<ShardMap>,
@@ -380,7 +429,6 @@ impl Engine {
             channels,
             switch_alive,
             flights: Slab::new(),
-            chains: ChainArena::new(),
             shard_map: None,
             tbatch: Vec::new(),
             trace_on: tel.tracing_enabled(),
@@ -598,17 +646,7 @@ impl Engine {
             self.flush_trace();
             return;
         };
-        let f = Flight {
-            pkt,
-            src,
-            held: Chain::EMPTY,
-            hop_idx: 0,
-            reverse_in_ports: Vec::with_capacity(4),
-            ser_done: Time::MAX, // set on first acquire
-            waiting_on: None,
-            will_drop_on_wire: will_drop,
-        };
-        let (slot, epoch) = self.flights.insert(f);
+        let (slot, epoch) = self.flights.insert(Flight::new(pkt, src, 0, will_drop));
         // Arm the path-reset (deadlock) timer.
         sim.schedule_in(
             self.cfg.path_reset_timeout,
@@ -634,16 +672,10 @@ impl Engine {
         x: PortalCrossing,
         out: &mut Vec<FabricOut>,
     ) {
-        let f = Flight {
-            pkt: x.pkt,
-            src: x.src,
-            held: Chain::EMPTY,
-            hop_idx: x.hop_idx,
-            reverse_in_ports: x.reverse_in_ports,
-            ser_done: Time::MAX, // restarts on the cut-channel acquire
-            waiting_on: None,
-            will_drop_on_wire: x.will_drop_on_wire,
-        };
+        // Serialization restarts on the cut-channel acquire.
+        let mut f = Flight::new(x.pkt, x.src, x.hop_idx, x.will_drop_on_wire);
+        f.in_ports[..x.reverse_in_ports.len()].copy_from_slice(&x.reverse_in_ports);
+        f.n_in_ports = x.reverse_in_ports.len() as u8;
         let (slot, epoch) = self.flights.insert(f);
         sim.schedule_in(
             self.cfg.path_reset_timeout,
@@ -680,7 +712,7 @@ impl Engine {
             FabricEvent::ResetCheck { flight, epoch } => {
                 if self.live(flight, epoch) {
                     self.metrics.path_resets.hit();
-                    let f = self.kill_flight(sim, flight, out);
+                    let f = self.kill_flight(sim, flight);
                     self.trace(Self::pkt_event(
                         sim.now(),
                         TraceKind::PathReset,
@@ -742,7 +774,7 @@ impl Engine {
         dst_shard: u16,
         out: &mut Vec<FabricOut>,
     ) {
-        let f = self.kill_flight(sim, flight, out);
+        let f = self.kill_flight(sim, flight);
         let now = sim.now();
         let ser_done = if f.ser_done == Time::MAX {
             now
@@ -755,12 +787,13 @@ impl Engine {
         // inside the window that produced it.
         let ready_at = now.max(ser_done) + self.cfg.hop_latency;
         self.metrics.shard_crossings.hit();
+        let reverse_in_ports = f.in_ports().to_vec();
         out.push(FabricOut::ShardCross(Box::new(PortalCrossing {
             pkt: f.pkt,
             src: f.src,
             ch,
             hop_idx: f.hop_idx,
-            reverse_in_ports: f.reverse_in_ports,
+            reverse_in_ports,
             will_drop_on_wire: f.will_drop_on_wire,
             dst_shard,
             ready_at,
@@ -783,7 +816,7 @@ impl Engine {
             return;
         }
         if !self.channels[ch as usize].alive {
-            let f = self.kill_flight(sim, flight, out);
+            let f = self.kill_flight(sim, flight);
             self.report_drop(sim.now(), f.pkt, DropReason::DeadLink, out);
             return;
         }
@@ -804,13 +837,11 @@ impl Engine {
         let bw = self.cfg.link_bandwidth;
         let now = sim.now();
         self.channels[ch as usize].acquired_at = now;
-        let Self {
-            flights, chains, ..
-        } = self;
-        let f = flights.get_mut(flight).unwrap();
+        let f = self.flights.get_mut(flight).unwrap();
         f.waiting_on = None;
-        chains.push(&mut f.held, ch);
-        if f.held.len() == 1 {
+        f.held[f.n_held as usize] = ch;
+        f.n_held += 1;
+        if f.n_held == 1 {
             // First channel: the body starts streaming now.
             f.ser_done = now + Duration::for_bytes(f.pkt.wire_bytes() as u64, bw);
         }
@@ -824,10 +855,7 @@ impl Engine {
         flight: u32,
         out: &mut Vec<FabricOut>,
     ) {
-        let last_ch = {
-            let f = self.flights.get(flight).unwrap();
-            self.chains.last(&f.held).unwrap()
-        };
+        let last_ch = self.flights.get(flight).expect("live flight").last_held();
         let at = self.channel_dst(last_ch);
         match at {
             Endpoint::Host(_h) => {
@@ -837,7 +865,7 @@ impl Engine {
                 };
                 if hop_idx < route_len {
                     // Route bytes left over after reaching a host: invalid.
-                    let f = self.kill_flight(sim, flight, out);
+                    let f = self.kill_flight(sim, flight);
                     self.report_drop(sim.now(), f.pkt, DropReason::InvalidRoute, out);
                     return;
                 }
@@ -848,30 +876,31 @@ impl Engine {
             }
             Endpoint::Switch(s, in_port) => {
                 if !self.switch_alive[s.idx()] {
-                    let f = self.kill_flight(sim, flight, out);
+                    let f = self.kill_flight(sim, flight);
                     self.report_drop(sim.now(), f.pkt, DropReason::DeadSwitch, out);
                     return;
                 }
                 let (hop_idx, route_len) = {
                     let f = self.flights.get_mut(flight).unwrap();
-                    f.reverse_in_ports.push(in_port.0);
+                    f.in_ports[f.n_in_ports as usize] = in_port.0;
+                    f.n_in_ports += 1;
                     (f.hop_idx, f.pkt.route.len())
                 };
                 if hop_idx >= route_len {
                     // Route exhausted inside the network: absorbed.
-                    let f = self.kill_flight(sim, flight, out);
+                    let f = self.kill_flight(sim, flight);
                     self.report_drop(sim.now(), f.pkt, DropReason::Absorbed, out);
                     return;
                 }
                 let port = self.flights.get(flight).unwrap().pkt.route.hop(hop_idx);
                 self.flights.get_mut(flight).unwrap().hop_idx += 1;
                 if port >= self.topo.switch_ports(s) {
-                    let f = self.kill_flight(sim, flight, out);
+                    let f = self.kill_flight(sim, flight);
                     self.report_drop(sim.now(), f.pkt, DropReason::InvalidRoute, out);
                     return;
                 }
                 let Some(link) = self.topo.link_at(Endpoint::Switch(s, PortId(port))) else {
-                    let f = self.kill_flight(sim, flight, out);
+                    let f = self.kill_flight(sim, flight);
                     self.report_drop(sim.now(), f.pkt, DropReason::InvalidRoute, out);
                     return;
                 };
@@ -900,17 +929,14 @@ impl Engine {
         flight: u32,
         out: &mut Vec<FabricOut>,
     ) {
-        let last_ch = {
-            let f = self.flights.get(flight).unwrap();
-            self.chains.last(&f.held).unwrap()
-        };
+        let last_ch = self.flights.get(flight).expect("live flight").last_held();
         let dest = self.channel_dst(last_ch);
         let mut f = self.take_flight(flight);
-        self.release_held(sim, &mut f, out);
+        self.release_held(sim, &f);
         let node = dest.host().expect("finish_delivery at a non-host");
         // Build the usable return route: reversed input ports.
         let mut rev = Route::empty();
-        for &p in f.reverse_in_ports.iter().rev() {
+        for &p in f.in_ports().iter().rev() {
             rev = rev.then(p);
         }
         f.pkt.reverse_route = rev;
@@ -933,17 +959,12 @@ impl Engine {
 
     /// Remove a flight, releasing channels and wait-queue membership.
     /// Returns the flight so callers can report its packet.
-    fn kill_flight<E: From<FabricEvent>>(
-        &mut self,
-        sim: &mut Sim<E>,
-        flight: u32,
-        out: &mut Vec<FabricOut>,
-    ) -> Flight {
+    fn kill_flight<E: From<FabricEvent>>(&mut self, sim: &mut Sim<E>, flight: u32) -> Flight {
         let mut f = self.take_flight(flight);
         if let Some(ch) = f.waiting_on.take() {
             self.channels[ch as usize].waiters.retain(|&w| w != flight);
         }
-        self.release_held(sim, &mut f, out);
+        self.release_held(sim, &f);
         f
     }
 
@@ -951,16 +972,11 @@ impl Engine {
         self.flights.remove(flight).expect("flight gone")
     }
 
-    /// Free all channels a flight holds, granting each to its next waiter.
-    fn release_held<E: From<FabricEvent>>(
-        &mut self,
-        sim: &mut Sim<E>,
-        f: &mut Flight,
-        _out: &mut Vec<FabricOut>,
-    ) {
-        let held = self.chains.take(&mut f.held);
+    /// Free all channels a (removed) flight holds, granting each to its
+    /// next waiter.
+    fn release_held<E: From<FabricEvent>>(&mut self, sim: &mut Sim<E>, f: &Flight) {
         let now = sim.now();
-        for ch in held {
+        for &ch in f.held() {
             let busy = now.since(self.channels[ch as usize].acquired_at);
             self.metrics.link_busy[(ch / 2) as usize].add(busy.nanos());
             self.channels[ch as usize].owner = None;
@@ -1031,14 +1047,11 @@ impl Engine {
         let victims: Vec<u32> = self
             .flights
             .iter()
-            .filter_map(|(i, fl)| {
-                let hit = self.chains.iter(&fl.held).any(&pred) || fl.waiting_on.is_some_and(&pred);
-                hit.then_some(i)
-            })
+            .filter_map(|(i, fl)| fl.touches(&pred).then_some(i))
             .collect();
         for v in victims {
             if self.flights.get(v).is_some() {
-                let f = self.kill_flight(sim, v, out);
+                let f = self.kill_flight(sim, v);
                 self.report_drop(sim.now(), f.pkt, DropReason::KilledByFault, out);
             }
         }
@@ -1074,9 +1087,7 @@ impl Engine {
     fn count_flights_on(&self, pred: impl Fn(u32) -> bool) -> u64 {
         self.flights
             .iter()
-            .filter(|(_, fl)| {
-                self.chains.iter(&fl.held).any(&pred) || fl.waiting_on.is_some_and(&pred)
-            })
+            .filter(|(_, fl)| fl.touches(&pred))
             .count() as u64
     }
 

@@ -2,9 +2,9 @@
 //! fault injection, deadlock and path reset.
 
 use san_fabric::engine::{DropReason, Engine, EngineConfig, FabricEvent, FabricOut};
-use san_fabric::ids::{Endpoint, NodeId, SwitchId};
+use san_fabric::ids::{Endpoint, NodeId, PortId, SwitchId};
 use san_fabric::packet::{Packet, PacketKind};
-use san_fabric::route::Route;
+use san_fabric::route::{Route, MAX_HOPS};
 use san_fabric::topology::{self, Topology};
 use san_fabric::TransientFaults;
 use san_sim::{Duration, Sim, Time};
@@ -373,6 +373,100 @@ fn reverse_route_traces_back_in_chain() {
     engine.inject(&mut sim, raw_packet(b, a, rev, 64), &mut o);
     let outs = drain(&mut engine, &mut sim);
     assert!(matches!(&outs[0].1, FabricOut::Delivered { node, .. } if *node == a));
+}
+
+/// A route of the full `MAX_HOPS` bytes crosses 16 switches: the flight
+/// holds 17 channels and records 16 input ports, all inline.
+#[test]
+fn max_hop_route_delivers_with_a_full_reverse_route() {
+    let (t, a, b) = topology::chain(MAX_HOPS);
+    let fwd = t.shortest_route(a, b, |_| true).unwrap();
+    assert_eq!(fwd.len(), MAX_HOPS);
+    let mut engine = Engine::new(t, EngineConfig::default());
+    let mut sim = TSim::new(1);
+    let mut o = Vec::new();
+    engine.inject(&mut sim, raw_packet(a, b, fwd, 64), &mut o);
+    let outs = drain(&mut engine, &mut sim);
+    let rev = match &outs[..] {
+        [(_, FabricOut::Delivered { node, pkt })] if *node == b => pkt.reverse_route,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(rev.len(), MAX_HOPS);
+    assert_eq!(
+        engine.topology().trace_route(b, &rev, |_| true),
+        Some(Endpoint::Host(a))
+    );
+    assert_eq!(engine.in_flight(), 0);
+}
+
+/// One switch more than the route covers: the head enters a 17th switch
+/// with no route byte left, records its 17th input port and is absorbed
+/// there, holding 17 channels — the most a flight can.
+#[test]
+fn route_exhausted_at_the_17th_switch_is_absorbed() {
+    let (t, a, b) = topology::chain(MAX_HOPS + 1);
+    let cfg = EngineConfig::default();
+    let hop = cfg.hop_latency;
+    let mut engine = Engine::new(t, cfg);
+    let mut sim = TSim::new(1);
+    let mut o = Vec::new();
+    let route = Route::from_ports(&[1; MAX_HOPS]);
+    engine.inject(&mut sim, raw_packet(a, b, route, 64), &mut o);
+    let outs = drain(&mut engine, &mut sim);
+    match &outs[..] {
+        [(
+            at,
+            FabricOut::Dropped {
+                reason: DropReason::Absorbed,
+                ..
+            },
+        )] => assert_eq!(*at, Time::ZERO + hop * (MAX_HOPS as u64 + 1)),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(engine.in_flight(), 0);
+}
+
+/// A link dying under a flight that holds 17 channels frees every one of
+/// them: the flight waiting behind it on the injection channel is granted
+/// and crosses the whole chain once the link is back.
+#[test]
+fn link_death_under_a_17_channel_flight_releases_all_of_them() {
+    let (t, a, b) = topology::chain(MAX_HOPS);
+    let fwd = t.shortest_route(a, b, |_| true).unwrap();
+    let mid = t
+        .link_at(Endpoint::Switch(SwitchId(MAX_HOPS as u16 / 2), PortId(1)))
+        .unwrap();
+    let mut engine = Engine::new(t, EngineConfig::default());
+    let mut sim = TSim::new(1);
+    let mut o = Vec::new();
+    // Flight 1 reaches b within 17 hops and then streams for ~6 ms.
+    let mut big = raw_packet(a, b, fwd, 1_000_000);
+    big.msg_id = 1;
+    engine.inject(&mut sim, big, &mut o);
+    let mut small = raw_packet(a, b, fwd, 64);
+    small.msg_id = 2;
+    engine.inject(&mut sim, small, &mut o);
+    assert_eq!(engine.in_flight(), 2);
+    let cut = Time::from_micros(100);
+    sim.schedule(cut, FabricEvent::LinkDown { link: mid });
+    sim.schedule(cut, FabricEvent::LinkUp { link: mid });
+    let outs = drain(&mut engine, &mut sim);
+    let fates: Vec<(Time, u64, bool)> = outs
+        .iter()
+        .map(|(at, o)| match o {
+            FabricOut::Delivered { pkt, .. } => (*at, pkt.msg_id, true),
+            FabricOut::Dropped {
+                pkt,
+                reason: DropReason::KilledByFault,
+            } => (*at, pkt.msg_id, false),
+            other => panic!("{other:?}"),
+        })
+        .collect();
+    assert_eq!(fates.len(), 2, "{fates:?}");
+    assert_eq!(fates[0], (cut, 1, false));
+    assert_eq!((fates[1].1, fates[1].2), (2, true));
+    assert!(fates[1].0 > cut);
+    assert_eq!(engine.in_flight(), 0);
 }
 
 #[test]

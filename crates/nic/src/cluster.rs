@@ -222,6 +222,9 @@ pub struct Cluster {
     /// run; the sharded driver drains these between windows. Always empty
     /// in unsharded runs.
     pub shard_out: Vec<Box<PortalCrossing>>,
+    /// What the fabric reported while handling one event; drained right
+    /// after, and kept so that its storage is reused.
+    outs: Vec<FabricOut>,
     started: bool,
     events_processed: u64,
 }
@@ -259,6 +262,7 @@ impl Cluster {
             hosts,
             telemetry,
             shard_out: Vec::new(),
+            outs: Vec::new(),
             started: false,
             events_processed: 0,
         }
@@ -369,14 +373,13 @@ impl Cluster {
     /// the last processed event.
     pub fn run_until(&mut self, deadline: Time) -> Time {
         self.start_if_needed();
-        let mut outs: Vec<FabricOut> = Vec::new();
         while let Some(next) = self.peek_time() {
             if next > deadline {
                 break;
             }
             let (_, ev) = self.sim.pop().expect("peeked");
             self.events_processed += 1;
-            self.dispatch(ev, &mut outs);
+            self.dispatch(ev);
         }
         self.sim.now()
     }
@@ -391,19 +394,17 @@ impl Cluster {
         self.sim.peek_time()
     }
 
-    fn dispatch(&mut self, ev: ClusterEvent, outs: &mut Vec<FabricOut>) {
+    fn dispatch(&mut self, ev: ClusterEvent) {
         match ev {
             ClusterEvent::Fabric(fe) => {
-                outs.clear();
-                self.engine.handle(&mut self.sim, fe, outs);
-                let drained: Vec<FabricOut> = std::mem::take(outs);
-                self.process_outs(drained);
+                let mut outs = std::mem::take(&mut self.outs);
+                self.engine.handle(&mut self.sim, fe, &mut outs);
+                self.process_outs(outs);
             }
             ClusterEvent::Portal(x) => {
-                outs.clear();
-                self.engine.inject_crossing(&mut self.sim, *x, outs);
-                let drained: Vec<FabricOut> = std::mem::take(outs);
-                self.process_outs(drained);
+                let mut outs = std::mem::take(&mut self.outs);
+                self.engine.inject_crossing(&mut self.sim, *x, &mut outs);
+                self.process_outs(outs);
             }
             ClusterEvent::Nic(node, ne) => {
                 let mut ctx = NicCtx {
@@ -421,7 +422,10 @@ impl Cluster {
                 };
                 match he {
                     HostEvent::Wake { token } => self.hosts[node.idx()].on_wake(&mut ctx, token),
-                    HostEvent::Deliver { pkt } => self.hosts[node.idx()].on_message(&mut ctx, *pkt),
+                    HostEvent::Deliver { pkt } => {
+                        let pkt = ctx.nic.core.unbox_pkt(pkt);
+                        self.hosts[node.idx()].on_message(&mut ctx, pkt)
+                    }
                     HostEvent::SendDone { msg_id } => {
                         self.hosts[node.idx()].on_send_done(&mut ctx, msg_id)
                     }
@@ -433,8 +437,10 @@ impl Cluster {
         }
     }
 
-    fn process_outs(&mut self, outs: Vec<FabricOut>) {
-        for out in outs {
+    /// Hand every fabric output to the NIC it concerns, then keep the
+    /// emptied buffer for the next fabric event.
+    fn process_outs(&mut self, mut outs: Vec<FabricOut>) {
+        for out in outs.drain(..) {
             match out {
                 FabricOut::Delivered { node, pkt } => {
                     let mut ctx = NicCtx {
@@ -456,6 +462,7 @@ impl Cluster {
                 FabricOut::ShardCross(x) => self.shard_out.push(x),
             }
         }
+        self.outs = outs;
     }
 }
 

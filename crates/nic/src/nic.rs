@@ -230,9 +230,10 @@ pub struct NicCore {
     pub stats: NicStats,
     /// Observability handle (shared with the whole simulation).
     pub telemetry: Telemetry,
-    /// Recycler for the `Box<Packet>` allocations every wire/RX event
-    /// carries through the queue — steady-state traffic reuses the same
-    /// handful of boxes instead of hitting the allocator per packet.
+    /// Recycler for the `Box<Packet>` allocations every wire, receive and
+    /// host-delivery event carries through the queue — steady-state traffic
+    /// reuses the same handful of boxes instead of hitting the allocator
+    /// per packet.
     pub pkt_pool: san_des::arena::Pool<Packet>,
     needs_pump: bool,
     /// Packets delivered by the fabric but not yet picked up by the LANai.
@@ -327,8 +328,8 @@ impl NicCore {
     }
 
     /// Take a boxed packet out of a queue event, returning the allocation
-    /// to [`NicCore::pkt_pool`] for the next transmit/receive.
-    fn unbox_pkt(&mut self, mut b: Box<Packet>) -> Packet {
+    /// to [`NicCore::pkt_pool`] for the next transmit, receive or delivery.
+    pub(crate) fn unbox_pkt(&mut self, mut b: Box<Packet>) -> Packet {
         let p = std::mem::replace(&mut *b, Packet::new(NodeId(0), NodeId(0), PacketKind::Data));
         self.pkt_pool.put(b);
         p
@@ -416,9 +417,10 @@ impl NicCore {
         let seen = done + self.timing.host_notify + self.timing.host_recv_check;
         pkt.stamps.host_seen = seen;
         let node = self.node;
+        let boxed = self.pkt_pool.take_with(move || pkt);
         ctx.sim.schedule(
             seen,
-            ClusterEvent::Host(node, HostEvent::Deliver { pkt: Box::new(pkt) }),
+            ClusterEvent::Host(node, HostEvent::Deliver { pkt: boxed }),
         );
         done
     }
