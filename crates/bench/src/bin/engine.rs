@@ -1,8 +1,7 @@
 //! `engine`: throughput study of the simulation engine core itself —
 //! wall-clock events/sec and simulated-ns per wall-ms of the timing-wheel
 //! scheduler + arena fabric, swept over atlas fabrics from 16 to 1024
-//! hosts, plus a shards=1 vs shards=8 comparison of the conservative
-//! parallel engine at the largest size.
+//! hosts.
 //!
 //! Traffic is a fixed shift permutation (host `i` streams to host
 //! `i + n/2 mod n`) with routes installed only for the pairs that talk:
@@ -13,16 +12,19 @@
 //!
 //! The default run writes `BENCH_engine.json` (`--json <path>` overrides):
 //! per-fabric rows and the largest host count each family finishes inside
-//! the 60 s wall budget. `--smoke` is the CI gate: a 16-host fabric must
-//! clear an events/sec floor, and a shards=2 run must be self-deterministic
-//! and delivery-identical to shards=1.
+//! the 60 s wall budget, under a header naming the command, the core count
+//! and the build profile. `--one <spec>` measures one fabric and prints its
+//! row. `--smoke` is the CI gate: the 16-host fat tree must clear an
+//! events/sec floor and reproduce its pinned outcome (events, simulated
+//! time, deliveries), so an engine edit that changes the simulation trips
+//! it even when throughput holds.
 
 use std::time::Instant;
 
 use san_fabric::updown::UpDownMap;
 use san_fabric::{NodeId, Route, Topology};
 use san_nic::testkit::StreamSender;
-use san_nic::{ClusterConfig, HostAgent, ShardedCluster, UnreliableFirmware};
+use san_nic::{Cluster, ClusterConfig, HostAgent, UnreliableFirmware};
 use san_sim::{Duration, Time};
 use san_topo::TopoSpec;
 
@@ -42,13 +44,11 @@ const MAX_SLICES: u64 = 2_000;
 struct Row {
     fabric: String,
     hosts: usize,
-    shards: usize,
     delivered: u64,
     expected: u64,
     drops: [u64; 6],
     resets: u64,
     events: u64,
-    crossings: u64,
     sim_ns: u64,
     wall_ms: f64,
 }
@@ -63,8 +63,7 @@ impl Row {
 }
 
 /// The shift permutation: everyone sends, everyone receives, every stream
-/// crosses the "middle" of the host id space (and so, on most shapes, a
-/// shard boundary).
+/// crosses the "middle" of the host id space.
 fn perm(n: usize, i: usize) -> usize {
     (i + n / 2) % n
 }
@@ -87,7 +86,7 @@ fn perm_routes(topo: &Topology, n: usize) -> Vec<Option<Route>> {
 }
 
 /// Build the world, stream the permutation to completion, measure.
-fn run_one(spec: &TopoSpec, shards: usize) -> Row {
+fn run_one(spec: &TopoSpec) -> Row {
     let fabric = spec.build();
     let n = fabric.hosts.len();
     let routes = perm_routes(&fabric.topo, n);
@@ -101,20 +100,17 @@ fn run_one(spec: &TopoSpec, shards: usize) -> Row {
     cfg.engine.path_reset_timeout = Duration::from_millis(4_000);
 
     let t0 = Instant::now();
-    let mut sc = ShardedCluster::new(
-        fabric.topo,
-        cfg,
-        shards,
-        |_| Box::new(UnreliableFirmware),
-        |i| -> Box<dyn HostAgent> {
+    let hosts: Vec<Box<dyn HostAgent>> = (0..n)
+        .map(|i| -> Box<dyn HostAgent> {
             Box::new(StreamSender::new(
-                NodeId(perm(n, i.idx()) as u16),
+                NodeId(perm(n, i) as u16),
                 BYTES,
                 MESSAGES,
             ))
-        },
-    );
-    sc.install_routes(|a, b| {
+        })
+        .collect();
+    let mut c = Cluster::new(fabric.topo, cfg, |_| Box::new(UnreliableFirmware), hosts);
+    c.install_routes(|a, b| {
         if perm(n, a.idx()) == b.idx() {
             routes[a.idx()]
         } else {
@@ -126,24 +122,22 @@ fn run_one(spec: &TopoSpec, shards: usize) -> Row {
     let mut slices = 0u64;
     loop {
         deadline += SLICE;
-        sc.run_until(deadline);
+        c.run_until(deadline);
         slices += 1;
-        if sc.engine_stats().delivered >= expected || slices >= MAX_SLICES {
+        if c.engine.stats().delivered >= expected || slices >= MAX_SLICES {
             break;
         }
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let stats = sc.engine_stats();
+    let stats = c.engine.stats();
     Row {
         fabric: spec.format(),
         hosts: n,
-        shards: sc.num_shards(),
         delivered: stats.delivered,
         expected,
         drops: stats.dropped,
         resets: stats.path_resets,
-        events: sc.events_processed(),
-        crossings: sc.crossings(),
+        events: c.events_processed(),
         sim_ns: deadline.nanos(),
         wall_ms,
     }
@@ -151,25 +145,32 @@ fn run_one(spec: &TopoSpec, shards: usize) -> Row {
 
 fn print_row(r: &Row) {
     println!(
-        "{:<18} hosts={:<5} shards={} delivered={}/{} drops={:?} resets={} events={} crossings={} \
+        "{:<18} hosts={:<5} delivered={}/{} drops={:?} resets={} events={} \
          wall={:.1}ms  {:.2}M events/s  {:.0} sim-ns/wall-ms",
         r.fabric,
         r.hosts,
-        r.shards,
         r.delivered,
         r.expected,
         r.drops,
         r.resets,
         r.events,
-        r.crossings,
         r.wall_ms,
         r.events_per_sec() / 1e6,
         r.sim_ns_per_wall_ms(),
     );
 }
 
-fn write_json(path: &str, rows: &[Row], max_hosts: &[(String, usize)]) {
+fn write_json(path: &str, command: &str, rows: &[Row], max_hosts: &[(String, usize)]) {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     let mut s = String::from("{\n  \"bench\": \"engine\",\n");
+    s.push_str(&format!("  \"command\": \"{command}\",\n"));
+    s.push_str(&format!("  \"nproc\": {nproc},\n"));
+    s.push_str(&format!("  \"profile\": \"{profile}\",\n"));
     s.push_str(&format!(
         "  \"traffic\": \"shift permutation, {MESSAGES} x {BYTES}B per host\",\n"
     ));
@@ -183,16 +184,14 @@ fn write_json(path: &str, rows: &[Row], max_hosts: &[(String, usize)]) {
     s.push_str("},\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"fabric\": \"{}\", \"hosts\": {}, \"shards\": {}, \"delivered\": {}, \
-             \"expected\": {}, \"events\": {}, \"crossings\": {}, \"sim_ns\": {}, \
-             \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"sim_ns_per_wall_ms\": {:.0}}}{}\n",
+            "    {{\"fabric\": \"{}\", \"hosts\": {}, \"delivered\": {}, \"expected\": {}, \
+             \"events\": {}, \"sim_ns\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \
+             \"sim_ns_per_wall_ms\": {:.0}}}{}\n",
             r.fabric,
             r.hosts,
-            r.shards,
             r.delivered,
             r.expected,
             r.events,
-            r.crossings,
             r.sim_ns,
             r.wall_ms,
             r.events_per_sec(),
@@ -246,32 +245,30 @@ fn family_series() -> Vec<(&'static str, Vec<TopoSpec>)> {
     ]
 }
 
+/// fat_tree:4's serial outcome (BENCH_engine.json's first row): the
+/// smoke gate trips on any engine edit that changes the simulation, which
+/// the events/sec floor alone cannot see.
+const SMOKE_EVENTS: u64 = 20_320;
+const SMOKE_SIM_NS: u64 = 3_000_000;
+
 fn smoke() {
-    let spec = TopoSpec::FatTree { k: 4 };
-    let serial = run_one(&spec, 1);
-    print_row(&serial);
+    let r = run_one(&TopoSpec::FatTree { k: 4 });
+    print_row(&r);
     assert_eq!(
-        serial.delivered, serial.expected,
-        "smoke: serial run must deliver the whole permutation"
+        (r.delivered, r.expected),
+        (1600, 1600),
+        "smoke: the run must deliver the whole permutation"
+    );
+    assert_eq!(
+        (r.events, r.sim_ns),
+        (SMOKE_EVENTS, SMOKE_SIM_NS),
+        "smoke: events and simulated time must match the pinned fat_tree:4 outcome"
     );
     let floor = 50_000.0;
     assert!(
-        serial.events_per_sec() > floor,
+        r.events_per_sec() > floor,
         "smoke: {:.0} events/sec is below the {floor} floor",
-        serial.events_per_sec()
-    );
-    let a = run_one(&spec, 2);
-    let b = run_one(&spec, 2);
-    print_row(&a);
-    assert!(a.crossings > 0, "smoke: permutation must cross shards");
-    assert_eq!(
-        (a.delivered, a.crossings),
-        (b.delivered, b.crossings),
-        "smoke: shards=2 must be self-deterministic"
-    );
-    assert_eq!(
-        a.delivered, serial.delivered,
-        "smoke: shards=2 delivery must match shards=1"
+        r.events_per_sec()
     );
     println!("engine smoke: OK");
 }
@@ -282,11 +279,10 @@ fn main() {
         smoke();
         return;
     }
-    // Debug/inspection mode: one (spec, shards) measurement, no JSON.
+    // Debug/inspection mode: one fabric's measurement, no JSON.
     if let Some(i) = args.iter().position(|a| a == "--one") {
         let spec = TopoSpec::parse(&args[i + 1]).expect("bad spec");
-        let shards: usize = args[i + 2].parse().expect("bad shard count");
-        print_row(&run_one(&spec, shards));
+        print_row(&run_one(&spec));
         return;
     }
     let json_path = args
@@ -295,21 +291,26 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_engine.json".into());
 
+    let mut command = String::from("cargo run --release -q -p san-bench --bin engine");
+    if args.len() > 1 {
+        command.push_str(" --");
+        for a in &args[1..] {
+            command.push(' ');
+            command.push_str(a);
+        }
+    }
+
     let mut rows: Vec<Row> = Vec::new();
     let mut max_hosts: Vec<(String, usize)> = Vec::new();
-    let mut largest: Option<TopoSpec> = None;
     for (family, series) in family_series() {
         let mut best = 0usize;
         for spec in series {
-            let row = run_one(&spec, 1);
+            let row = run_one(&spec);
             print_row(&row);
             let within = row.wall_ms <= WALL_BUDGET_SECS * 1e3;
             let complete = row.delivered == row.expected;
             if within && complete {
                 best = row.hosts;
-                if family == "fat_tree" {
-                    largest = Some(spec);
-                }
             }
             rows.push(row);
             if !within {
@@ -318,13 +319,5 @@ fn main() {
         }
         max_hosts.push((family.into(), best));
     }
-
-    // Parallel engine: shards=8 vs the serial rows above, at the largest
-    // fat-tree that fit the budget.
-    if let Some(spec) = largest {
-        let row = run_one(&spec, 8);
-        print_row(&row);
-        rows.push(row);
-    }
-    write_json(&json_path, &rows, &max_hosts);
+    write_json(&json_path, &command, &rows, &max_hosts);
 }

@@ -194,8 +194,6 @@ impl ProtocolConfig {
 /// On-demand mapper configuration (§4.2).
 #[derive(Debug, Clone)]
 pub struct MapperConfig {
-    /// How long to wait for a batch of probes before concluding silence.
-    pub probe_timeout: Duration,
     /// Highest port number to probe on an unknown switch (Myrinet switches
     /// in the testbed have at most 16 ports; a probe into a nonexistent
     /// port simply times out, which is how port counts are discovered).
@@ -213,9 +211,10 @@ pub struct MapperConfig {
     /// (the default, `usize::MAX`) matches the paper's testbed behaviour;
     /// on large cyclic fabrics the non-looping probes of a batch wander the
     /// redundant paths and deadlock *each other*, and the path-reset timer
-    /// (~62 ms) fires long after the 400 µs batch deadline misread the loss
-    /// as "nothing there". A small window (1–2) removes probe–probe cycles
-    /// at the cost of one batch deadline per window-full.
+    /// (~62 ms) fires long after the 400 µs batch deadline
+    /// (`mapper::PROBE_TIMEOUT`) misread the loss as "nothing there". A
+    /// small window (1–2) removes probe–probe cycles at the cost of one
+    /// batch deadline per window-full.
     pub loop_probe_window: usize,
     /// Two-hop identity signatures for host-less switches. The depth-1
     /// host signature cannot tell apart two core/aggregation switches that
@@ -229,30 +228,19 @@ pub struct MapperConfig {
     /// pick up their pod's hosts at depth 2 and dedup exactly; only
     /// switches silent at *both* depths (true cores) fall back to the
     /// loop-probe identity check. Off by default — the testbed-scale
-    /// behaviour of the paper needs no depth-2 probes.
+    /// behaviour of the paper needs no depth-2 probes. Deep runs wait
+    /// `mapper::PROBE_PATIENCE` per batch instead of `mapper::PROBE_TIMEOUT`.
     pub deep_signatures: bool,
-    /// Batch deadline used instead of `probe_timeout` when `deep_signatures`
-    /// is on. Multi-hop probes into unknown wiring can revisit a channel
-    /// their own worm still holds — a *self*-deadlock no pacing avoids —
-    /// and the fabric only clears it at the path-reset timer (~62 ms).
-    /// Probes queued behind the wedge are killed by their own reset timers
-    /// and retransmitted; their outcomes arrive one reset period late, so
-    /// the phase deadline must outlast the reset timer or the late answers
-    /// are misread as silence. Must exceed the fabric's
-    /// `path_reset_timeout` (62 ms by default).
-    pub probe_patience: Duration,
 }
 
 impl Default for MapperConfig {
     fn default() -> Self {
         Self {
-            probe_timeout: Duration::from_micros(400),
             max_ports: 16,
             identity_checks: true,
             max_switch_sightings: 64,
             loop_probe_window: usize::MAX,
             deep_signatures: false,
-            probe_patience: Duration::from_millis(64),
         }
     }
 }

@@ -31,7 +31,7 @@ use std::collections::{HashMap, VecDeque};
 use san_fabric::route::MAX_HOPS;
 use san_fabric::{NodeId, Packet, PacketKind, Route, RouteHints};
 use san_nic::{ClusterEvent, NicCore, NicCtx, NicEvent, SendDesc};
-use san_sim::Time;
+use san_sim::{Duration, Time};
 use san_telemetry::{Counter, SummaryHandle, Telemetry, TraceKind};
 
 use crate::config::MapperConfig;
@@ -244,6 +244,20 @@ struct MapRun {
 /// A probe path-reset this many times is a self-deadlocking route: give up.
 const MAX_PROBE_RESETS: u8 = 3;
 
+/// How long to wait for a batch of probes before concluding silence.
+const PROBE_TIMEOUT: Duration = Duration::from_micros(400);
+
+/// Batch deadline used instead of [`PROBE_TIMEOUT`] when
+/// `MapperConfig::deep_signatures` is on. Multi-hop probes into unknown
+/// wiring can revisit a channel their own worm still holds — a
+/// *self*-deadlock no pacing avoids — and the fabric only clears it at the
+/// path-reset timer (~62 ms). Probes queued behind the wedge are killed by
+/// their own reset timers and retransmitted; their outcomes arrive one reset
+/// period late, so the phase deadline must outlast the reset timer or the
+/// late answers are misread as silence. Must exceed the fabric's
+/// `path_reset_timeout` (62 ms by default).
+const PROBE_PATIENCE: Duration = Duration::from_millis(64);
+
 /// The on-demand mapper of one NIC.
 #[derive(Debug)]
 pub struct Mapper {
@@ -451,11 +465,11 @@ impl Mapper {
         let node = core.node;
         // Deep-signature runs probe unknown wiring with multi-hop worms that
         // can wedge until the fabric's path-reset timer; the deadline must
-        // outlast it (see `MapperConfig::probe_patience`).
+        // outlast it (see `PROBE_PATIENCE`).
         let timeout = if self.cfg.deep_signatures {
-            self.cfg.probe_patience
+            PROBE_PATIENCE
         } else {
-            self.cfg.probe_timeout
+            PROBE_TIMEOUT
         };
         ctx.sim.schedule_in(
             timeout,
@@ -860,7 +874,7 @@ impl Mapper {
     /// Every in-flight probe of a paced phase has answered but more are
     /// queued: refill the window now instead of waiting out the deadline
     /// (the fresh deadline supersedes the old batch). Only silence pays
-    /// the full `probe_timeout`.
+    /// the full [`PROBE_TIMEOUT`].
     fn refill_window(&mut self, core: &mut NicCore, ctx: &mut NicCtx) {
         let ready = self
             .run

@@ -36,15 +36,6 @@ impl<T> Slab<T> {
         }
     }
 
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            slots: Vec::with_capacity(cap),
-            gens: Vec::with_capacity(cap),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-
     /// Insert, returning `(index, generation)` of the slot used.
     pub fn insert(&mut self, value: T) -> (u32, u32) {
         self.len += 1;
@@ -102,26 +93,12 @@ impl<T> Slab<T> {
         self.len == 0
     }
 
-    /// Number of slots ever allocated (occupied + free).
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Iterate `(index, &value)` over occupied slots in index order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
         self.slots
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|v| (i as u32, v)))
-    }
-
-    /// Iterate `(index, &mut value)` over occupied slots in index order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u32, &mut T)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_mut().map(|v| (i as u32, v)))
     }
 }
 
@@ -140,8 +117,6 @@ impl<T> Default for Slab<T> {
 pub struct Pool<T> {
     free: Vec<Box<T>>,
     cap: usize,
-    pub hits: u64,
-    pub misses: u64,
 }
 
 impl<T> Pool<T> {
@@ -149,8 +124,6 @@ impl<T> Pool<T> {
         Self {
             free: Vec::new(),
             cap,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -158,11 +131,9 @@ impl<T> Pool<T> {
     /// one is available.
     pub fn take_with(&mut self, make: impl FnOnce() -> T) -> Box<T> {
         if let Some(mut b) = self.free.pop() {
-            self.hits += 1;
             *b = make();
             b
         } else {
-            self.misses += 1;
             Box::new(make())
         }
     }
@@ -196,7 +167,6 @@ mod tests {
         assert!(s.contains(c, 1));
         assert!(!s.contains(c, 0));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.capacity(), 2);
         assert_eq!(s.iter().map(|(i, _)| i).collect::<Vec<_>>(), vec![0, 1]);
     }
 
@@ -204,10 +174,10 @@ mod tests {
     fn pool_recycles_boxes() {
         let mut p: Pool<u64> = Pool::new(4);
         let a = p.take_with(|| 1);
-        assert_eq!(p.misses, 1);
+        let addr: *const u64 = &*a;
         p.put(a);
         let b = p.take_with(|| 2);
-        assert_eq!(p.hits, 1);
+        assert!(std::ptr::eq(&*b, addr), "the pooled box is reused");
         assert_eq!(*b, 2);
     }
 }

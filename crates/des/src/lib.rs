@@ -14,8 +14,6 @@
 //! * [`arena`] — slab allocator with stable `u32` indices + generation tags
 //!   (in-flight packets) and a box pool for packet recycling on the NIC hot
 //!   path.
-//! * [`sync`] — conservative time-window synchronization for sharded
-//!   parallel simulation (CMB-style lookahead windows over a spin barrier).
 //!
 //! Everything here is plain `std`; determinism is the design constraint that
 //! shapes each structure, and each module documents the ordering invariant it
@@ -24,5 +22,4 @@
 pub mod arena;
 #[cfg(test)]
 mod heap;
-pub mod sync;
 pub mod wheel;

@@ -91,46 +91,13 @@ pub enum FabricEvent {
     },
 }
 
-/// Which shard owns each link of a partitioned fabric. Installed via
-/// [`Engine::set_shard_map`] on every shard's engine; `None` (the default)
-/// means unsharded and leaves behaviour byte-identical to the serial engine.
-#[derive(Debug, Clone)]
-pub struct ShardMap {
-    /// This engine's shard id.
-    pub mine: u16,
-    /// Owning shard per link index. Links grown after partitioning default
-    /// to `mine`.
-    pub link_owner: Vec<u16>,
-}
-
-/// A flight handed off at a shard boundary, to be re-injected mid-route in
-/// the owning shard via [`Engine::inject_crossing`].
-///
-/// Crossing semantics are store-and-forward: the flight releases everything
-/// it holds in the source shard, its body is fully buffered at the boundary
-/// (`ready_at = max(now, serialization done) + hop_latency`), and it then
-/// contends for the cut channel inside the owning shard, restarting
-/// serialization and its deadlock timer there. `hop_latency` is exactly the
-/// synchronization lookahead, which is what makes conservative windows safe.
+/// Uninhabited: no flight ever leaves the serial engine. Kept only because
+/// `perf/src/trace.rs` names it (through [`FabricOut::ShardCross`],
+/// [`Engine::inject_crossing`] and the cluster's `Portal` event) until that
+/// copy of the cluster loop is deleted; the compiler proves every use of it
+/// unreachable.
 #[derive(Debug)]
-pub struct PortalCrossing {
-    /// The packet, as it stood at the boundary.
-    pub pkt: Packet,
-    /// Original injecting host.
-    pub src: NodeId,
-    /// The directed cut channel to acquire in the owning shard.
-    pub ch: u32,
-    /// Route position (next hop byte index) at handoff.
-    pub hop_idx: usize,
-    /// Input ports recorded so far (for the reverse route).
-    pub reverse_in_ports: Vec<u8>,
-    /// Transient-fault verdict drawn at injection, carried across.
-    pub will_drop_on_wire: bool,
-    /// Shard that owns the cut link.
-    pub dst_shard: u16,
-    /// Earliest instant the flight may contend in the owning shard.
-    pub ready_at: Time,
-}
+pub enum PortalCrossing {}
 
 /// Why a packet vanished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,8 +142,8 @@ pub enum FabricOut {
         /// The packet that was stuck.
         pkt: Packet,
     },
-    /// The flight reached a link owned by another shard; the driver must
-    /// route it to `dst_shard` at `ready_at` (sharded runs only).
+    /// Never constructed ([`PortalCrossing`] is uninhabited). Kept only for
+    /// `perf/src/trace.rs`, which matches on it.
     ShardCross(Box<PortalCrossing>),
 }
 
@@ -226,8 +193,6 @@ struct FabricMetrics {
     dropped: [san_telemetry::Counter; 6],
     path_resets: san_telemetry::Counter,
     bytes_delivered: san_telemetry::Counter,
-    /// Flights handed off at shard boundaries (0 in unsharded runs).
-    shard_crossings: san_telemetry::Counter,
     /// Cumulative occupied time per link (`fabric.link.<n>.busy_ns`),
     /// summed over both directed channels.
     link_busy: Vec<san_telemetry::Counter>,
@@ -249,7 +214,6 @@ impl FabricMetrics {
             dropped: REASONS.map(|r| tel.counter(&format!("fabric.dropped.{}", r.name()))),
             path_resets: tel.counter("fabric.path_resets"),
             bytes_delivered: tel.counter("fabric.bytes_delivered"),
-            shard_crossings: tel.counter("fabric.shard_crossings"),
             link_busy: (0..num_links)
                 .map(|l| tel.counter(&format!("fabric.link.{l}.busy_ns")))
                 .collect(),
@@ -323,14 +287,14 @@ struct Flight {
 }
 
 impl Flight {
-    /// A flight at route position `hop_idx` that holds nothing yet.
-    fn new(pkt: Packet, src: NodeId, hop_idx: usize, will_drop_on_wire: bool) -> Self {
+    /// A flight at the start of its route that holds nothing yet.
+    fn new(pkt: Packet, src: NodeId, will_drop_on_wire: bool) -> Self {
         Flight {
             pkt,
             src,
             held: [0; MAX_HELD],
             n_held: 0,
-            hop_idx,
+            hop_idx: 0,
             in_ports: [0; MAX_HELD],
             n_in_ports: 0,
             ser_done: Time::MAX, // set on first acquire
@@ -373,9 +337,6 @@ pub struct Engine {
     /// (identical to the hand-rolled slab this replaced, so event-epoch
     /// matching and slot-assignment order are unchanged).
     flights: Slab<Flight>,
-    /// Link-ownership map for sharded runs; `None` (default) is the serial
-    /// engine, byte-identical to the pre-sharding build.
-    shard_map: Option<ShardMap>,
     /// Trace events buffered within a dispatch, flushed to the ring in one
     /// head claim at every public-method exit (so records from other layers
     /// interleave exactly as they did with per-event recording).
@@ -429,7 +390,6 @@ impl Engine {
             channels,
             switch_alive,
             flights: Slab::new(),
-            shard_map: None,
             tbatch: Vec::new(),
             trace_on: tel.tracing_enabled(),
             faults: TransientFaults::none(),
@@ -646,7 +606,7 @@ impl Engine {
             self.flush_trace();
             return;
         };
-        let (slot, epoch) = self.flights.insert(Flight::new(pkt, src, 0, will_drop));
+        let (slot, epoch) = self.flights.insert(Flight::new(pkt, src, will_drop));
         // Arm the path-reset (deadlock) timer.
         sim.schedule_in(
             self.cfg.path_reset_timeout,
@@ -661,32 +621,15 @@ impl Engine {
         self.flush_trace();
     }
 
-    /// Re-inject a flight handed off from another shard (see
-    /// [`PortalCrossing`]). Runs in the shard owning `x.ch`, at `x.ready_at`;
-    /// the body was fully buffered at the boundary, so serialization (and
-    /// the deadlock timer — a sharded-only timing-model difference) restart
-    /// here.
-    pub fn inject_crossing<E: From<FabricEvent>>(
+    /// Unreachable: [`PortalCrossing`] is uninhabited. Kept only for
+    /// `perf/src/trace.rs`, which calls it.
+    pub fn inject_crossing<E>(
         &mut self,
-        sim: &mut Sim<E>,
+        _sim: &mut Sim<E>,
         x: PortalCrossing,
-        out: &mut Vec<FabricOut>,
+        _out: &mut Vec<FabricOut>,
     ) {
-        // Serialization restarts on the cut-channel acquire.
-        let mut f = Flight::new(x.pkt, x.src, x.hop_idx, x.will_drop_on_wire);
-        f.in_ports[..x.reverse_in_ports.len()].copy_from_slice(&x.reverse_in_ports);
-        f.n_in_ports = x.reverse_in_ports.len() as u8;
-        let (slot, epoch) = self.flights.insert(f);
-        sim.schedule_in(
-            self.cfg.path_reset_timeout,
-            FabricEvent::ResetCheck {
-                flight: slot,
-                epoch,
-            }
-            .into(),
-        );
-        self.try_acquire(sim, slot, x.ch, out);
-        self.flush_trace();
+        match x {}
     }
 
     // -- event handling -----------------------------------------------------
@@ -751,55 +694,6 @@ impl Engine {
         self.flights.contains(flight, epoch)
     }
 
-    /// If `ch`'s link belongs to another shard, that shard's id.
-    #[inline]
-    fn foreign_shard(&self, ch: u32) -> Option<u16> {
-        let m = self.shard_map.as_ref()?;
-        let owner = m
-            .link_owner
-            .get((ch / 2) as usize)
-            .copied()
-            .unwrap_or(m.mine);
-        (owner != m.mine).then_some(owner)
-    }
-
-    /// Hand `flight` off at a shard boundary: release everything it holds
-    /// here (store-and-forward — the body is fully buffered at the cut) and
-    /// emit a [`PortalCrossing`] the driver routes to the owning shard.
-    fn shard_handoff<E: From<FabricEvent>>(
-        &mut self,
-        sim: &mut Sim<E>,
-        flight: u32,
-        ch: u32,
-        dst_shard: u16,
-        out: &mut Vec<FabricOut>,
-    ) {
-        let f = self.kill_flight(sim, flight);
-        let now = sim.now();
-        let ser_done = if f.ser_done == Time::MAX {
-            now
-        } else {
-            f.ser_done
-        };
-        // Boundary buffering completes at max(head arrival, tail arrival);
-        // the cut-link hop itself costs `hop_latency`, which equals the
-        // conservative-window lookahead — the crossing can never be due
-        // inside the window that produced it.
-        let ready_at = now.max(ser_done) + self.cfg.hop_latency;
-        self.metrics.shard_crossings.hit();
-        let reverse_in_ports = f.in_ports().to_vec();
-        out.push(FabricOut::ShardCross(Box::new(PortalCrossing {
-            pkt: f.pkt,
-            src: f.src,
-            ch,
-            hop_idx: f.hop_idx,
-            reverse_in_ports,
-            will_drop_on_wire: f.will_drop_on_wire,
-            dst_shard,
-            ready_at,
-        })));
-    }
-
     /// Try to take channel `ch` for `flight`; on success the head starts
     /// crossing it, otherwise the flight queues on the channel.
     fn try_acquire<E: From<FabricEvent>>(
@@ -809,12 +703,6 @@ impl Engine {
         ch: u32,
         out: &mut Vec<FabricOut>,
     ) {
-        // Sharded runs: a channel owned elsewhere is crossed by handing the
-        // flight to its owner, which also decides the link's liveness.
-        if let Some(dst) = self.foreign_shard(ch) {
-            self.shard_handoff(sim, flight, ch, dst, out);
-            return;
-        }
         if !self.channels[ch as usize].alive {
             let f = self.kill_flight(sim, flight);
             self.report_drop(sim.now(), f.pkt, DropReason::DeadLink, out);
@@ -1297,19 +1185,5 @@ impl Engine {
         let epoch = self.finish_reconfig(sim, old_fp, incident, switches);
         self.flush_trace();
         epoch
-    }
-
-    // -- sharding -----------------------------------------------------------
-
-    /// Install the link-ownership map for a sharded run. With no map (the
-    /// default) the engine is the serial engine, byte-identical traces and
-    /// all; with one, flights reaching a foreign link are handed off as
-    /// [`PortalCrossing`]s instead of acquiring it.
-    pub fn set_shard_map(&mut self, map: ShardMap) {
-        debug_assert!(
-            map.link_owner.len() >= self.topo.num_links(),
-            "shard map shorter than the link table"
-        );
-        self.shard_map = Some(map);
     }
 }

@@ -477,7 +477,7 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_routes_detected_as_unsafe() {
+    fn cyclic_routes_detected_as_deadlock_prone() {
         // Build a 3-switch ring with one host per switch, and route every
         // host "the long way around" so channel dependencies form a cycle.
         let mut t = Topology::new();

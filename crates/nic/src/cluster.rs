@@ -92,8 +92,8 @@ pub enum ClusterEvent {
     Nic(NodeId, NicEvent),
     /// Host event.
     Host(NodeId, HostEvent),
-    /// A flight from another shard becomes ready at our side of a cut link
-    /// (sharded runs only; scheduled at the crossing's `ready_at`).
+    /// Never constructed ([`PortalCrossing`] is uninhabited). Kept only for
+    /// `perf/src/trace.rs`, which matches on it.
     Portal(Box<PortalCrossing>),
 }
 
@@ -218,9 +218,8 @@ pub struct Cluster {
     /// The observability handle shared by every layer (same handle the
     /// caller put in [`ClusterConfig::telemetry`]).
     pub telemetry: Telemetry,
-    /// Flights that reached a link owned by another shard during the last
-    /// run; the sharded driver drains these between windows. Always empty
-    /// in unsharded runs.
+    /// Always empty ([`PortalCrossing`] is uninhabited). Kept only for
+    /// `perf/src/trace.rs`, which pushes to it.
     pub shard_out: Vec<Box<PortalCrossing>>,
     /// What the fabric reported while handling one event; drained right
     /// after, and kept so that its storage is reused.
@@ -339,13 +338,6 @@ impl Cluster {
         self.events_processed
     }
 
-    /// Run every component's `on_start` hook without processing any events.
-    /// The sharded driver calls this before the first synchronization window
-    /// so `peek_time` sees the seeded queue; `run_until` does it implicitly.
-    pub fn start(&mut self) {
-        self.start_if_needed();
-    }
-
     fn start_if_needed(&mut self) {
         if self.started {
             return;
@@ -401,11 +393,7 @@ impl Cluster {
                 self.engine.handle(&mut self.sim, fe, &mut outs);
                 self.process_outs(outs);
             }
-            ClusterEvent::Portal(x) => {
-                let mut outs = std::mem::take(&mut self.outs);
-                self.engine.inject_crossing(&mut self.sim, *x, &mut outs);
-                self.process_outs(outs);
-            }
+            ClusterEvent::Portal(x) => match *x {},
             ClusterEvent::Nic(node, ne) => {
                 let mut ctx = NicCtx {
                     sim: &mut self.sim,
@@ -459,7 +447,7 @@ impl Cluster {
                 FabricOut::Dropped { .. } => {
                     // Silent on real hardware; engine stats keep it.
                 }
-                FabricOut::ShardCross(x) => self.shard_out.push(x),
+                FabricOut::ShardCross(x) => match *x {},
             }
         }
         self.outs = outs;

@@ -18,7 +18,6 @@
 pub mod buffer;
 pub mod cluster;
 pub mod nic;
-pub mod shard;
 pub mod testkit;
 pub mod timing;
 
@@ -27,5 +26,4 @@ pub use cluster::{
     Cluster, ClusterConfig, ClusterEvent, HostAgent, HostCtx, HostEvent, IdleHost, NicEvent,
 };
 pub use nic::{Firmware, Nic, NicCore, NicCtx, NicStats, RouteTable, SendDesc, UnreliableFirmware};
-pub use shard::ShardedCluster;
 pub use timing::{vmmc_consts, NicTiming};

@@ -114,19 +114,6 @@ impl Histogram {
         }
         self.max()
     }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-        }
-    }
 }
 
 impl std::fmt::Debug for Histogram {
@@ -193,27 +180,6 @@ mod tests {
         assert!((p99 / 990_000.0 - 1.0).abs() < 0.08, "p99 {p99}");
         assert_eq!(h.max().nanos(), 1_000_000);
         assert!((h.mean().nanos() as f64 / 500_050.0 - 1.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn merge_equals_combined_stream() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut whole = Histogram::new();
-        for i in 0..1000u64 {
-            let d = Duration::from_nanos(i * i % 7919 + 1);
-            whole.record(d);
-            if i % 2 == 0 {
-                a.record(d);
-            } else {
-                b.record(d);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.max(), whole.max());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.quantile(0.9), whole.quantile(0.9));
     }
 
     #[test]

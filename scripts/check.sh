@@ -42,7 +42,7 @@ cargo run --release -q -p san-mc -- check --smoke
 echo "== san-mc benchmark configs (2-node failure model, two-way traffic, 3-node incast)"
 cargo run --release -q -p san-mc -- check remap2 bidir2 incast3
 
-echo "== engine smoke (scheduler throughput floor + shard determinism gate)"
+echo "== engine smoke (events/sec floor + pinned fat_tree:4 outcome: events, sim time, deliveries)"
 cargo run --release -q -p san-bench --bin engine -- --smoke
 
 echo "== scale_map smoke (atlas + planner-hint remap gate)"
