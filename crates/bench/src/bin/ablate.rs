@@ -5,7 +5,7 @@
 //! 3. sender-based feedback vs fixed ACK-every-K,
 //! 4. on-demand partial mapping vs mapping the whole network.
 
-use san_bench::{parse_mode, tsv};
+use san_bench::{mapper_stats, parse_mode, tsv};
 use san_fabric::{topology, NodeId};
 use san_ft::{FeedbackPolicy, MapperConfig, ProtocolConfig, ReliableFirmware};
 use san_microbench::{unidirectional_bandwidth, FwKind};
@@ -315,13 +315,7 @@ fn run_mapping(tb: &topology::MappingTestbed, dst: NodeId, n: usize) -> (u64, u6
         cluster.run_until(t);
         t += Duration::from_millis(5);
     }
-    let st = cluster.nics[0]
-        .fw
-        .as_any()
-        .downcast_ref::<ReliableFirmware>()
-        .unwrap()
-        .mapper_stats()
-        .clone();
+    let st = mapper_stats(&cluster, 0);
     (st.last_host_probes, st.last_switch_probes, st.last_time_ms)
 }
 
@@ -356,13 +350,7 @@ fn run_mapping_unreachable(tb: &topology::MappingTestbed, n: usize) -> (u64, u64
     let mut t = Time::from_millis(5);
     loop {
         cluster.run_until(t);
-        let st = cluster.nics[0]
-            .fw
-            .as_any()
-            .downcast_ref::<ReliableFirmware>()
-            .unwrap()
-            .mapper_stats()
-            .clone();
+        let st = mapper_stats(&cluster, 0);
         if st.unreachable.get() > 0 || t > Time::from_secs(10) {
             return (st.last_host_probes, st.last_switch_probes, st.last_time_ms);
         }

@@ -12,20 +12,22 @@
 //!
 //! The default run writes `BENCH_engine.json` (`--json <path>` overrides):
 //! per-fabric rows and the largest host count each family finishes inside
-//! the 60 s wall budget, under a header naming the command, the core count
-//! and the build profile. `--one <spec>` measures one fabric and prints its
-//! row. `--smoke` is the CI gate: the 16-host fat tree must clear an
-//! events/sec floor and reproduce its pinned outcome (events, simulated
-//! time, deliveries), so an engine edit that changes the simulation trips
-//! it even when throughput holds.
+//! the 60 s wall budget, under the provenance header of
+//! [`san_bench::write_bench`]. `--one <spec>` measures one fabric and
+//! prints its row. `--smoke` is the CI gate: the 16-host fat tree must
+//! clear an events/sec floor and reproduce its pinned outcome (events,
+//! simulated time, deliveries), so an engine edit that changes the
+//! simulation trips it even when throughput holds.
 
 use std::time::Instant;
 
+use san_bench::{json_arg, write_bench};
 use san_fabric::updown::UpDownMap;
 use san_fabric::{NodeId, Route, Topology};
 use san_nic::testkit::StreamSender;
 use san_nic::{Cluster, ClusterConfig, HostAgent, UnreliableFirmware};
 use san_sim::{Duration, Time};
+use san_telemetry::json::Json;
 use san_topo::TopoSpec;
 
 /// Messages per host per trial.
@@ -128,7 +130,8 @@ fn run_one(spec: &TopoSpec) -> Row {
             break;
         }
     }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    // Whole nanoseconds over 1e6: the JSON shows the reading, not float noise.
+    let wall_ms = t0.elapsed().as_nanos() as f64 / 1e6;
     let stats = c.engine.stats();
     Row {
         fabric: spec.format(),
@@ -160,48 +163,37 @@ fn print_row(r: &Row) {
     );
 }
 
-fn write_json(path: &str, command: &str, rows: &[Row], max_hosts: &[(String, usize)]) {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    let mut s = String::from("{\n  \"bench\": \"engine\",\n");
-    s.push_str(&format!("  \"command\": \"{command}\",\n"));
-    s.push_str(&format!("  \"nproc\": {nproc},\n"));
-    s.push_str(&format!("  \"profile\": \"{profile}\",\n"));
-    s.push_str(&format!(
-        "  \"traffic\": \"shift permutation, {MESSAGES} x {BYTES}B per host\",\n"
-    ));
-    s.push_str("  \"max_hosts_in_60s\": {");
-    for (i, (family, hosts)) in max_hosts.iter().enumerate() {
-        s.push_str(&format!(
-            "{}\"{family}\": {hosts}",
-            if i > 0 { ", " } else { "" }
-        ));
-    }
-    s.push_str("},\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"fabric\": \"{}\", \"hosts\": {}, \"delivered\": {}, \"expected\": {}, \
-             \"events\": {}, \"sim_ns\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \
-             \"sim_ns_per_wall_ms\": {:.0}}}{}\n",
-            r.fabric,
-            r.hosts,
-            r.delivered,
-            r.expected,
-            r.events,
-            r.sim_ns,
-            r.wall_ms,
-            r.events_per_sec(),
-            r.sim_ns_per_wall_ms(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path}");
+/// `BENCH_engine.json`'s body: the traffic, each family's largest host
+/// count inside the wall budget, and every measured row.
+fn bench_body(rows: &[Row], max_hosts: &[(String, usize)]) -> Vec<(&'static str, Json)> {
+    let max_hosts = max_hosts
+        .iter()
+        .map(|(family, hosts)| (family.clone(), (*hosts as u64).into()))
+        .collect();
+    let rows = rows
+        .iter()
+        .map(|r| {
+            Json::obj(vec![
+                ("fabric", r.fabric.as_str().into()),
+                ("hosts", (r.hosts as u64).into()),
+                ("delivered", r.delivered.into()),
+                ("expected", r.expected.into()),
+                ("events", r.events.into()),
+                ("sim_ns", r.sim_ns.into()),
+                ("wall_ms", r.wall_ms.into()),
+                ("events_per_sec", r.events_per_sec().into()),
+                ("sim_ns_per_wall_ms", r.sim_ns_per_wall_ms().into()),
+            ])
+        })
+        .collect();
+    vec![
+        (
+            "traffic",
+            format!("shift permutation, {MESSAGES} x {BYTES}B per host").into(),
+        ),
+        ("max_hosts_in_60s", Json::Obj(max_hosts)),
+        ("rows", Json::Arr(rows)),
+    ]
 }
 
 /// Ascending size series per family; the sweep stops at the first size
@@ -285,21 +277,6 @@ fn main() {
         print_row(&run_one(&spec));
         return;
     }
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_engine.json".into());
-
-    let mut command = String::from("cargo run --release -q -p san-bench --bin engine");
-    if args.len() > 1 {
-        command.push_str(" --");
-        for a in &args[1..] {
-            command.push(' ');
-            command.push_str(a);
-        }
-    }
-
     let mut rows: Vec<Row> = Vec::new();
     let mut max_hosts: Vec<(String, usize)> = Vec::new();
     for (family, series) in family_series() {
@@ -319,5 +296,6 @@ fn main() {
         }
         max_hosts.push((family.into(), best));
     }
-    write_json(&json_path, &command, &rows, &max_hosts);
+    let path = json_arg().unwrap_or_else(|| "BENCH_engine.json".into());
+    write_bench(&path, "engine", bench_body(&rows, &max_hosts));
 }

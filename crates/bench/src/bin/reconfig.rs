@@ -29,7 +29,7 @@
 
 use std::time::Instant;
 
-use san_bench::tsv;
+use san_bench::{json_arg, mapper_stats, tsv, write_bench};
 use san_fabric::engine::FabricEvent;
 use san_fabric::updown::UpDownMap;
 use san_fabric::{Endpoint, LinkId, NodeId, Route, RouteHints, Topology};
@@ -37,6 +37,7 @@ use san_ft::{MapperConfig, ProtocolConfig, ReliableFirmware};
 use san_nic::testkit::{inbox, Collector, StreamSender};
 use san_nic::{Cluster, ClusterConfig, HostAgent, IdleHost};
 use san_sim::{Duration, Time};
+use san_telemetry::json::Json;
 use san_telemetry::Telemetry;
 use san_topo::{validate, GenericDiversePlanner, RouteCache, RoutePlanner, TopoSpec};
 
@@ -123,25 +124,9 @@ fn free_pair(topo: &Topology) -> Option<(Endpoint, Endpoint)> {
     None
 }
 
-fn topo_mapper_cfg(topo: &Topology) -> MapperConfig {
-    MapperConfig {
-        max_ports: topo.max_switch_ports().max(1),
-        max_switch_sightings: (topo.num_switches() * 4).max(64),
-        loop_probe_window: 2,
-        ..MapperConfig::default()
-    }
-}
-
 fn mapper_probes(cluster: &Cluster, node: usize) -> u64 {
-    cluster.nics[node]
-        .fw
-        .as_any()
-        .downcast_ref::<ReliableFirmware>()
-        .map(|fw| {
-            let st = fw.mapper_stats();
-            st.host_probes.get() + st.switch_probes.get()
-        })
-        .unwrap_or(0)
+    let st = mapper_stats(cluster, node);
+    st.host_probes.get() + st.switch_probes.get()
 }
 
 /// Run the re-cable schedule under `policy`. `baseline_ms < 0` marks the
@@ -185,7 +170,7 @@ fn run_policy(
             ..ProtocolConfig::default().with_mapping()
         },
     };
-    let mcfg = topo_mapper_cfg(topo0);
+    let mcfg = MapperConfig::for_topology(topo0);
     let mut cluster = Cluster::new(
         topo0.clone(),
         ClusterConfig {
@@ -528,58 +513,45 @@ fn full_probes_sanity(topo: &Topology) -> u64 {
         .sum()
 }
 
-fn json_f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".into()
-    }
-}
-
-fn write_json(path: &str, reports: &[FabricReport]) {
-    let mut s = String::from("{\n  \"bench\": \"reconfig\",\n");
-    s.push_str(&format!(
-        "  \"schedule\": \"drain@{T0_MS}ms (incremental only), detach@+{STEP_MS}ms, re-grow@+{}ms, diversity grow@+{}ms; {MESSAGES} x {BYTES}B stream\",\n",
+/// `BENCH_reconfig.json`'s body: the event schedule and one record per
+/// fabric and policy.
+fn bench_body(reports: &[FabricReport]) -> Vec<(&'static str, Json)> {
+    let policies = reports
+        .iter()
+        .flat_map(|f| f.results.iter().map(move |(p, r)| (f.spec.as_str(), p, r)))
+        .map(|(spec, p, r)| {
+            Json::obj(vec![
+                ("fabric", spec.into()),
+                ("policy", p.name().into()),
+                ("epochs", r.epochs.into()),
+                ("probes", r.probes.into()),
+                ("inflight_lost", r.inflight_lost.into()),
+                ("delivered", (r.delivered as u64).into()),
+                ("time_to_stable_ms", r.time_to_stable_ms.into()),
+                ("sim_delay_ms", r.sim_delay_ms.into()),
+                ("model_overhead_ms", r.model_overhead_ms.into()),
+                ("patch_touched_switches", (r.patch_touched as u64).into()),
+                ("replan_kept_pairs", (r.replan_kept as u64).into()),
+                ("replan_replanned_pairs", (r.replan_replanned as u64).into()),
+                ("ctrl_us", r.ctrl_us.into()),
+            ])
+        })
+        .collect();
+    let schedule = format!(
+        "drain@{T0_MS}ms (incremental only), detach@+{STEP_MS}ms, re-grow@+{}ms, \
+         diversity grow@+{}ms; {MESSAGES} x {BYTES}B stream",
         2 * STEP_MS,
         3 * STEP_MS
-    ));
-    s.push_str("  \"policies\": [\n");
-    let total: usize = reports.iter().map(|f| f.results.len()).sum();
-    let mut i = 0;
-    for f in reports {
-        for (p, r) in &f.results {
-            i += 1;
-            s.push_str(&format!(
-                "    {{\"fabric\": \"{}\", \"policy\": \"{}\", \"epochs\": {}, \"probes\": {}, \"inflight_lost\": {}, \"delivered\": {}, \"time_to_stable_ms\": {}, \"sim_delay_ms\": {}, \"model_overhead_ms\": {}, \"patch_touched_switches\": {}, \"replan_kept_pairs\": {}, \"replan_replanned_pairs\": {}, \"ctrl_us\": {}}}{}\n",
-                f.spec,
-                p.name(),
-                r.epochs,
-                r.probes,
-                r.inflight_lost,
-                r.delivered,
-                json_f(r.time_to_stable_ms),
-                json_f(r.sim_delay_ms),
-                json_f(r.model_overhead_ms),
-                r.patch_touched,
-                r.replan_kept,
-                r.replan_replanned,
-                r.ctrl_us,
-                if i < total { "," } else { "" }
-            ));
-        }
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path}");
+    );
+    vec![
+        ("schedule", schedule.into()),
+        ("policies", Json::Arr(policies)),
+    ]
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned());
     let specs: Vec<TopoSpec> = if smoke {
         vec![
             TopoSpec::FatTree { k: 4 },
@@ -613,9 +585,9 @@ fn main() {
     println!("`incremental` are mapper probes measured in-simulation. Lost =");
     println!("reconfig.inflight_lost (wormholes killed at detach). stable.ms =");
     println!("extra stream time over the undisturbed baseline + model overhead.");
-    match (smoke, json_path) {
-        (false, p) => write_json(p.as_deref().unwrap_or("BENCH_reconfig.json"), &reports),
-        (true, Some(p)) => write_json(&p, &reports),
-        (true, None) => {}
+    // The smoke run writes JSON only when asked to.
+    let path = json_arg().or_else(|| (!smoke).then(|| "BENCH_reconfig.json".into()));
+    if let Some(path) = path {
+        write_bench(&path, "reconfig", bench_body(&reports));
     }
 }

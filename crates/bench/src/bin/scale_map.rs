@@ -34,7 +34,7 @@
 
 use std::time::Instant;
 
-use san_bench::tsv;
+use san_bench::{mapper_stats, tsv};
 use san_fabric::engine::FabricEvent;
 use san_fabric::updown::UpDownMap;
 use san_fabric::{Endpoint, LinkId, NodeId, Route, RouteHints, SwitchId, Topology};
@@ -176,25 +176,6 @@ fn severities(
     out
 }
 
-fn mapper_stats(cluster: &Cluster, node: usize) -> san_ft::MapStats {
-    cluster.nics[node]
-        .fw
-        .as_any()
-        .downcast_ref::<ReliableFirmware>()
-        .expect("reliable firmware")
-        .mapper_stats()
-        .clone()
-}
-
-fn topo_mapper_cfg(topo: &Topology) -> MapperConfig {
-    MapperConfig {
-        max_ports: topo.max_switch_ports().max(1),
-        max_switch_sightings: (topo.num_switches() * 4).max(64),
-        loop_probe_window: 2,
-        ..MapperConfig::default()
-    }
-}
-
 /// Run the failure scenario in-simulation with on-demand + hints.
 /// Returns (delivered, src MapStats, dst MapStats, finish virtual ms).
 #[allow(clippy::too_many_arguments)]
@@ -224,7 +205,7 @@ fn run_ondemand(
         perm_fail_threshold: Duration::from_millis(10),
         ..ProtocolConfig::default().with_mapping()
     };
-    let mcfg = topo_mapper_cfg(topo);
+    let mcfg = MapperConfig::for_topology(topo);
     let mut cluster = Cluster::new(
         topo.clone(),
         ClusterConfig {
@@ -271,8 +252,8 @@ fn run_ondemand(
     let delivered = ib.borrow().len();
     (
         delivered,
-        mapper_stats(&cluster, src.idx()),
-        mapper_stats(&cluster, dst.idx()),
+        mapper_stats(&cluster, src.idx()).clone(),
+        mapper_stats(&cluster, dst.idx()).clone(),
         finished.as_millis_f64(),
     )
 }
@@ -304,7 +285,7 @@ fn run_coldstart(
     // are identified by the pods below them instead of falsely merging
     // through shared cores — the fix that lets fat-tree cold starts
     // converge past the old core-aliasing boundary.
-    let mut mcfg = topo_mapper_cfg(topo);
+    let mut mcfg = MapperConfig::for_topology(topo);
     mcfg.deep_signatures = deep;
     let mut cluster = Cluster::new(
         topo.clone(),

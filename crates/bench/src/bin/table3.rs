@@ -7,23 +7,13 @@
 //! dies permanently mid-stream and the sender re-maps on demand over the
 //! redundant fabric.
 
-use san_bench::tsv;
+use san_bench::{mapper_stats, tsv};
 use san_fabric::engine::FabricEvent;
 use san_fabric::topology;
 use san_ft::{MapperConfig, ProtocolConfig, ReliableFirmware};
 use san_nic::testkit::{inbox, Collector, StreamSender};
 use san_nic::{Cluster, ClusterConfig, HostAgent};
 use san_sim::{Duration, Time};
-
-fn mapper_stats(cluster: &Cluster, node: usize) -> san_ft::MapStats {
-    cluster.nics[node]
-        .fw
-        .as_any()
-        .downcast_ref::<ReliableFirmware>()
-        .expect("reliable firmware")
-        .mapper_stats()
-        .clone()
-}
 
 fn main() {
     println!("Table 3 (A): cold-start on-demand mapping vs hop count (switch chain)");

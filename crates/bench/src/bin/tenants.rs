@@ -16,7 +16,8 @@
 //! a seconds-scale CI gate instead: a tiny 2-tenant incast on a star
 //! fabric with hard assertions on nonzero, complete delivery.
 
-use san_bench::tsv;
+use san_bench::{json_arg, tsv, write_bench};
+use san_telemetry::json::Json;
 use san_topo::TopoSpec;
 use san_workload::{run, ArrivalSpec, DestSpec, RunConfig, SizeSpec, WorkloadReport, WorkloadSpec};
 
@@ -101,51 +102,52 @@ fn smoke() {
     println!("workload smoke: OK");
 }
 
-fn json_escape_f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".into()
-    }
-}
-
-fn write_json(path: &str, points: &[Point], knees: &[(f64, Option<u16>, Option<u16>)]) {
-    let mut s = String::from("{\n  \"bench\": \"tenants\",\n  \"fabric\": \"fat_tree:8\",\n");
-    s.push_str("  \"workload\": \"poisson:2000 x lognormal:4096:1.0:65536 x uniform, window 5 ms, backlog 4\",\n");
-    s.push_str("  \"knees\": [\n");
-    for (i, (loss, off, on)) in knees.iter().enumerate() {
-        let fmt_knee = |k: &Option<u16>| k.map_or("null".to_string(), |v| v.to_string());
-        s.push_str(&format!(
-            "    {{\"loss\": {}, \"knee_tenants_fixed\": {}, \"knee_tenants_adaptive\": {}}}{}\n",
-            json_escape_f(*loss),
-            fmt_knee(off),
-            fmt_knee(on),
-            if i + 1 < knees.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let r = &p.report;
-        s.push_str(&format!(
-            "    {{\"tenants\": {}, \"loss\": {}, \"adaptive\": {}, \"offered_msgs\": {}, \"posted_msgs\": {}, \"delivered_msgs\": {}, \"shed_msgs\": {}, \"delivery_ratio\": {}, \"delivered_mb_per_s\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"fairness\": {}}}{}\n",
-            p.tenants,
-            json_escape_f(p.loss),
-            p.adaptive,
-            r.offered_total,
-            r.posted_total,
-            r.delivered_total,
-            r.shed_total,
-            json_escape_f(r.delivery_ratio()),
-            json_escape_f(r.delivered_mb_per_s()),
-            r.p99_ns,
-            r.p999_ns,
-            json_escape_f(r.fairness),
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path}");
+/// `BENCH_workload.json`'s body: the study's fixed inputs, the knees per
+/// loss rate and every sweep point.
+fn bench_body(
+    points: &[Point],
+    knees: &[(f64, Option<u16>, Option<u16>)],
+) -> Vec<(&'static str, Json)> {
+    let knee_json = |k: &Option<u16>| k.map_or(Json::Null, |v| u64::from(v).into());
+    let knees = knees
+        .iter()
+        .map(|(loss, off, on)| {
+            Json::obj(vec![
+                ("loss", (*loss).into()),
+                ("knee_tenants_fixed", knee_json(off)),
+                ("knee_tenants_adaptive", knee_json(on)),
+            ])
+        })
+        .collect();
+    let points = points
+        .iter()
+        .map(|p| {
+            let r = &p.report;
+            Json::obj(vec![
+                ("tenants", u64::from(p.tenants).into()),
+                ("loss", p.loss.into()),
+                ("adaptive", p.adaptive.into()),
+                ("offered_msgs", r.offered_total.into()),
+                ("posted_msgs", r.posted_total.into()),
+                ("delivered_msgs", r.delivered_total.into()),
+                ("shed_msgs", r.shed_total.into()),
+                ("delivery_ratio", r.delivery_ratio().into()),
+                ("delivered_mb_per_s", r.delivered_mb_per_s().into()),
+                ("p99_ns", r.p99_ns.into()),
+                ("p999_ns", r.p999_ns.into()),
+                ("fairness", r.fairness.into()),
+            ])
+        })
+        .collect();
+    vec![
+        ("fabric", "fat_tree:8".into()),
+        (
+            "workload",
+            "poisson:2000 x lognormal:4096:1.0:65536 x uniform, window 5 ms, backlog 4".into(),
+        ),
+        ("knees", Json::Arr(knees)),
+        ("points", Json::Arr(points)),
+    ]
 }
 
 fn main() {
@@ -154,12 +156,6 @@ fn main() {
         smoke();
         return;
     }
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_workload.json".into());
-
     let tenant_series: &[u16] = &[64, 128, 256, 384, 512, 640, 768, 896, 1024];
     let losses: &[f64] = &[0.0, 2e-3];
 
@@ -236,5 +232,6 @@ fn main() {
         knees.push((loss, k_off, k_on));
     }
 
-    write_json(&json_path, &points, &knees);
+    let path = json_arg().unwrap_or_else(|| "BENCH_workload.json".into());
+    write_bench(&path, "tenants", bench_body(&points, &knees));
 }

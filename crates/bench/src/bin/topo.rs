@@ -21,7 +21,7 @@
 //! planner step floor, diversity parity, fat-tree deep-signature
 //! cold-start regression, stream completion) and writes no JSON.
 
-use san_bench::tsv;
+use san_bench::{json_arg, mapper_stats, tsv, write_bench};
 use san_fabric::engine::FabricEvent;
 use san_fabric::updown::UpDownMap;
 use san_fabric::{LinkId, NodeId, Route, RouteHints, Topology};
@@ -29,6 +29,7 @@ use san_ft::{MapperConfig, ProtocolConfig, ReliableFirmware};
 use san_nic::testkit::{inbox, Collector, StreamSender};
 use san_nic::{Cluster, ClusterConfig, HostAgent, IdleHost};
 use san_sim::{Duration, Time};
+use san_telemetry::json::Json;
 use san_topo::{planner_for, validate, GenericDiversePlanner, RoutePlanner, TopoSpec};
 use san_workload::{run as run_workload, ArrivalSpec, DestSpec, RunConfig, SizeSpec, WorkloadSpec};
 
@@ -176,25 +177,6 @@ fn fault_survival(topo: &Topology, cmp: &PlannerCmp) -> FaultSurvival {
     out
 }
 
-fn mapper_stats(cluster: &Cluster, node: usize) -> san_ft::MapStats {
-    cluster.nics[node]
-        .fw
-        .as_any()
-        .downcast_ref::<ReliableFirmware>()
-        .expect("reliable firmware")
-        .mapper_stats()
-        .clone()
-}
-
-fn topo_mapper_cfg(topo: &Topology) -> MapperConfig {
-    MapperConfig {
-        max_ports: topo.max_switch_ports().max(1),
-        max_switch_sightings: (topo.num_switches() * 4).max(64),
-        loop_probe_window: 2,
-        ..MapperConfig::default()
-    }
-}
-
 /// Kill one switch-switch link of the installed route under a reliable
 /// stream, with family-planner hints (provenance-tagged) pre-offered at
 /// both endpoints. The pair stays connected by construction.
@@ -243,7 +225,7 @@ fn remap_under_stream(
         perm_fail_threshold: Duration::from_millis(10),
         ..ProtocolConfig::default().with_mapping()
     };
-    let mcfg = topo_mapper_cfg(topo);
+    let mcfg = MapperConfig::for_topology(topo);
     let mut cluster = Cluster::new(
         topo.clone(),
         ClusterConfig::default(),
@@ -337,7 +319,7 @@ fn coldstart_gate(topo: &Topology, n: usize) {
         })
         .collect();
     let proto = ProtocolConfig::default().with_mapping();
-    let mut mcfg = topo_mapper_cfg(topo);
+    let mut mcfg = MapperConfig::for_topology(topo);
     mcfg.deep_signatures = true;
     let mut cluster = Cluster::new(
         topo.clone(),
@@ -498,71 +480,80 @@ fn run_fabric(spec: &TopoSpec, smoke: bool) -> FabricReport {
     }
 }
 
-fn jf(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".into()
-    }
-}
-
-fn write_json(path: &str, mode: &str, reports: &[FabricReport]) {
-    let mut s = format!("{{\n  \"bench\": \"topo\",\n  \"mode\": \"{mode}\",\n  \"k\": {HINT_K},\n  \"fabrics\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let p = &r.planner;
-        let f = &r.faults;
-        let m = &r.remap;
-        let w = &r.workload;
-        s.push_str(&format!(
-            "    {{\"spec\": \"{}\", \"class\": \"{}\", \"hosts\": {}, \"switches\": {}, \"links\": {}, \"diameter_hops\": {},\n",
-            r.spec, r.class, r.hosts, r.switches, r.links, r.diameter
-        ));
-        s.push_str(&format!(
-            "     \"planner\": {{\"strategy\": \"{}\", \"pairs\": {}, \"native_steps\": {}, \"generic_steps\": {}, \"step_ratio\": {}, \"native_disjoint\": {}, \"generic_disjoint\": {}}},\n",
-            p.strategy,
-            p.pairs,
-            p.native_steps,
-            p.generic_steps,
-            jf(p.generic_steps as f64 / p.native_steps.max(1) as f64),
-            p.native_disjoint,
-            p.generic_disjoint
-        ));
-        s.push_str(&format!(
-            "     \"fault_survival\": {{\"dead_links\": {}, \"pairs\": {}, \"native_pairs_alive\": {}, \"generic_pairs_alive\": {}, \"native_alive_candidates\": {}, \"generic_alive_candidates\": {}}},\n",
-            f.dead_links,
-            f.pairs,
-            f.native_pairs_alive,
-            f.generic_pairs_alive,
-            f.native_alive_cands,
-            f.generic_alive_cands
-        ));
-        s.push_str(&format!(
-            "     \"remap\": {{\"messages\": {}, \"delivered\": {}, \"host_probes\": {}, \"switch_probes\": {}, \"remap_ms\": {}}},\n",
-            MESSAGES, m.delivered, m.host_probes, m.switch_probes, jf(m.remap_ms)
-        ));
-        s.push_str(&format!(
-            "     \"workload\": {{\"offered_msgs\": {}, \"delivered_msgs\": {}, \"delivery_ratio\": {}, \"delivered_mb_per_s\": {}, \"p99_us\": {}}}}}{}\n",
-            w.offered,
-            w.delivered,
-            jf(w.ratio),
-            jf(w.mb_per_s),
-            jf(w.p99_us),
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path}");
+/// `BENCH_topo.json`'s body: the run mode, the hint fan-out and one
+/// record per fabric.
+fn bench_body(mode: &str, reports: &[FabricReport]) -> Vec<(&'static str, Json)> {
+    let count = |n: usize| Json::from(n as u64);
+    let fabrics = reports
+        .iter()
+        .map(|r| {
+            let (p, f, m, w) = (&r.planner, &r.faults, &r.remap, &r.workload);
+            Json::obj(vec![
+                ("spec", r.spec.as_str().into()),
+                ("class", r.class.into()),
+                ("hosts", count(r.hosts)),
+                ("switches", count(r.switches)),
+                ("links", count(r.links)),
+                ("diameter_hops", count(r.diameter)),
+                (
+                    "planner",
+                    Json::obj(vec![
+                        ("strategy", p.strategy.into()),
+                        ("pairs", count(p.pairs)),
+                        ("native_steps", p.native_steps.into()),
+                        ("generic_steps", p.generic_steps.into()),
+                        (
+                            "step_ratio",
+                            (p.generic_steps as f64 / p.native_steps.max(1) as f64).into(),
+                        ),
+                        ("native_disjoint", count(p.native_disjoint)),
+                        ("generic_disjoint", count(p.generic_disjoint)),
+                    ]),
+                ),
+                (
+                    "fault_survival",
+                    Json::obj(vec![
+                        ("dead_links", count(f.dead_links)),
+                        ("pairs", count(f.pairs)),
+                        ("native_pairs_alive", count(f.native_pairs_alive)),
+                        ("generic_pairs_alive", count(f.generic_pairs_alive)),
+                        ("native_alive_candidates", count(f.native_alive_cands)),
+                        ("generic_alive_candidates", count(f.generic_alive_cands)),
+                    ]),
+                ),
+                (
+                    "remap",
+                    Json::obj(vec![
+                        ("messages", MESSAGES.into()),
+                        ("delivered", count(m.delivered)),
+                        ("host_probes", m.host_probes.into()),
+                        ("switch_probes", m.switch_probes.into()),
+                        ("remap_ms", m.remap_ms.into()),
+                    ]),
+                ),
+                (
+                    "workload",
+                    Json::obj(vec![
+                        ("offered_msgs", w.offered.into()),
+                        ("delivered_msgs", w.delivered.into()),
+                        ("delivery_ratio", w.ratio.into()),
+                        ("delivered_mb_per_s", w.mb_per_s.into()),
+                        ("p99_us", w.p99_us.into()),
+                    ]),
+                ),
+            ])
+        })
+        .collect();
+    vec![
+        ("mode", mode.into()),
+        ("k", count(HINT_K)),
+        ("fabrics", Json::Arr(fabrics)),
+    ]
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_topo.json".into());
     let specs: Vec<&str> = if smoke {
         vec![
             "fat_tree:4",
@@ -590,6 +581,7 @@ fn main() {
     if smoke {
         println!("topo smoke: OK");
     } else {
-        write_json(&json_path, "full", &reports);
+        let path = json_arg().unwrap_or_else(|| "BENCH_topo.json".into());
+        write_bench(&path, "topo", bench_body("full", &reports));
     }
 }

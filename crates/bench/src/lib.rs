@@ -31,12 +31,18 @@
 //! one representative configuration with the trace recorder on and dumps the
 //! full export set (`<id>.metrics.json`, `.metrics.csv`, `.trace.csv`,
 //! `.summary.txt`) under `<dir>`.
+//!
+//! The studies that keep a `BENCH_*.json` artifact (`engine`, `tenants`,
+//! `topo`, `reconfig`) write it through [`write_bench`], which puts the
+//! same provenance header on every file; `--json <path>` redirects it.
 
 use std::path::{Path, PathBuf};
 
+use san_ft::{MapStats, ReliableFirmware};
 use san_microbench::{unidirectional_bandwidth, BwPoint, FwKind};
-use san_nic::ClusterConfig;
+use san_nic::{Cluster, ClusterConfig};
 use san_sim::{Duration, Time};
+use san_telemetry::json::Json;
 use san_telemetry::Telemetry;
 
 /// Parse the common CLI flags.
@@ -144,4 +150,65 @@ pub fn emit_telemetry(dir: &Path, name: &str, tel: &Telemetry) {
         }
         Err(e) => eprintln!("telemetry: export to {} failed: {e}", dir.display()),
     }
+}
+
+/// The on-demand mapper's statistics at `node`, whose firmware must be a
+/// [`ReliableFirmware`].
+pub fn mapper_stats(cluster: &Cluster, node: usize) -> &MapStats {
+    cluster.nics[node]
+        .fw
+        .as_any()
+        .downcast_ref::<ReliableFirmware>()
+        .expect("reliable firmware")
+        .mapper_stats()
+}
+
+/// The path given by `--json <path>`, if any.
+pub fn json_arg() -> Option<String> {
+    let mut args = std::env::args().skip_while(|a| a != "--json");
+    args.next()?;
+    args.next()
+}
+
+/// Write the `BENCH_*.json` artifact of the `bench` binary to `path`: the
+/// provenance header `bench`, `command`, `commit`, `nproc`, `profile`,
+/// then `body`'s fields in order.
+pub fn write_bench(path: &str, bench: &str, body: Vec<(&str, Json)>) {
+    let mut command = format!("cargo run --release -q -p san-bench --bin {bench}");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if !args.is_empty() {
+        command = format!("{command} -- {}", args.join(" "));
+    }
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let mut fields = vec![
+        ("bench", bench.into()),
+        ("command", command.into()),
+        ("commit", commit().into()),
+        ("nproc", (nproc as u64).into()),
+        ("profile", profile.into()),
+    ];
+    fields.extend(body);
+    let text = Json::obj(fields).pretty() + "\n";
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// `git describe --always --dirty` of the checkout this crate was built
+/// from, or `"unknown"` when git or the checkout is unavailable.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
 }

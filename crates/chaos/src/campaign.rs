@@ -15,10 +15,9 @@ use san_fabric::{
 };
 use san_ft::ProtocolConfig;
 use san_sim::{Duration, SimRng, Time};
+use san_telemetry::json::Json;
 use san_topo::{validate, TopoSpec as AtlasSpec};
 use san_workload::{ArrivalSpec, DestSpec, SizeSpec, WorkloadSpec};
-
-use crate::json::Json;
 
 /// SplitMix64-style combiner: derive a trial seed from (campaign seed,
 /// trial index). Consecutive indices give statistically independent seeds.

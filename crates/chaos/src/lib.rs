@@ -25,7 +25,6 @@
 //! (`list`).
 
 pub mod campaign;
-pub mod json;
 pub mod oracle;
 pub mod runner;
 pub mod shrink;
@@ -33,7 +32,7 @@ pub mod shrink;
 pub use campaign::{
     Campaign, FaultMix, Pattern, ProtoSpec, Span, TopologySpec, TrafficSpec, Trial,
 };
-pub use json::Json;
 pub use oracle::{check, Observation, Violation, ViolationKind};
 pub use runner::{run_campaign, run_trial, run_trial_traced, CampaignOutcome, TrialOutcome};
+pub use san_telemetry::json::Json;
 pub use shrink::{shrink, ShrinkResult};

@@ -12,8 +12,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
 use san_fabric::NodeId;
 use san_ft::{MapperConfig, ReliableFirmware};
 use san_nic::testkit::make_desc;
@@ -306,19 +306,11 @@ pub fn run_trial_traced(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceSca
     };
 
     let proto = trial.protocol;
-    // Atlas fabrics get a topology-aware mapper: the real port budget
-    // (probing 16 ports on a 5-port torus switch is 11 guaranteed silences
-    // per phase), a sighting budget that scales with the fabric, and paced
-    // loop probes (a full concurrent batch deadlocks itself on cyclic
-    // fabrics). The canonical shapes keep the paper's testbed defaults so
-    // legacy campaigns replay byte-identically.
+    // Atlas fabrics get a mapper sized to the topology; the canonical
+    // shapes keep the paper's testbed defaults so legacy campaigns replay
+    // byte-identically.
     let mapper_cfg = match trial.topology {
-        TopologySpec::Atlas(_) => MapperConfig {
-            max_ports: built.topo.max_switch_ports().max(1),
-            max_switch_sightings: (built.topo.num_switches() * 4).max(64),
-            loop_probe_window: 2,
-            ..MapperConfig::default()
-        },
+        TopologySpec::Atlas(_) => MapperConfig::for_topology(&built.topo),
         _ => MapperConfig::default(),
     };
     // Planner hints: give every traffic endpoint the san-topo candidate
@@ -591,19 +583,19 @@ pub fn run_campaign(campaign: &Campaign, trials: u32, jobs: usize) -> CampaignOu
     } else {
         let next = AtomicUsize::new(0);
         let results = Mutex::new(&mut slots);
-        crossbeam::thread::scope(|scope| {
+        // A worker's panic propagates out of the scope once all have joined.
+        std::thread::scope(|scope| {
             for _ in 0..jobs.min(trials as usize) {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= trials as usize {
                         break;
                     }
                     let outcome = run_trial(&campaign.sample(i as u32));
-                    results.lock()[i] = Some(outcome);
+                    results.lock().expect("a chaos worker panicked")[i] = Some(outcome);
                 });
             }
-        })
-        .expect("chaos worker panicked");
+        });
     }
 
     CampaignOutcome {

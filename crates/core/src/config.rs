@@ -1,5 +1,6 @@
 //! Protocol configuration — the paper's Table 1 parameter space.
 
+use san_fabric::Topology;
 use san_sim::Duration;
 
 /// How the sender decides when to set the ACK-request bit (§4.1.2).
@@ -241,6 +242,22 @@ impl Default for MapperConfig {
             max_switch_sightings: 64,
             loop_probe_window: usize::MAX,
             deep_signatures: false,
+        }
+    }
+}
+
+impl MapperConfig {
+    /// A mapper sized to `topo`, for the atlas fabrics: the real port
+    /// budget (probing 16 ports on a 5-port torus switch is 11 guaranteed
+    /// silences per phase), a sighting budget that scales with the fabric,
+    /// and paced loop probes (a full concurrent batch deadlocks itself on
+    /// cyclic fabrics). The paper's testbed shapes keep [`Default`].
+    pub fn for_topology(topo: &Topology) -> Self {
+        Self {
+            max_ports: topo.max_switch_ports().max(1),
+            max_switch_sightings: (topo.num_switches() * 4).max(64),
+            loop_probe_window: 2,
+            ..Self::default()
         }
     }
 }

@@ -1098,12 +1098,6 @@ impl Engine {
         self.drain_started[link.idx()] = sim.now();
     }
 
-    /// Is any flight currently holding or waiting on this link? Drivers
-    /// poll this to decide when a draining link is safe to detach early.
-    pub fn link_idle(&self, link: LinkId) -> bool {
-        self.count_flights_on(|ch| LinkId(ch / 2) == link) == 0
-    }
-
     /// Live link removal: kill whatever is still in flight on the link
     /// (counted as `reconfig.inflight_lost` — zero for a completed drain),
     /// detach it from the topology, and seal the epoch. The freed link id

@@ -219,11 +219,6 @@ impl Packet {
     pub fn crc_ok(&self) -> bool {
         !self.corrupted && self.crc == crc32_frame(&self.header_image(), &self.payload)
     }
-
-    /// True for the two probe kinds.
-    pub fn is_probe(&self) -> bool {
-        matches!(self.kind, PacketKind::ProbeHost | PacketKind::ProbeLoop)
-    }
 }
 
 #[cfg(test)]

@@ -478,11 +478,6 @@ pub fn star(n: usize) -> (Topology, Vec<NodeId>) {
     (t, hosts)
 }
 
-/// The application testbed: 4 nodes on one switch (sub-cluster of §5.1.4).
-pub fn cluster4() -> (Topology, Vec<NodeId>) {
-    star(4)
-}
-
 /// A chain of `k` 8-port switches with one host at each end, giving a
 /// (k)-switch-hop host pair; used by the Table 3 hop sweep.
 /// Host ports: port 0 of the first and last switch; inter-switch links use

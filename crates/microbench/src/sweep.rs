@@ -1,8 +1,11 @@
 //! Parameter-grid driver for Figures 5–8: every (timer, queue size, error
 //! rate, message size) combination is an independent deterministic
-//! simulation, so the grid fans out across threads with `crossbeam::scope`.
+//! simulation, so the grid fans out across threads with
+//! `std::thread::scope`.
 
-use crossbeam::thread;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use san_ft::ProtocolConfig;
 use san_nic::ClusterConfig;
 use san_sim::{Duration, Time};
@@ -97,25 +100,25 @@ fn run_cell(p: &GridPoint, spec: &GridSpec) -> BwPoint {
 pub fn run_grid(points: Vec<GridPoint>, spec: GridSpec) -> Vec<GridResult> {
     let n = points.len();
     let mut results: Vec<Option<GridResult>> = (0..n).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    let next = AtomicUsize::new(0);
     let points_ref = &points;
     let spec_ref = &spec;
-    let results_mutex = parking_lot::Mutex::new(&mut results);
-    thread::scope(|s| {
+    let results_mutex = Mutex::new(&mut results);
+    // A worker's panic propagates out of the scope once all have joined.
+    std::thread::scope(|s| {
         for _ in 0..spec.workers.max(1) {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
                 let p = points_ref[i].clone();
                 let bw = run_cell(&p, spec_ref);
-                let mut guard = results_mutex.lock();
+                let mut guard = results_mutex.lock().expect("a sweep worker panicked");
                 guard[i] = Some(GridResult { point: p, bw });
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     results
         .into_iter()
         .map(|r| r.expect("every cell ran"))

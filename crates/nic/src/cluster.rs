@@ -129,13 +129,6 @@ impl HostCtx<'_> {
             .schedule_in(after, ClusterEvent::Host(node, HostEvent::Wake { token }));
     }
 
-    /// Schedule a wakeup at an absolute time.
-    pub fn wake_at(&mut self, at: Time, token: u64) {
-        let node = self.node;
-        self.sim
-            .schedule(at, ClusterEvent::Host(node, HostEvent::Wake { token }));
-    }
-
     /// Post a send descriptor to the NIC.
     pub fn post_send(&mut self, desc: SendDesc) {
         let mut ctx = NicCtx {

@@ -12,7 +12,8 @@
 //! * [`Sim`] — clock + queue + seeded RNG bundle with a driver loop,
 //! * [`Resource`] — busy-until modelling for serially shared hardware units
 //!   (NIC processor, DMA engines, PCI bus),
-//! * [`stats`] — counters and streaming summaries used by every layer.
+//! * [`stats`] — streaming sample summaries (count, mean, min, max,
+//!   standard deviation).
 //!
 //! Determinism is a hard requirement: two runs with the same seed and
 //! configuration must produce bit-identical results, because the paper's
@@ -32,7 +33,7 @@ pub use histogram::Histogram;
 pub use queue::EventQueue;
 pub use resource::Resource;
 pub use rng::SimRng;
-pub use stats::{Counter, Gauge, Summary};
+pub use stats::Summary;
 pub use time::{Duration, Time, MICROS, MILLIS, NANOS, SECS};
 
 /// A simulation: virtual clock, pending event queue and seeded RNG.
@@ -117,13 +118,6 @@ impl<E> Sim<E> {
     #[inline]
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.rng
-    }
-
-    /// Force the clock forward without an event (used by tests and by
-    /// harnesses that splice several simulation phases together).
-    pub fn advance_to(&mut self, t: Time) {
-        assert!(t >= self.now);
-        self.now = t;
     }
 }
 

@@ -1,80 +1,11 @@
-//! Lightweight statistics: counters and streaming summaries.
+//! Streaming summaries of sample streams.
 //!
-//! Every protocol layer keeps its own `Stats` struct built from these
-//! primitives; the benchmark harness reads them after a run to produce the
-//! paper's tables. The summary keeps count/sum/min/max plus a sum of squares
-//! so that mean and standard deviation are available without storing samples.
+//! The summary keeps count/sum/min/max plus a sum of squares so that mean
+//! and standard deviation are available without storing samples. Event
+//! counters and gauges live in `san_telemetry`'s metrics registry, which
+//! every layer shares.
 
 use std::fmt;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn hit(&mut self) {
-        self.0 += 1;
-    }
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-    /// Reset to zero (used between measurement phases of a single run).
-    #[inline]
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// A signed level indicator (queue depth, in-flight window, credits).
-///
-/// Unlike [`Counter`] a gauge can move both ways; `set` pins it to an
-/// absolute level while `add`/`sub` track deltas.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Gauge(pub i64);
-
-impl Gauge {
-    /// Pin to an absolute level.
-    #[inline]
-    pub fn set(&mut self, v: i64) {
-        self.0 = v;
-    }
-    /// Move up by `n`.
-    #[inline]
-    pub fn add(&mut self, n: i64) {
-        self.0 += n;
-    }
-    /// Move down by `n`.
-    #[inline]
-    pub fn sub(&mut self, n: i64) {
-        self.0 -= n;
-    }
-    /// Current level.
-    #[inline]
-    pub fn get(self) -> i64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Gauge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Streaming summary of a sample stream (count, sum, min, max, variance).
 #[derive(Debug, Clone, Copy, Default)]
@@ -177,27 +108,6 @@ impl fmt::Display for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gauge_moves_both_ways() {
-        let mut g = Gauge::default();
-        g.add(10);
-        g.sub(3);
-        assert_eq!(g.get(), 7);
-        g.set(-2);
-        assert_eq!(g.get(), -2);
-        assert_eq!(format!("{g}"), "-2");
-    }
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        c.hit();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
 
     #[test]
     fn summary_moments() {

@@ -602,11 +602,6 @@ impl SvmNode {
             },
         );
     }
-
-    /// Access to VMMC statistics (for reports).
-    pub fn vmmc_stats(&self) -> &san_vmmc::VmmcStats {
-        &self.vmmc.stats
-    }
 }
 
 impl HostAgent for SvmNode {

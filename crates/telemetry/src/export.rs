@@ -1,82 +1,75 @@
 //! Exporters: JSON and CSV dumps plus a compact end-of-run text summary.
 //!
-//! The JSON/CSV emitters are hand-rolled (the workspace builds offline with
-//! no serialization framework); the formats are small and fixed, and every
-//! value is emitted through the helpers here so the output stays valid
-//! JSON/CSV by construction.
+//! The JSON export is a [`Json`] value, so it is valid JSON by
+//! construction; the CSV and text formats are small and fixed.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::json::Json;
 use crate::metrics::{MetricValue, Snapshot};
 use crate::Telemetry;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn metric_value_json(v: &MetricValue) -> String {
-    match v {
-        MetricValue::Counter(c) => format!("{{\"kind\":\"counter\",\"value\":{c}}}"),
-        MetricValue::Gauge(g) => format!("{{\"kind\":\"gauge\",\"value\":{g}}}"),
-        MetricValue::Histogram { count, mean_ns, p50_ns, p99_ns, max_ns } => format!(
-            "{{\"kind\":\"histogram\",\"count\":{count},\"mean_ns\":{mean_ns},\"p50_ns\":{p50_ns},\"p99_ns\":{p99_ns},\"max_ns\":{max_ns}}}"
+/// The full registry snapshot plus trace accounting as one JSON object.
+/// Metric keys appear in snapshot (lexicographic) order.
+pub fn to_json(tel: &Telemetry) -> Json {
+    let metrics = tel
+        .snapshot()
+        .entries
+        .into_iter()
+        .map(|e| {
+            let value = match e.value {
+                MetricValue::Counter(c) => {
+                    Json::obj(vec![("kind", "counter".into()), ("value", c.into())])
+                }
+                MetricValue::Gauge(g) => {
+                    // Json's integers are unsigned; a negative level prints as -n.
+                    let level = u64::try_from(g).map_or(Json::Num(g as f64), Json::Int);
+                    Json::obj(vec![("kind", "gauge".into()), ("value", level)])
+                }
+                MetricValue::Histogram {
+                    count,
+                    mean_ns,
+                    p50_ns,
+                    p99_ns,
+                    max_ns,
+                } => Json::obj(vec![
+                    ("kind", "histogram".into()),
+                    ("count", count.into()),
+                    ("mean_ns", mean_ns.into()),
+                    ("p50_ns", p50_ns.into()),
+                    ("p99_ns", p99_ns.into()),
+                    ("max_ns", max_ns.into()),
+                ]),
+                MetricValue::Summary {
+                    count,
+                    mean,
+                    min,
+                    max,
+                } => Json::obj(vec![
+                    ("kind", "summary".into()),
+                    ("count", count.into()),
+                    ("mean", Json::Num(mean)),
+                    ("min", Json::Num(min)),
+                    ("max", Json::Num(max)),
+                ]),
+            };
+            (e.name, value)
+        })
+        .collect();
+    Json::obj(vec![
+        ("metrics", Json::Obj(metrics)),
+        (
+            "trace",
+            Json::obj(vec![
+                ("enabled", tel.tracing_enabled().into()),
+                ("recorded", (tel.events().len() as u64).into()),
+                ("overwritten", tel.overwritten_events().into()),
+            ]),
         ),
-        MetricValue::Summary { count, mean, min, max } => format!(
-            "{{\"kind\":\"summary\",\"count\":{count},\"mean\":{},\"min\":{},\"max\":{}}}",
-            json_f64(*mean),
-            json_f64(*min),
-            json_f64(*max)
-        ),
-    }
-}
-
-/// Render the full registry snapshot plus trace accounting as one JSON
-/// object. Keys appear in snapshot (lexicographic) order.
-pub fn to_json(tel: &Telemetry) -> String {
-    let snap = tel.snapshot();
-    let mut out = String::from("{\n  \"metrics\": {\n");
-    for (i, e) in snap.entries.iter().enumerate() {
-        let comma = if i + 1 == snap.entries.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    \"{}\": {}{comma}",
-            json_escape(&e.name),
-            metric_value_json(&e.value)
-        );
-    }
-    let events = tel.events();
-    let _ = writeln!(
-        out,
-        "  }},\n  \"trace\": {{\"enabled\": {}, \"recorded\": {}, \"overwritten\": {}}}\n}}",
-        tel.tracing_enabled(),
-        events.len(),
-        tel.overwritten_events()
-    );
-    out
+    ])
 }
 
 /// Render the metric snapshot as CSV (`name,kind,value,...`).
@@ -209,7 +202,7 @@ pub fn write_dir(dir: &Path, name: &str, tel: &Telemetry) -> io::Result<Vec<Path
     fs::create_dir_all(dir)?;
     let snap = tel.snapshot();
     let jobs: [(&str, String); 4] = [
-        ("metrics.json", to_json(tel)),
+        ("metrics.json", to_json(tel).pretty()),
         ("metrics.csv", metrics_to_csv(&snap)),
         ("trace.csv", trace_to_csv(tel)),
         ("summary.txt", text_summary(tel)),

@@ -1,9 +1,10 @@
 //! Hand-rolled JSON: a small value model with a recursive-descent parser
 //! and a stable pretty-printer.
 //!
-//! The workspace builds offline with no serialization framework, so
-//! campaign and repro files are read and written by hand through this
-//! module. Two properties matter more than generality:
+//! The workspace builds offline with no serialization framework, so every
+//! JSON file it reads or writes goes through this module: chaos campaigns
+//! and repros, the `BENCH_*.json` artifacts, telemetry exports and the
+//! benchmark's saved runs. Three properties matter more than generality:
 //!
 //! * **Byte-stable emission** — objects keep insertion order and numbers
 //!   print through Rust's shortest-round-trip formatting, so the same
@@ -12,8 +13,14 @@
 //! * **Full-width integers** — seeds are arbitrary `u64`s, which do not
 //!   survive an f64 round-trip; integers without fraction/exponent parse
 //!   into a dedicated variant.
+//! * **Bounded recursion** — containers nest at most 128 deep; deeper
+//!   input is a [`JsonError`], not a stack overflow.
 
 use std::fmt::Write as _;
+
+/// Deepest container nesting [`Json::parse`] accepts. The files the
+/// workspace writes nest fewer than ten levels.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +60,10 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -260,8 +269,11 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -302,8 +314,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -311,6 +323,22 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse one container a level down, refusing to pass [`MAX_DEPTH`]:
+    /// the parser recurses once per level, so unbounded input would
+    /// overflow the stack.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -376,41 +404,73 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
+                    let esc = self.peek();
                     self.pos += 1;
+                    s.push(match esc {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => self.unicode_escape()?,
+                        _ => return Err(self.err("bad escape")),
+                    });
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a char boundary of the
+                    // &str input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    s.push_str(&self.text[start..self.pos]);
                 }
             }
         }
+    }
+
+    /// The character a `\u` escape names, its four hex digits starting at
+    /// the cursor. Characters beyond the BMP arrive as a UTF-16 surrogate
+    /// pair of two escapes; a surrogate without its partner is an error.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.hex4()?;
+        let code = match hi {
+            0xD800..=0xDBFF => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(self.err("lone surrogate in \\u escape"));
+                }
+                self.pos += 2;
+                let lo = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&lo) {
+                    return Err(self.err("lone surrogate in \\u escape"));
+                }
+                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(self.err("lone surrogate in \\u escape")),
+            _ => hi,
+        };
+        char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))
+    }
+
+    /// Exactly four hex digits (no sign, no shorter form).
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in digits {
+            let d = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            code = code * 16 + d;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -490,6 +550,49 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_join_and_lone_surrogates_fail() {
+        let emoji = Json::parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(emoji.as_str(), Some("\u{1F600}"));
+        assert_eq!(Json::parse(r#""\u00e9""#).unwrap().as_str(), Some("é"));
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+        ] {
+            assert!(Json::parse(lone).is_err(), "{lone} must be rejected");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u04""#, r#""\u004g""#] {
+            assert!(Json::parse(bad).is_err(), "{bad} must be rejected");
+        }
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "0" + &"}".repeat(n);
+        for doc in [arrays, objects] {
+            assert!(Json::parse(&doc(MAX_DEPTH)).is_ok());
+            let err = Json::parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.msg, "nesting too deep");
+        }
+        // Far past the cap on a 2 MiB thread: an error, not an abort.
+        let deep = "[".repeat(10_000);
+        let rejected = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&deep).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(rejected);
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //!   timelines, e.g. proving a Figure 5 retransmission was spurious
 //!   because delivery preceded the timer;
 //! * **exporters** ([`export`]) — JSON and CSV dumps plus a compact text
-//!   summary; every `san-bench` binary takes `--telemetry <dir>`.
+//!   summary; every `san-bench` binary takes `--telemetry <dir>`;
+//! * **the workspace's one JSON module** ([`json`]) — the value model,
+//!   parser and byte-stable printer behind every JSON file the repository
+//!   reads or writes: telemetry exports, `BENCH_*.json` artifacts, chaos
+//!   campaigns and repros, and the benchmark's saved runs.
 //!
 //! A [`Telemetry`] handle is cheap to clone (it is an `Arc`) and is
 //! threaded through cluster construction via `ClusterConfig::telemetry`;
@@ -30,6 +34,7 @@
 //! recorded.
 
 pub mod export;
+pub mod json;
 pub mod lifecycle;
 pub mod metrics;
 pub mod trace;
@@ -389,19 +394,25 @@ mod tests {
         tel.histogram("svm.node.0.lock_wait_ns")
             .record(san_sim::Duration::from_micros(3));
         tel.summary("ft.node.0.map.times_ms").record(0.25);
-        let json = export::to_json(&tel);
-        for needle in [
-            "\"fabric.injected\"",
-            "\"ft.node.0.retransmits\"",
-            "\"nic.node.0.packets_tx\"",
-            "histogram",
-            "summary",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes, "unbalanced JSON:\n{json}");
+        tel.gauge("nic.node.0.credits").set(-3);
+        let text = export::to_json(&tel).pretty();
+        let json = json::Json::parse(&text).expect("the export parses as JSON");
+        let metric = |name: &str| json.get("metrics").and_then(|m| m.get(name)).unwrap();
+        let field = |name: &str, key: &str| metric(name).get(key).unwrap().clone();
+        let kind = |name: &str| field(name, "kind").as_str().unwrap().to_string();
+        assert_eq!(kind("fabric.injected"), "counter");
+        assert_eq!(field("fabric.injected", "value").as_u64(), Some(10));
+        assert_eq!(field("ft.node.0.retransmits", "value").as_u64(), Some(1));
+        assert_eq!(field("nic.node.0.packets_tx", "value").as_u64(), Some(9));
+        assert_eq!(kind("nic.node.0.credits"), "gauge");
+        assert_eq!(field("nic.node.0.credits", "value").as_f64(), Some(-3.0));
+        assert_eq!(kind("svm.node.0.lock_wait_ns"), "histogram");
+        assert_eq!(field("svm.node.0.lock_wait_ns", "count").as_u64(), Some(1));
+        assert_eq!(kind("ft.node.0.map.times_ms"), "summary");
+        assert_eq!(field("ft.node.0.map.times_ms", "mean").as_f64(), Some(0.25));
+        let trace = json.get("trace").unwrap();
+        assert_eq!(trace.get("enabled").and_then(|v| v.as_bool()), Some(true));
+        assert_eq!(trace.get("recorded").and_then(|v| v.as_u64()), Some(0));
     }
 
     #[test]

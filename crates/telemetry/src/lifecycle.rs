@@ -47,11 +47,6 @@ pub struct PacketTimeline {
 }
 
 impl PacketTimeline {
-    /// Times the packet entered the fabric (one per wire transmission).
-    pub fn injections(&self) -> Vec<u64> {
-        self.at_times(TraceKind::PacketInjected)
-    }
-
     /// Times the firmware queued a retransmission of this packet.
     pub fn retransmits(&self) -> Vec<u64> {
         self.at_times(TraceKind::Retransmit)

@@ -20,11 +20,11 @@ use std::sync::{Arc, Mutex};
 
 use san_sim::{Duration, Histogram, Summary};
 
-/// A monotonically increasing, shareable event counter.
+/// A monotonically increasing, shareable event counter
+/// (`hit`/`add`/`get`/`reset`, `Display`).
 ///
-/// Mirrors `san_sim::Counter`'s API (`hit`/`add`/`get`/`reset`,
-/// `Display`), but is `Arc`-backed: clones observe the same value, which
-/// lets a layer's private stats struct and the registry share one cell.
+/// It is `Arc`-backed: clones observe the same value, which lets a
+/// layer's private stats struct and the registry share one cell.
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 

@@ -193,12 +193,6 @@ impl TraceEvent {
         ((tenant as u64) << 48) | latency_ns.min((1 << 48) - 1)
     }
 
-    /// Inverse of [`TraceEvent::pack_tenant`]: `(tenant, latency_ns)`.
-    #[inline]
-    pub fn unpack_tenant(aux: u64) -> (u16, u64) {
-        ((aux >> 48) as u16, aux & ((1 << 48) - 1))
-    }
-
     /// Canonical single-line text form; the determinism test and the CSV
     /// exporter both build on this, so it must stay stable.
     pub fn to_line(&self) -> String {
@@ -304,28 +298,9 @@ impl TraceScan {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Packet-scoped events of one (src, dst) stream, oldest first.
-    pub fn for_pair(&self, src: u16, dst: u16) -> impl Iterator<Item = &TraceEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.kind.is_packet_scoped() && e.src == src && e.dst == dst)
-    }
-
     /// How many events of `kind` were recorded.
     pub fn count(&self, kind: TraceKind) -> usize {
         self.of_kind(kind).count()
-    }
-
-    /// Is there an event at or after `at_ns` satisfying `pred`?
-    pub fn any_since(&self, at_ns: u64, mut pred: impl FnMut(&TraceEvent) -> bool) -> bool {
-        self.events.iter().any(|e| e.at_ns >= at_ns && pred(e))
-    }
-
-    /// Per-tenant message delivery latencies, oldest first, decoded from
-    /// [`TraceKind::TenantDelivered`] events as `(tenant, latency_ns)`.
-    pub fn tenant_latencies(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
-        self.of_kind(TraceKind::TenantDelivered)
-            .map(|e| TraceEvent::unpack_tenant(e.aux))
     }
 
     /// The distinct (src, dst) streams that have packet-scoped events,

@@ -16,7 +16,6 @@
 //!   link-disjoint path diversity (a min-cut lower bound), survivable
 //!   link/switch candidate sets for fault injection, and a one-call
 //!   [`validate::check`] that also proves `UpDownMap::build` works.
-//! * [`export`] — DOT and JSON dumps of a built fabric for inspection.
 //! * [`planner`] — the [`planner::RoutePlanner`] strategy seam: the generic
 //!   ECMP-style equal-cost + link-disjoint search, a deadlock-freedom
 //!   verdict via `fabric::updown::routes_deadlock_free`, and a
@@ -39,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod atlas;
-pub mod export;
 pub mod planner;
 pub mod symmetry;
 pub mod validate;

@@ -545,19 +545,6 @@ impl RouteCache {
         }
     }
 
-    /// Same as [`RouteCache::for_spec`], with the telemetry registration
-    /// of [`RouteCache::with_telemetry`].
-    pub fn for_spec_with_telemetry(k: usize, spec: &TopoSpec, tel: &Telemetry) -> Self {
-        Self {
-            hits: tel.counter("topo.cache.hits"),
-            misses: tel.counter("topo.cache.misses"),
-            evicted: tel.counter("reconfig.cache.evicted"),
-            kept_pairs: tel.counter("reconfig.cache.kept_pairs"),
-            replanned_pairs: tel.counter("reconfig.cache.replanned_pairs"),
-            ..Self::for_spec(k, spec)
-        }
-    }
-
     /// The strategy id of the planner behind this cache.
     pub fn strategy(&self) -> &'static str {
         self.planner.id()

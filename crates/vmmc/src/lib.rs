@@ -277,11 +277,6 @@ impl VmmcLib {
         });
     }
 
-    /// Is an end-to-end recovery policy installed?
-    pub fn recovery_enabled(&self) -> bool {
-        self.recovery.is_some()
-    }
-
     /// Messages currently awaiting a scheduled re-post.
     pub fn retries_pending(&self) -> usize {
         self.recovery.as_ref().map_or(0, |r| {

@@ -461,11 +461,6 @@ pub struct WorkloadDriver {
 }
 
 impl WorkloadDriver {
-    /// Messages offered so far (posted + shed).
-    pub fn total_offered(&self) -> u64 {
-        self.ledger.borrow().offered.iter().sum()
-    }
-
     /// Messages actually posted so far (= Σ per-pair next msg id).
     pub fn total_posted(&self) -> u64 {
         self.ledger.borrow().posted_pairs.values().sum()

@@ -24,6 +24,12 @@ fi
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "== no hand-built JSON in crates/ (san_telemetry::json writes every JSON file)"
+if grep -rn --include=*.rs '{{\\"' crates; then
+    echo "ERROR: the lines above format JSON by hand; build a san_telemetry::json::Json instead" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
