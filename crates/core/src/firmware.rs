@@ -57,6 +57,13 @@ pub struct ReliableFirmware {
     /// Data packets processed by the injector so far (drop-interval clock).
     tx_counter: u64,
     n_nodes: usize,
+    /// One bit per destination, set iff its retransmission queue is
+    /// non-empty, so the periodic scan visits only those queues.
+    queued: Vec<u64>,
+    /// Each destination's adaptive base threshold (`SRTT + 4·RTTVAR`
+    /// clamped to [`rto_min`, `rto_max`]), refreshed on every RTT sample;
+    /// `None` before the first. The scan period is their minimum.
+    base_thresholds: Vec<Option<Duration>>,
     /// The periodic scan's list of non-empty queues, kept across firings
     /// so that its storage is reused.
     active: Vec<NodeId>,
@@ -77,8 +84,41 @@ impl ReliableFirmware {
             mapper: Mapper::new(mapper_cfg),
             tx_counter: 0,
             n_nodes,
+            queued: vec![0; n_nodes.div_ceil(64)],
+            base_thresholds: vec![None; n_nodes],
             active: Vec::new(),
         }
+    }
+
+    /// Record whether `dst`'s retransmission queue is non-empty. Called at
+    /// each of the three places the queue grows or drains.
+    fn set_queued(&mut self, dst: NodeId, non_empty: bool) {
+        let (word, bit) = (dst.idx() / 64, 1u64 << (dst.idx() % 64));
+        if non_empty {
+            self.queued[word] |= bit;
+        } else {
+            self.queued[word] &= !bit;
+        }
+    }
+
+    /// Fill `active` with every destination whose queue is non-empty, in
+    /// ascending order.
+    fn collect_queued(&self, active: &mut Vec<NodeId>) {
+        active.clear();
+        for (w, &word) in self.queued.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                active.push(NodeId((w * 64) as u16 + bits.trailing_zeros() as u16));
+                bits &= bits - 1;
+            }
+        }
+        debug_assert!(
+            active
+                .iter()
+                .map(|d| d.idx())
+                .eq((0..self.n_nodes).filter(|&i| !self.senders[i].retrans_q.is_empty())),
+            "the queue bitset disagrees with the retransmission queues"
+        );
     }
 
     /// Protocol configuration in use.
@@ -150,10 +190,11 @@ impl ReliableFirmware {
         if !self.cfg.adaptive_rto {
             return self.cfg.retx_timeout;
         }
-        self.senders
+        self.base_thresholds
             .iter()
-            .filter_map(|s| s.rtt.base_threshold(self.cfg.rto_min, self.cfg.rto_max))
+            .flatten()
             .min()
+            .copied()
             .unwrap_or(self.cfg.rto_min)
     }
 
@@ -214,16 +255,22 @@ impl ReliableFirmware {
             let clean = s.sample_eligible(newest_seq) && sent_at > Time::ZERO;
             if clean && self.cfg.adaptive_rto {
                 s.rtt.sample(ctx.now().since(sent_at));
+                self.base_thresholds[peer.idx()] =
+                    s.rtt.base_threshold(self.cfg.rto_min, self.cfg.rto_max);
             }
             for b in s.retrans_q.drain(..n_freed) {
                 core.pool.release(b);
             }
+            let drained = s.retrans_q.is_empty();
             ack_progress(
                 s,
                 clean,
                 self.cfg.window_damping,
                 core.pool.capacity() as u32,
             );
+            if drained {
+                self.set_queued(peer, false);
+            }
             core.request_pump();
             if self.cfg.window_damping {
                 self.fill_window(core, ctx, peer);
@@ -577,6 +624,7 @@ impl ReliableFirmware {
                 s.remap_backoff_until = Time::ZERO;
                 let bufs: Vec<BufId> = s.retrans_q.drain(..).collect();
                 s.unsent_tail = 0;
+                self.set_queued(dst, false);
                 let mut failed = also_failed;
                 failed.reserve(bufs.len());
                 for b in bufs {
@@ -653,6 +701,7 @@ impl Firmware for ReliableFirmware {
             s.last_progress = now;
         }
         s.retrans_q.push_back(buf);
+        self.set_queued(dst, true);
 
         {
             let p = core.pool.pkt_mut(buf);
@@ -852,14 +901,10 @@ impl Firmware for ReliableFirmware {
             token,
         );
         let now = ctx.now();
-        // One scan of all retransmission queues (the paper's single timer).
+        // One scan of all retransmission queues (the paper's single timer),
+        // visiting the non-empty ones in ascending order.
         let mut active = std::mem::take(&mut self.active);
-        active.clear();
-        active.extend(
-            (0..self.n_nodes)
-                .filter(|&i| !self.senders[i].retrans_q.is_empty())
-                .map(|i| NodeId(i as u16)),
-        );
+        self.collect_queued(&mut active);
         let scan_cost =
             core.timing.timer_scan_base + core.timing.timer_scan_per_queue * active.len() as u64;
         core.cpu.acquire(now, scan_cost);

@@ -20,6 +20,13 @@
 //! on `(time, seq)`, and every push below the sweep frontier goes straight
 //! into that heap.
 //!
+//! A caller may take a sequence number early ([`TimingWheel::reserve_seq`])
+//! and push under it later ([`TimingWheel::push_reserved`]), as long as no
+//! event after it in `(time, seq)` order has popped yet. Since slots drain
+//! through the `(time, seq)`-keyed `due` heap, such an event pops exactly
+//! where a push made at reservation time would have: a timer whose
+//! deadline is known early need not sit in the wheel until it is next due.
+//!
 //! # Storage
 //!
 //! Every pending event lives in one node arena, `Vec<Node<E>>`, whose
@@ -178,12 +185,33 @@ impl<E> TimingWheel<E> {
     /// Insert an event at absolute time `at` (nanoseconds).
     #[inline]
     pub fn push(&mut self, at: u64, ev: E) {
+        let seq = self.reserve_seq();
+        self.push_reserved(at, seq, ev);
+    }
+
+    /// Take the insertion sequence number the next [`TimingWheel::push`]
+    /// would use, without inserting anything. An event pushed later under
+    /// it with [`TimingWheel::push_reserved`] pops exactly where a push
+    /// made now would have: ties at its time still break on this number.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
         let s = self.seq;
         self.seq += 1;
+        s
+    }
+
+    /// Insert an event at absolute time `at` under a sequence number taken
+    /// earlier with [`TimingWheel::reserve_seq`]. Push each reserved number
+    /// at most once, and before any event that follows `(at, seq)` in pop
+    /// order has popped; then the pop order is the one a push at
+    /// reservation time would have produced.
+    #[inline]
+    pub fn push_reserved(&mut self, at: u64, seq: u64, ev: E) {
+        debug_assert!(seq < self.seq, "sequence number {seq} was never reserved");
         self.len += 1;
         let node = Node {
             t: at,
-            seq: s,
+            seq,
             next: NIL,
             ev: Some(ev),
         };
@@ -500,6 +528,22 @@ mod tests {
     }
 
     #[test]
+    fn reserved_seq_keeps_its_place_among_ties() {
+        let mut q = TimingWheel::new();
+        q.push(5, "first");
+        let early = q.reserve_seq();
+        q.push(5, "third");
+        q.push(3, "zeroth");
+        assert_eq!(q.pop(), Some((3, "zeroth")));
+        // Pushed last, but under the number reserved before "third".
+        q.push_reserved(5, early, "second");
+        assert_eq!(q.pop(), Some((5, "first")));
+        assert_eq!(q.pop(), Some((5, "second")));
+        assert_eq!(q.pop(), Some((5, "third")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
     fn matches_heap_on_dense_bursts() {
         let mut w = TimingWheel::new();
         let mut h = HeapQueue::new();
@@ -619,6 +663,70 @@ mod proptests {
                 prop_assert_eq!(a, b);
                 if a.is_none() { break; }
             }
+        }
+
+        /// An event pushed under a reserved sequence number pops exactly as
+        /// if it had been pushed when the number was reserved: the heap
+        /// takes each such event at reservation time, the wheel only later,
+        /// in any order, at any point before the heap would pop it. Each op
+        /// word encodes (kind, delay-mantissa, level-scale, pick).
+        #[test]
+        fn reserved_push_equals_push_at_reservation(
+            ops in proptest::collection::vec(0u64..(1 << 40), 1..300)
+        ) {
+            /// Push every deferred event the heap could pop next.
+            fn release_due(
+                w: &mut TimingWheel<usize>,
+                deferred: &mut Vec<(u64, u64, usize)>,
+                next: Option<u64>,
+            ) {
+                let Some(next) = next else { return };
+                deferred.retain(|&(at, seq, ev)| {
+                    if at <= next {
+                        w.push_reserved(at, seq, ev);
+                    }
+                    at > next
+                });
+            }
+
+            let mut w = TimingWheel::new();
+            let mut h = HeapQueue::new();
+            let mut deferred: Vec<(u64, u64, usize)> = Vec::new();
+            let mut now = 0u64;
+            for (i, &op) in ops.iter().enumerate() {
+                let small = (op >> 2) & 63;
+                let scale = (op >> 8) & 3;
+                let at = now + (small << (scale * 12));
+                match op & 3 {
+                    0 => {
+                        w.push(at, i);
+                        h.push(at, i);
+                    }
+                    1 => {
+                        deferred.push((at, w.reserve_seq(), i));
+                        h.push(at, i);
+                    }
+                    2 if !deferred.is_empty() => {
+                        let pick = (op >> 10) as usize % deferred.len();
+                        let (at, seq, ev) = deferred.swap_remove(pick);
+                        w.push_reserved(at, seq, ev);
+                    }
+                    _ => {
+                        release_due(&mut w, &mut deferred, h.peek_time());
+                        prop_assert_eq!(w.peek_time(), h.peek_time());
+                        let (a, b) = (w.pop(), h.pop());
+                        prop_assert_eq!(a, b);
+                        if let Some((t, _)) = a { now = t; }
+                    }
+                }
+            }
+            loop {
+                release_due(&mut w, &mut deferred, h.peek_time());
+                let (a, b) = (w.pop(), h.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() { break; }
+            }
+            prop_assert!(deferred.is_empty());
         }
     }
 }

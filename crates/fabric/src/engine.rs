@@ -16,6 +16,14 @@
 //! `path_reset_timeout` of injection is killed and reported to the sender as
 //! a path reset — the hardware deadlock-recovery behaviour (§3.3).
 //!
+//! Path-reset checks: every injection owes one check at injection time plus
+//! the timeout. Those deadlines arrive in order, so the engine queues them
+//! FIFO and keeps only the head armed in the event queue. Each check takes
+//! its sequence number at injection ([`Sim::reserve_seq`]) and is scheduled
+//! under it when it reaches the head ([`Sim::schedule_reserved`]), so every
+//! check — a stale one for a flight long delivered, too — pops at exactly
+//! the `(time, seq)` it would have had if armed at injection.
+//!
 //! Fault hooks: wire loss and corruption probabilities (transient), and link
 //! / switch death (permanent), under which held flights are killed silently —
 //! exactly the failure the retransmission protocol must mask.
@@ -63,8 +71,9 @@ pub enum FabricEvent {
     HeadAdvance { flight: u32, epoch: u32 },
     /// The tail of `flight` reached the destination: delivery completes.
     TailDone { flight: u32, epoch: u32 },
-    /// Path-reset timer check for `flight`.
-    ResetCheck { flight: u32, epoch: u32 },
+    /// The oldest queued path-reset check is due (the flight and epoch it
+    /// checks are at the head of the engine's check queue).
+    ResetCheck,
     /// Permanent fault: a link dies.
     LinkDown { link: LinkId },
     /// Repair / reconfiguration: a link comes (back) up.
@@ -325,6 +334,17 @@ impl Flight {
     }
 }
 
+/// The path-reset check owed to one injected flight: at `at`, under the
+/// event-queue sequence number `seq` reserved at injection, kill the flight
+/// if `(flight, epoch)` is still in the network.
+#[derive(Debug)]
+struct ResetDeadline {
+    at: Time,
+    seq: u64,
+    flight: u32,
+    epoch: u32,
+}
+
 /// The traversal engine. Owns the topology, channel occupancy, and all
 /// flights.
 #[derive(Debug)]
@@ -337,6 +357,10 @@ pub struct Engine {
     /// (identical to the hand-rolled slab this replaced, so event-epoch
     /// matching and slot-assignment order are unchanged).
     flights: Slab<Flight>,
+    /// Path-reset checks not yet due, in injection order, which is also
+    /// `(at, seq)` order. The head, and only the head, is armed in the
+    /// event queue as a [`FabricEvent::ResetCheck`].
+    reset_checks: VecDeque<ResetDeadline>,
     /// Trace events buffered within a dispatch, flushed to the ring in one
     /// head claim at every public-method exit (so records from other layers
     /// interleave exactly as they did with per-event recording).
@@ -390,6 +414,7 @@ impl Engine {
             channels,
             switch_alive,
             flights: Slab::new(),
+            reset_checks: VecDeque::new(),
             tbatch: Vec::new(),
             trace_on: tel.tracing_enabled(),
             faults: TransientFaults::none(),
@@ -607,15 +632,18 @@ impl Engine {
             return;
         };
         let (slot, epoch) = self.flights.insert(Flight::new(pkt, src, will_drop));
-        // Arm the path-reset (deadlock) timer.
-        sim.schedule_in(
-            self.cfg.path_reset_timeout,
-            FabricEvent::ResetCheck {
-                flight: slot,
-                epoch,
-            }
-            .into(),
-        );
+        // Owe the path-reset (deadlock) check; arm it if it heads the queue.
+        let check = ResetDeadline {
+            at: sim.now() + self.cfg.path_reset_timeout,
+            seq: sim.reserve_seq(),
+            flight: slot,
+            epoch,
+        };
+        match self.reset_checks.back() {
+            None => sim.schedule_reserved(check.at, check.seq, FabricEvent::ResetCheck.into()),
+            Some(last) => debug_assert!(last.at <= check.at, "deadlines arrive in order"),
+        }
+        self.reset_checks.push_back(check);
         let ch = self.channel_from(first_link, Endpoint::Host(src));
         self.try_acquire(sim, slot, ch, out);
         self.flush_trace();
@@ -652,7 +680,14 @@ impl Engine {
                     self.finish_delivery(sim, flight, out);
                 }
             }
-            FabricEvent::ResetCheck { flight, epoch } => {
+            FabricEvent::ResetCheck => {
+                let ResetDeadline { flight, epoch, .. } = self
+                    .reset_checks
+                    .pop_front()
+                    .expect("an armed check heads the queue");
+                if let Some(next) = self.reset_checks.front() {
+                    sim.schedule_reserved(next.at, next.seq, FabricEvent::ResetCheck.into());
+                }
                 if self.live(flight, epoch) {
                     self.metrics.path_resets.hit();
                     let f = self.kill_flight(sim, flight);

@@ -294,6 +294,52 @@ fn link_revival_restores_traffic() {
         .any(|(_, o)| matches!(o, FabricOut::Delivered { .. })));
 }
 
+/// Only the oldest path-reset check is armed at a time, yet each pops at
+/// the `(time, seq)` it took at injection: the three checks of flights
+/// injected at t = 0 all pop before an event scheduled after them for the
+/// same instant.
+#[test]
+fn reset_checks_keep_injection_order_among_ties() {
+    let mut t = Topology::new();
+    let hs: Vec<NodeId> = (0..3).map(|_| t.add_host()).collect();
+    let ss: Vec<SwitchId> = (0..3).map(|_| t.add_switch(4)).collect();
+    for i in 0..3 {
+        t.connect_host(hs[i], ss[i], 0);
+        t.connect_switches(ss[i], 1, ss[(i + 1) % 3], 2);
+    }
+    let cfg = EngineConfig {
+        path_reset_timeout: Duration::from_millis(1),
+        ..Default::default()
+    };
+    let mut engine = Engine::new(t, cfg);
+    let mut sim = TSim::new(1);
+    let mut o = Vec::new();
+    for i in 0..3 {
+        let dst = hs[(i + 2) % 3];
+        engine.inject(
+            &mut sim,
+            raw_packet(hs[i], dst, Route::from_ports(&[1, 1, 0]), 65536),
+            &mut o,
+        );
+    }
+    let deadline = Time::from_millis(1);
+    let marker = FabricEvent::Reconfigured {
+        epoch: 0,
+        old_fp: 0,
+        new_fp: 0,
+    };
+    sim.schedule(deadline, marker);
+    let mut at_deadline = Vec::new();
+    while let Some((t, ev)) = sim.pop() {
+        if t == deadline {
+            at_deadline.push(matches!(ev, FabricEvent::ResetCheck));
+        }
+        engine.handle(&mut sim, ev, &mut o);
+    }
+    assert_eq!(at_deadline, [true, true, true, false]);
+    assert_eq!(engine.stats().path_resets, 3);
+}
+
 /// Three hosts on a 3-switch ring all routing "the long way" produce a
 /// genuine channel-dependency deadlock; the path-reset timer must fire and
 /// kill all three flights, reporting resets to the senders.

@@ -86,6 +86,32 @@ impl<E> Sim<E> {
         self.queue.push(at, ev);
     }
 
+    /// Reserve the sequence number the next `schedule` would take, for an
+    /// event whose deadline is known now but that is scheduled later with
+    /// [`Sim::schedule_reserved`].
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.queue.reserve_seq()
+    }
+
+    /// Schedule `ev` at absolute time `at` under a sequence number from
+    /// [`Sim::reserve_seq`]. It pops exactly where it would have had it been
+    /// scheduled when the number was reserved, provided it is scheduled
+    /// before any event that follows it in `(time, seq)` order has popped.
+    /// Each reserved number is scheduled at most once.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
+    #[inline]
+    pub fn schedule_reserved(&mut self, at: Time, seq: u64, ev: E) {
+        assert!(
+            at >= self.now,
+            "scheduling into the past: {at} < {}",
+            self.now
+        );
+        self.queue.push_reserved(at, seq, ev);
+    }
+
     /// Pop the next event, advancing the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
@@ -157,6 +183,18 @@ mod tests {
         sim.schedule(Time::from_nanos(10), 0);
         sim.pop();
         sim.schedule(Time::from_nanos(5), 1);
+    }
+
+    #[test]
+    fn reserved_schedule_pops_in_reservation_order() {
+        let mut sim: Sim<u32> = Sim::new(1);
+        let seq = sim.reserve_seq();
+        sim.schedule(Time::from_nanos(5), 2);
+        sim.schedule(Time::from_nanos(1), 0);
+        assert_eq!(sim.pop(), Some((Time::from_nanos(1), 0)));
+        sim.schedule_reserved(Time::from_nanos(5), seq, 1);
+        assert_eq!(sim.pop(), Some((Time::from_nanos(5), 1)));
+        assert_eq!(sim.pop(), Some((Time::from_nanos(5), 2)));
     }
 
     #[test]

@@ -34,6 +34,22 @@ impl<E> EventQueue<E> {
         self.wheel.push(at.nanos(), ev);
     }
 
+    /// Take the sequence number the next push would use, for an event to
+    /// be pushed later with [`EventQueue::push_reserved`].
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.wheel.reserve_seq()
+    }
+
+    /// Insert an event at `at` under a sequence number from
+    /// [`EventQueue::reserve_seq`]: it pops where a push made at
+    /// reservation time would have (see
+    /// [`TimingWheel::push_reserved`] for the precondition).
+    #[inline]
+    pub fn push_reserved(&mut self, at: Time, seq: u64, ev: E) {
+        self.wheel.push_reserved(at.nanos(), seq, ev);
+    }
+
     /// Remove and return the earliest event (FIFO among ties).
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {

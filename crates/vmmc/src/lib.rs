@@ -18,6 +18,7 @@
 //!   reset after a permanent failure; deposits are idempotent, and this
 //!   layer additionally swallows duplicate *notifications*.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use bytes::Bytes;
@@ -46,7 +47,9 @@ pub struct ImportHandle {
 #[derive(Debug)]
 struct ExportBuf {
     size: u32,
-    /// Backing bytes; written by arriving segments that carry real data.
+    /// Backing bytes: empty until the first segment carrying real data
+    /// lands, then `size` bytes. Logical-only traffic (timing runs that
+    /// materialize no payload) never allocates them.
     data: Vec<u8>,
     /// Hosts allowed to deposit (None = anyone).
     allow: Option<Vec<NodeId>>,
@@ -337,11 +340,13 @@ impl VmmcLib {
     }
 
     /// Export a receive region of `size` bytes. `allow` restricts which
-    /// hosts may deposit into it (`None` = unrestricted).
+    /// hosts may deposit into it (`None` = unrestricted). The region reads
+    /// as zeros until written; its storage is allocated by the first
+    /// deposit of real bytes.
     pub fn export(&mut self, size: u32, allow: Option<Vec<NodeId>>) -> ExportId {
         self.exports.push(ExportBuf {
             size,
-            data: vec![0; size as usize],
+            data: Vec::new(),
             allow,
         });
         ExportId(self.exports.len() as u32 - 1)
@@ -358,10 +363,26 @@ impl VmmcLib {
         }
     }
 
-    /// Read back bytes from an export buffer (what the process sees).
-    pub fn read_export(&self, id: ExportId, offset: u32, len: u32) -> &[u8] {
+    /// Read back bytes from an export buffer (what the process sees):
+    /// zeros wherever nothing real was ever deposited.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the end of the region.
+    pub fn read_export(&self, id: ExportId, offset: u32, len: u32) -> Cow<'_, [u8]> {
         let b = &self.exports[id.0 as usize];
-        &b.data[offset as usize..(offset + len) as usize]
+        let range = offset as usize..offset as usize + len as usize;
+        assert!(
+            range.end <= b.size as usize,
+            "read past the export: {}..{} > {}",
+            range.start,
+            range.end,
+            b.size
+        );
+        if b.data.is_empty() {
+            Cow::Owned(vec![0; len as usize])
+        } else {
+            Cow::Borrowed(&b.data[range])
+        }
     }
 
     /// Send `data` into the imported remote buffer at `offset`. Returns the
@@ -538,6 +559,9 @@ impl VmmcLib {
         }
         // Deposit real bytes (direct write into the export region).
         if !pkt.payload.is_empty() {
+            if buf.data.is_empty() {
+                buf.data = vec![0; buf.size as usize];
+            }
             let dst =
                 &mut buf.data[pkt.msg_offset as usize..pkt.msg_offset as usize + pkt.payload.len()];
             dst.copy_from_slice(&pkt.payload);
@@ -612,7 +636,42 @@ mod tests {
         p.payload = Bytes::from_static(b"hello");
         let msg = lib.on_packet(&p).expect("single segment completes");
         assert_eq!(msg.len, 5);
-        assert_eq!(lib.read_export(e, 0, 5), b"hello");
+        assert_eq!(lib.read_export(e, 0, 5), b"hello".as_slice());
+    }
+
+    #[test]
+    fn never_written_export_reads_zeros() {
+        let mut lib = VmmcLib::new(NodeId(0));
+        let e = lib.export(4096, None);
+        assert_eq!(lib.read_export(e, 0, 4096), vec![0u8; 4096]);
+        assert_eq!(lib.read_export(e, 4000, 96), vec![0u8; 96]);
+        assert!(lib.read_export(e, 4096, 0).is_empty());
+    }
+
+    #[test]
+    fn real_bytes_read_back_beside_zeros() {
+        let mut lib = VmmcLib::new(NodeId(0));
+        let e = lib.export(8192, None);
+        let mut p = seg(1, 0, 4096, 3, 3, e.0);
+        p.flags.set(PacketFlags::FIRST_SEG);
+        p.payload = Bytes::from_static(b"abc");
+        assert!(lib.on_packet(&p).is_some());
+        assert_eq!(lib.read_export(e, 4096, 3), b"abc".as_slice());
+        assert_eq!(lib.read_export(e, 4094, 6), b"\0\0abc\0".as_slice());
+        assert_eq!(lib.read_export(e, 0, 4096), vec![0u8; 4096]);
+    }
+
+    #[test]
+    fn logical_only_deposits_allocate_no_storage() {
+        let mut lib = VmmcLib::new(NodeId(0));
+        let e = lib.export(65536, None);
+        let msg_len = 4096 * 3;
+        for off in [0, 4096, 8192] {
+            lib.on_packet(&seg(1, 0, off, 4096, msg_len, e.0));
+        }
+        assert_eq!(lib.stats.msgs_received.get(), 1);
+        assert_eq!(lib.exports[e.0 as usize].data.capacity(), 0);
+        assert_eq!(lib.read_export(e, 0, msg_len), vec![0u8; msg_len as usize]);
     }
 
     #[test]
@@ -776,6 +835,6 @@ mod tests {
         p.payload = Bytes::from_static(b"ABCD");
         let done = lib.on_packet(&p).unwrap();
         assert_eq!(done.offset, 10);
-        assert_eq!(lib.read_export(e, 10, 4), b"ABCD");
+        assert_eq!(lib.read_export(e, 10, 4), b"ABCD".as_slice());
     }
 }

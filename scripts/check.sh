@@ -39,6 +39,25 @@ cargo test --workspace -q
 echo "== benchmark crate (perf/ compiles against the workspace APIs; its tests pass)"
 cargo test -q --offline --manifest-path perf/Cargo.toml
 
+echo "== benchmark digests (every workload reaches its pinned seed-1 sim_digest, outputs correct)"
+# The digest hashes each workload's simulated outcomes, so a change that
+# alters any simulated event moves it. One pass of all five workloads.
+perf_out=$(cargo run --release -q --offline --manifest-path perf/Cargo.toml -- run) || {
+    echo "ERROR: the benchmark run failed" >&2
+    exit 1
+}
+for pin in perm1024=0xd6a52acd6b1b5396 tenants_lossy=0x6ab4fa771100737d \
+    chaos_faults=0x494492a9ed7fd020 mc_verify=0x89e3761271a82414 \
+    fig6_sweep=0x92a18f78be74d2b1; do
+    workload=${pin%%=*}
+    digest=${pin#*=}
+    if ! grep -Eq "^${workload} +sim_digest +${digest} correct\$" <<< "$perf_out"; then
+        echo "ERROR: ${workload} did not report its pinned digest ${digest} with correct outputs:" >&2
+        grep -E "^${workload} " <<< "$perf_out" >&2 || true
+        exit 1
+    fi
+done
+
 echo "== san-mc smoke (exhaustive 2-node model check + leak-knob canary)"
 # tiny2/wrap2 must verify exhaustively (with liveness); leak2 must FAIL
 # with a conservation counterexample — if the checker stops finding the
