@@ -5,13 +5,13 @@
 //! 3. sender-based feedback vs fixed ACK-every-K,
 //! 4. on-demand partial mapping vs mapping the whole network.
 
-use san_bench::{mapper_stats, parse_mode, tsv};
-use san_fabric::{topology, NodeId};
-use san_ft::{FeedbackPolicy, MapperConfig, ProtocolConfig, ReliableFirmware};
+use san_bench::{parse_mode, tsv, Stream, StreamRun};
+use san_fabric::{topology, NodeId, Topology};
+use san_ft::{FeedbackPolicy, MapperConfig, ProtocolConfig};
 use san_microbench::{unidirectional_bandwidth, FwKind};
-use san_nic::testkit::{inbox, Collector, StreamSender};
-use san_nic::{Cluster, ClusterConfig, HostAgent};
+use san_nic::ClusterConfig;
 use san_sim::{Duration, Time};
+use san_telemetry::Telemetry;
 
 fn main() {
     let mode = parse_mode();
@@ -244,11 +244,17 @@ fn main() {
     println!();
     let tb = topology::paper_mapping_testbed(4); // 16 hosts, 4 switches
     let n = tb.hosts.len();
-    // (a) Map just one nearby destination (on-demand early exit).
-    let near = run_mapping(&tb, tb.hosts[4], n); // same-switch neighbour
-                                                 // (b) Map an absent destination: forces exploration of the entire
-                                                 // network — the cost a full-map scheme pays up front.
-    let full = run_mapping_unreachable(&tb, n);
+    // (a) Map just one nearby destination (on-demand early exit): the
+    // same-switch neighbour.
+    let near = first_send_maps(tb.topo.clone(), tb.hosts[4], 5, |run| run.delivered() > 0);
+    // (b) Map an absent destination: a phantom host id beyond every wired
+    // host. The mapper explores everything before giving up, which is the
+    // cost a full-map scheme pays up front.
+    let mut topo = tb.topo.clone();
+    let _ = topo.add_host(); // the phantom exists but is wired nowhere
+    let full = first_send_maps(topo, NodeId(n as u16), 10, |run| {
+        run.map_stats(NodeId(0)).unreachable.get() > 0
+    });
     println!(
         "{:<30} {:>12} {:>14} {:>12}",
         "scheme", "host probes", "switch probes", "time (ms)"
@@ -284,76 +290,33 @@ fn main() {
     }
 }
 
-fn run_mapping(tb: &topology::MappingTestbed, dst: NodeId, n: usize) -> (u64, u64, f64) {
-    let ib = inbox();
-    let hosts: Vec<Box<dyn HostAgent>> = (0..n)
-        .map(|h| -> Box<dyn HostAgent> {
-            if h == 0 {
-                Box::new(StreamSender::new(dst, 64, 1))
-            } else if h == dst.idx() {
-                Box::new(Collector(ib.clone()))
-            } else {
-                Box::new(san_nic::IdleHost)
-            }
-        })
-        .collect();
+/// Send one 64-byte message from host 0 to `dst` over `topo` with no
+/// routes installed, so the first send maps, until `done` holds or
+/// `deadline_s` pass. Returns the last mapping run's host probes, switch
+/// probes and time (ms).
+fn first_send_maps(
+    topo: Topology,
+    dst: NodeId,
+    deadline_s: u64,
+    done: impl Fn(&StreamRun) -> bool,
+) -> (u64, u64, f64) {
+    let src = NodeId(0);
+    let stream = Stream {
+        src,
+        dst,
+        count: 1,
+        bytes: 64,
+    };
     let proto = ProtocolConfig::default().with_mapping();
-    let mut cluster = Cluster::new(
-        tb.topo.clone(),
-        ClusterConfig::default(),
-        |_| {
-            Box::new(ReliableFirmware::new(
-                proto.clone(),
-                MapperConfig::default(),
-                n,
-            ))
-        },
-        hosts,
-    );
-    let mut t = Time::from_millis(5);
-    while ib.borrow().is_empty() && t < Time::from_secs(5) {
-        cluster.run_until(t);
-        t += Duration::from_millis(5);
-    }
-    let st = mapper_stats(&cluster, 0);
-    (st.last_host_probes, st.last_switch_probes, st.last_time_ms)
-}
-
-fn run_mapping_unreachable(tb: &topology::MappingTestbed, n: usize) -> (u64, u64, f64) {
-    // A phantom destination id beyond every wired host: the mapper explores
-    // everything before giving up, which equals the full-map workload.
-    let phantom = NodeId(n as u16);
-    let hosts: Vec<Box<dyn HostAgent>> = (0..=n)
-        .map(|h| -> Box<dyn HostAgent> {
-            if h == 0 {
-                Box::new(StreamSender::new(phantom, 64, 1))
-            } else {
-                Box::new(san_nic::IdleHost)
-            }
-        })
-        .collect();
-    let mut topo = tb.topo.clone();
-    let _ = topo.add_host(); // phantom host exists but is wired nowhere
-    let proto = ProtocolConfig::default().with_mapping();
-    let mut cluster = Cluster::new(
+    let mut run = StreamRun::new(
         topo,
-        ClusterConfig::default(),
-        |_| {
-            Box::new(ReliableFirmware::new(
-                proto.clone(),
-                MapperConfig::default(),
-                n + 1,
-            ))
-        },
-        hosts,
+        stream,
+        proto,
+        MapperConfig::default(),
+        &Telemetry::new(),
     );
-    let mut t = Time::from_millis(5);
-    loop {
-        cluster.run_until(t);
-        let st = mapper_stats(&cluster, 0);
-        if st.unreachable.get() > 0 || t > Time::from_secs(10) {
-            return (st.last_host_probes, st.last_switch_probes, st.last_time_ms);
-        }
-        t += Duration::from_millis(5);
-    }
+    let deadline = Time::from_secs(deadline_s);
+    run.run(Duration::from_millis(5), deadline, |run, _| done(run));
+    let st = run.map_stats(src);
+    (st.last_host_probes, st.last_switch_probes, st.last_time_ms)
 }

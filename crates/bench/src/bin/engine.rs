@@ -11,13 +11,15 @@
 //! measurement is the engine, not the setup.
 //!
 //! The default run writes `BENCH_engine.json` (`--json <path>` overrides):
-//! per-fabric rows and the largest host count each family finishes inside
-//! the 60 s wall budget, under the provenance header of
-//! [`san_bench::write_bench`]. `--one <spec>` measures one fabric and
-//! prints its row. `--smoke` is the CI gate: the 16-host fat tree must
-//! clear an events/sec floor and reproduce its pinned outcome (events,
-//! simulated time, deliveries), so an engine edit that changes the
-//! simulation trips it even when throughput holds.
+//! per-fabric rows, the largest host count each family finishes inside
+//! the 60 s wall budget, and the cost of a fully traced run (fat_tree:8
+//! timed untraced and with the trace ring on, alternating), under the
+//! provenance header of [`san_bench::write_bench`]. `--one <spec>`
+//! measures one fabric and prints its row. `--smoke` is the CI gate: the
+//! 16-host fat tree must clear an events/sec floor and reproduce its
+//! pinned outcome (events, simulated time, deliveries) both untraced and
+//! traced, so an engine edit that changes the simulation, or a trace hook
+//! that does, trips it even when throughput holds.
 
 use std::time::Instant;
 
@@ -28,19 +30,24 @@ use san_nic::testkit::StreamSender;
 use san_nic::{Cluster, ClusterConfig, HostAgent, UnreliableFirmware};
 use san_sim::{Duration, Time};
 use san_telemetry::json::Json;
+use san_telemetry::Telemetry;
 use san_topo::TopoSpec;
 
 /// Messages per host per trial.
 const MESSAGES: u64 = 100;
 /// Payload bytes per message.
 const BYTES: u32 = 2048;
-/// Wall budget per measurement (the "max hosts in 60 s" criterion).
+/// Wall budget per measurement (the "max hosts in 60 s" rule).
 const WALL_BUDGET_SECS: f64 = 60.0;
 /// Sim-time slice per driver iteration.
 const SLICE: Duration = Duration::from_millis(1);
 /// Give-up horizon: a permutation of MESSAGES×2 KiB streams finishes in
 /// single-digit sim-milliseconds; 2 s of sim time means something is wrong.
 const MAX_SLICES: u64 = 2_000;
+/// Trace-ring capacity of a traced run, as `--telemetry` runs use.
+const TRACE_CAP: usize = 1 << 16;
+/// Timed runs per side of the trace-overhead comparison.
+const OVERHEAD_RUNS: usize = 9;
 
 /// One measurement row.
 struct Row {
@@ -87,8 +94,9 @@ fn perm_routes(topo: &Topology, n: usize) -> Vec<Option<Route>> {
         .collect()
 }
 
-/// Build the world, stream the permutation to completion, measure.
-fn run_one(spec: &TopoSpec) -> Row {
+/// Build the world under `tel`, stream the permutation to completion,
+/// measure.
+fn run_one(spec: &TopoSpec, tel: Telemetry) -> Row {
     let fabric = spec.build();
     let n = fabric.hosts.len();
     let routes = perm_routes(&fabric.topo, n);
@@ -98,7 +106,10 @@ fn run_one(spec: &TopoSpec) -> Row {
     // throughput study uses the top of that range so a 100-deep
     // simultaneous burst queueing at one trunk reads as backpressure, not
     // deadlock — the routes are deadlock-free, every wait resolves.
-    let mut cfg = ClusterConfig::default();
+    let mut cfg = ClusterConfig {
+        telemetry: tel,
+        ..ClusterConfig::default()
+    };
     cfg.engine.path_reset_timeout = Duration::from_millis(4_000);
 
     let t0 = Instant::now();
@@ -163,9 +174,56 @@ fn print_row(r: &Row) {
     );
 }
 
+/// The cost of a fully traced run, as medians of alternating runs.
+struct Overhead {
+    fabric: String,
+    events: u64,
+    untraced_ms: f64,
+    traced_ms: f64,
+}
+
+/// Time `spec`'s permutation [`OVERHEAD_RUNS`] times untraced and as many
+/// times with a [`TRACE_CAP`] trace ring, alternating so that drift in the
+/// machine hits both sides alike. Every run must simulate the same
+/// events, time and deliveries.
+fn trace_overhead(spec: &TopoSpec) -> Overhead {
+    let mut walls = [Vec::new(), Vec::new()];
+    let mut outcome = None;
+    for _ in 0..OVERHEAD_RUNS {
+        for (side, tel) in [Telemetry::new(), Telemetry::with_trace(TRACE_CAP)]
+            .into_iter()
+            .enumerate()
+        {
+            let r = run_one(spec, tel);
+            let o = (r.events, r.sim_ns, r.delivered);
+            assert_eq!(
+                *outcome.get_or_insert(o),
+                o,
+                "tracing must not change the simulation"
+            );
+            walls[side].push(r.wall_ms);
+        }
+    }
+    let [untraced_ms, traced_ms] = walls.map(|mut w| {
+        w.sort_by(f64::total_cmp);
+        w[w.len() / 2]
+    });
+    Overhead {
+        fabric: spec.format(),
+        events: outcome.expect("at least one run").0,
+        untraced_ms,
+        traced_ms,
+    }
+}
+
 /// `BENCH_engine.json`'s body: the traffic, each family's largest host
-/// count inside the wall budget, and every measured row.
-fn bench_body(rows: &[Row], max_hosts: &[(String, usize)]) -> Vec<(&'static str, Json)> {
+/// count inside the wall budget, every measured row and the trace
+/// overhead.
+fn bench_body(
+    rows: &[Row],
+    max_hosts: &[(String, usize)],
+    overhead: &Overhead,
+) -> Vec<(&'static str, Json)> {
     let max_hosts = max_hosts
         .iter()
         .map(|(family, hosts)| (family.clone(), (*hosts as u64).into()))
@@ -193,6 +251,18 @@ fn bench_body(rows: &[Row], max_hosts: &[(String, usize)]) -> Vec<(&'static str,
         ),
         ("max_hosts_in_60s", Json::Obj(max_hosts)),
         ("rows", Json::Arr(rows)),
+        (
+            "trace_overhead",
+            Json::obj(vec![
+                ("fabric", overhead.fabric.as_str().into()),
+                ("trace_cap", (TRACE_CAP as u64).into()),
+                ("runs_per_side", (OVERHEAD_RUNS as u64).into()),
+                ("events", overhead.events.into()),
+                ("untraced_median_ms", overhead.untraced_ms.into()),
+                ("traced_median_ms", overhead.traced_ms.into()),
+                ("ratio", (overhead.traced_ms / overhead.untraced_ms).into()),
+            ]),
+        ),
     ]
 }
 
@@ -244,24 +314,31 @@ const SMOKE_EVENTS: u64 = 20_320;
 const SMOKE_SIM_NS: u64 = 3_000_000;
 
 fn smoke() {
-    let r = run_one(&TopoSpec::FatTree { k: 4 });
-    print_row(&r);
-    assert_eq!(
-        (r.delivered, r.expected),
-        (1600, 1600),
-        "smoke: the run must deliver the whole permutation"
-    );
-    assert_eq!(
-        (r.events, r.sim_ns),
-        (SMOKE_EVENTS, SMOKE_SIM_NS),
-        "smoke: events and simulated time must match the pinned fat_tree:4 outcome"
-    );
-    let floor = 50_000.0;
-    assert!(
-        r.events_per_sec() > floor,
-        "smoke: {:.0} events/sec is below the {floor} floor",
-        r.events_per_sec()
-    );
+    // The traced run must simulate exactly what the untraced one does.
+    for (label, tel) in [
+        ("untraced", Telemetry::new()),
+        ("traced", Telemetry::with_trace(TRACE_CAP)),
+    ] {
+        let r = run_one(&TopoSpec::FatTree { k: 4 }, tel);
+        print!("{label:<9} ");
+        print_row(&r);
+        assert_eq!(
+            (r.delivered, r.expected),
+            (1600, 1600),
+            "smoke ({label}): the run must deliver the whole permutation"
+        );
+        assert_eq!(
+            (r.events, r.sim_ns),
+            (SMOKE_EVENTS, SMOKE_SIM_NS),
+            "smoke ({label}): events and simulated time must match the pinned fat_tree:4 outcome"
+        );
+        let floor = 50_000.0;
+        assert!(
+            r.events_per_sec() > floor,
+            "smoke ({label}): {:.0} events/sec is below the {floor} floor",
+            r.events_per_sec()
+        );
+    }
     println!("engine smoke: OK");
 }
 
@@ -274,7 +351,7 @@ fn main() {
     // Debug/inspection mode: one fabric's measurement, no JSON.
     if let Some(i) = args.iter().position(|a| a == "--one") {
         let spec = TopoSpec::parse(&args[i + 1]).expect("bad spec");
-        print_row(&run_one(&spec));
+        print_row(&run_one(&spec, Telemetry::new()));
         return;
     }
     let mut rows: Vec<Row> = Vec::new();
@@ -282,7 +359,7 @@ fn main() {
     for (family, series) in family_series() {
         let mut best = 0usize;
         for spec in series {
-            let row = run_one(&spec);
+            let row = run_one(&spec, Telemetry::new());
             print_row(&row);
             let within = row.wall_ms <= WALL_BUDGET_SECS * 1e3;
             let complete = row.delivered == row.expected;
@@ -296,6 +373,16 @@ fn main() {
         }
         max_hosts.push((family.into(), best));
     }
+    let overhead = trace_overhead(&TopoSpec::FatTree { k: 8 });
+    println!(
+        "trace overhead ({}, {OVERHEAD_RUNS} runs per side, {} events): \
+         untraced {:.1} ms, traced {:.1} ms, ratio {:.3}",
+        overhead.fabric,
+        overhead.events,
+        overhead.untraced_ms,
+        overhead.traced_ms,
+        overhead.traced_ms / overhead.untraced_ms
+    );
     let path = json_arg().unwrap_or_else(|| "BENCH_engine.json".into());
-    write_bench(&path, "engine", bench_body(&rows, &max_hosts));
+    write_bench(&path, "engine", bench_body(&rows, &max_hosts, &overhead));
 }

@@ -29,13 +29,11 @@
 
 use std::time::Instant;
 
-use san_bench::{json_arg, mapper_stats, tsv, write_bench};
+use san_bench::{json_arg, tsv, write_bench, Routes, Stream, StreamRun};
 use san_fabric::engine::FabricEvent;
 use san_fabric::updown::UpDownMap;
 use san_fabric::{Endpoint, LinkId, NodeId, Route, RouteHints, Topology};
-use san_ft::{MapperConfig, ProtocolConfig, ReliableFirmware};
-use san_nic::testkit::{inbox, Collector, StreamSender};
-use san_nic::{Cluster, ClusterConfig, HostAgent, IdleHost};
+use san_ft::{MapperConfig, ProtocolConfig};
 use san_sim::{Duration, Time};
 use san_telemetry::json::Json;
 use san_telemetry::Telemetry;
@@ -124,37 +122,52 @@ fn free_pair(topo: &Topology) -> Option<(Endpoint, Endpoint)> {
     None
 }
 
-fn mapper_probes(cluster: &Cluster, node: usize) -> u64 {
-    let st = mapper_stats(cluster, node);
+fn mapper_probes(run: &StreamRun, node: NodeId) -> u64 {
+    let st = run.map_stats(node);
     st.host_probes.get() + st.switch_probes.get()
+}
+
+/// Plan both directions of the pair through the engine's drain-aware
+/// filter and offer the candidates as hints tagged with the current
+/// epoch. With `steer`, each end also loads its first candidate as the
+/// route.
+fn replan_pair(
+    run: &mut StreamRun,
+    planner: &mut GenericDiversePlanner,
+    src: NodeId,
+    dst: NodeId,
+    steer: bool,
+) {
+    for (s, d) in [(src, dst), (dst, src)] {
+        let cands: Vec<Route> = {
+            let engine = &run.cluster.engine;
+            let usable = engine.planner_filter();
+            planner.pair_routes(engine.topology(), s, d, HINT_K, &usable)
+        };
+        if let Some(first) = cands.first().filter(|_| steer) {
+            run.cluster.nics[s.idx()].core.routes.set(d, *first);
+        }
+        let epoch = run.cluster.engine.reconfig_epoch();
+        run.offer_hints(
+            s,
+            d,
+            RouteHints::from_strategy(cands, planner.id(), epoch, false),
+        );
+    }
 }
 
 /// Run the re-cable schedule under `policy`. `baseline_ms < 0` marks the
 /// calibration run (no reconfiguration events at all).
-#[allow(clippy::too_many_arguments)]
 fn run_policy(
     topo0: &Topology,
-    n: usize,
     src: NodeId,
     dst: NodeId,
-    updown: bool,
+    routes: Routes,
     policy: Policy,
     baseline_ms: f64,
-    calibrate: bool,
 ) -> RunResult {
+    let calibrate = baseline_ms < 0.0;
     let tel = Telemetry::new();
-    let ib = inbox();
-    let hosts: Vec<Box<dyn HostAgent>> = (0..n)
-        .map(|h| -> Box<dyn HostAgent> {
-            if h == src.idx() {
-                Box::new(StreamSender::new(dst, BYTES, MESSAGES))
-            } else if h == dst.idx() {
-                Box::new(Collector(ib.clone()))
-            } else {
-                Box::new(IdleHost)
-            }
-        })
-        .collect();
     // `static` has no mapper: recovery is the driver's full reinstall.
     // The mapped policies keep a tight permanent-failure verdict so the
     // unannounced removal actually forces an on-demand run (`ondemand`)
@@ -170,31 +183,16 @@ fn run_policy(
             ..ProtocolConfig::default().with_mapping()
         },
     };
-    let mcfg = MapperConfig::for_topology(topo0);
-    let mut cluster = Cluster::new(
-        topo0.clone(),
-        ClusterConfig {
-            telemetry: tel.clone(),
-            ..ClusterConfig::default()
-        },
-        move |_| Box::new(ReliableFirmware::new(proto.clone(), mcfg.clone(), n)),
-        hosts,
-    );
-    if updown {
-        cluster.install_updown_routes();
-    } else {
-        cluster.install_shortest_routes();
-    }
-    let installed = if updown {
-        UpDownMap::build(topo0, |_| true)
-            .expect("switched fabric")
-            .route(topo0, src, dst, |_| true)
-            .expect("pair routable")
-    } else {
-        topo0
-            .shortest_route(src, dst, |_| true)
-            .expect("pair routable")
+    let stream = Stream {
+        src,
+        dst,
+        count: MESSAGES,
+        bytes: BYTES,
     };
+    let mcfg = MapperConfig::for_topology(topo0);
+    let mut run = StreamRun::new(topo0.clone(), stream, proto, mcfg, &tel);
+    run.install(routes);
+    let installed = routes.route(topo0, src, dst);
     let victim = pick_victim(topo0, src, dst, &installed);
     let wire = *topo0.link(victim);
     let grow_extra = free_pair(topo0);
@@ -204,13 +202,11 @@ fn run_policy(
     if policy != Policy::Static {
         for (s, d) in [(src, dst), (dst, src)] {
             let cands = planner.pair_routes(topo0, s, d, HINT_K, &|_| true);
-            if let Some(fw) = cluster.nics[s.idx()]
-                .fw
-                .as_any_mut()
-                .downcast_mut::<ReliableFirmware>()
-            {
-                fw.offer_route_hints(d, RouteHints::from_strategy(cands, planner.id(), 0, false));
-            }
+            run.offer_hints(
+                s,
+                d,
+                RouteHints::from_strategy(cands, planner.id(), 0, false),
+            );
         }
     }
 
@@ -219,89 +215,48 @@ fn run_policy(
     let step = Duration::from_millis(STEP_MS);
     if !calibrate {
         if policy == Policy::Incremental {
-            cluster
-                .sim
-                .schedule(t0, FabricEvent::DrainLink { link: victim }.into());
+            run.schedule(t0, FabricEvent::DrainLink { link: victim });
         }
-        cluster
-            .sim
-            .schedule(t0 + step, FabricEvent::RemoveLink { link: victim }.into());
-        cluster.sim.schedule(
-            t0 + step + step,
-            FabricEvent::GrowLink {
-                a: wire.a,
-                b: wire.b,
-            }
-            .into(),
-        );
+        run.schedule(t0 + step, FabricEvent::RemoveLink { link: victim });
+        let (a, b) = (wire.a, wire.b);
+        run.schedule(t0 + step + step, FabricEvent::GrowLink { a, b });
         if let Some((a, b)) = grow_extra {
-            cluster.sim.schedule(
-                t0 + step + step + step,
-                FabricEvent::GrowLink { a, b }.into(),
-            );
+            run.schedule(t0 + step + step + step, FabricEvent::GrowLink { a, b });
         }
     }
 
     // Incremental control plane: a patched UP*/DOWN* map and a planner
     // cache migrated per fingerprint delta instead of rebuilt.
+    let n = topo0.num_hosts();
     let mut local_ud = UpDownMap::build(topo0, |_| true).expect("switched fabric");
     let mut cache = RouteCache::new(HINT_K);
     let replan_sample =
         validate::sample_hosts(&(0..n).map(|h| NodeId(h as u16)).collect::<Vec<_>>(), 12);
     cache.plan(topo0, &replan_sample, &[]);
 
-    let full_probes_per_sweep: u64 = (0..topo0.num_switches())
-        .map(|i| 2 * topo0.switch_ports(san_fabric::SwitchId(i as u16)) as u64)
-        .sum();
+    let full_probes_per_sweep = full_sweep_probes(topo0);
 
     let mut out = RunResult::default();
     let mut seen_epochs = 0usize;
     let mut resteered = calibrate || policy != Policy::Incremental;
-    let deadline = Time::from_millis(400);
     let slice = Duration::from_micros(500);
-    let mut t = Time::ZERO + slice;
-    let finish = loop {
-        let now = cluster.run_until(t);
-
+    let finish = run.run(slice, Time::from_millis(400), |run, now| {
         // Drain announce: steer affected pairs off the draining link via
         // the drain-aware planner filter; in-flight traffic completes.
         if !resteered && now >= t0 {
             resteered = true;
             let c0 = Instant::now();
-            for (s, d) in [(src, dst), (dst, src)] {
-                let cands: Vec<Route> = {
-                    let usable = cluster.engine.planner_filter();
-                    planner.pair_routes(cluster.engine.topology(), s, d, HINT_K, &usable)
-                };
-                if let Some(first) = cands.first() {
-                    cluster.nics[s.idx()].core.routes.set(d, *first);
-                }
-                let epoch = cluster.engine.reconfig_epoch();
-                if let Some(fw) = cluster.nics[s.idx()]
-                    .fw
-                    .as_any_mut()
-                    .downcast_mut::<ReliableFirmware>()
-                {
-                    fw.offer_route_hints(
-                        d,
-                        RouteHints::from_strategy(cands, planner.id(), epoch, false),
-                    );
-                }
-            }
+            replan_pair(run, &mut planner, src, dst, true);
             out.ctrl_us += c0.elapsed().as_micros() as u64;
         }
 
         // Epoch advanced: run the policy's control plane.
-        let log_len = cluster.engine.reconfig_log().len();
+        let log_len = run.cluster.engine.reconfig_log().len();
         if log_len > seen_epochs {
             match policy {
                 Policy::Static => {
                     let c0 = Instant::now();
-                    if updown {
-                        cluster.install_updown_routes();
-                    } else {
-                        cluster.install_shortest_routes();
-                    }
+                    run.install(routes);
                     out.ctrl_us += c0.elapsed().as_micros() as u64;
                     out.probes += full_probes_per_sweep;
                     out.model_overhead_ms += topo0.num_switches() as f64 * 2.0 * 0.4;
@@ -310,9 +265,10 @@ fn run_policy(
                 Policy::Incremental => {
                     let c0 = Instant::now();
                     for e in seen_epochs..log_len {
-                        let delta = cluster.engine.reconfig_log()[e].clone();
-                        let topo = cluster.engine.topology().clone();
-                        let alive = cluster.engine.alive_filter();
+                        let engine = &run.cluster.engine;
+                        let delta = engine.reconfig_log()[e].clone();
+                        let topo = engine.topology().clone();
+                        let alive = engine.alive_filter();
                         let ps = local_ud.patch(&topo, &alive, &delta.changed_switches);
                         out.patch_touched += ps.touched;
                         let rs = cache.replan_after(&topo, &delta, &replan_sample, &[]);
@@ -320,43 +276,23 @@ fn run_policy(
                         out.replan_replanned += rs.replanned_pairs;
                     }
                     // Fresh failover hints through the current filter.
-                    for (s, d) in [(src, dst), (dst, src)] {
-                        let cands: Vec<Route> = {
-                            let usable = cluster.engine.planner_filter();
-                            planner.pair_routes(cluster.engine.topology(), s, d, HINT_K, &usable)
-                        };
-                        let epoch = cluster.engine.reconfig_epoch();
-                        if let Some(fw) = cluster.nics[s.idx()]
-                            .fw
-                            .as_any_mut()
-                            .downcast_mut::<ReliableFirmware>()
-                        {
-                            fw.offer_route_hints(
-                                d,
-                                RouteHints::from_strategy(cands, planner.id(), epoch, false),
-                            );
-                        }
-                    }
+                    replan_pair(run, &mut planner, src, dst, false);
                     out.ctrl_us += c0.elapsed().as_micros() as u64;
                 }
             }
             seen_epochs = log_len;
         }
+        run.delivered() >= MESSAGES as usize
+    });
 
-        if ib.borrow().len() >= MESSAGES as usize || t >= deadline {
-            break now;
-        }
-        t += slice;
-    };
-
-    out.epochs = cluster.engine.reconfig_epoch();
-    out.delivered = ib.borrow().len();
+    out.epochs = run.cluster.engine.reconfig_epoch();
+    out.delivered = run.delivered();
     out.finish_ms = finish.as_millis_f64();
     out.inflight_lost = tel.counter("reconfig.inflight_lost").get();
     if policy != Policy::Static {
-        out.probes = mapper_probes(&cluster, src.idx()) + mapper_probes(&cluster, dst.idx());
+        out.probes = mapper_probes(&run, src) + mapper_probes(&run, dst);
     }
-    if baseline_ms >= 0.0 {
+    if !calibrate {
         out.sim_delay_ms = (out.finish_ms - baseline_ms).max(0.0);
         out.time_to_stable_ms = out.sim_delay_ms + out.model_overhead_ms;
     }
@@ -372,12 +308,8 @@ fn run_fabric(spec: TopoSpec, smoke: bool) -> FabricReport {
     let fab = spec.build();
     let survey = validate::check(&fab).expect("atlas fabric must validate");
     let topo = fab.topo.clone();
-    let n = fab.hosts.len();
     let (src, dst) = (fab.hosts[0], *fab.hosts.last().unwrap());
-    let updown = matches!(
-        spec,
-        TopoSpec::Torus2D { .. } | TopoSpec::Torus3D { .. } | TopoSpec::Regular { .. }
-    );
+    let routes = Routes::for_spec(&spec);
     println!(
         "== {} — {} hosts, {} switches, {} links; re-cable one installed-route link{}",
         spec.format(),
@@ -392,7 +324,7 @@ fn run_fabric(spec: TopoSpec, smoke: bool) -> FabricReport {
     );
 
     // Undisturbed calibration run: the stream's natural completion time.
-    let base = run_policy(&topo, n, src, dst, updown, Policy::OnDemand, -1.0, true);
+    let base = run_policy(&topo, src, dst, routes, Policy::OnDemand, -1.0);
     println!(
         "  baseline (no reconfiguration): {}/{} in {:.3} ms",
         base.delivered, MESSAGES, base.finish_ms
@@ -413,7 +345,7 @@ fn run_fabric(spec: TopoSpec, smoke: bool) -> FabricReport {
     );
     let mut results = Vec::new();
     for policy in [Policy::Static, Policy::OnDemand, Policy::Incremental] {
-        let r = run_policy(&topo, n, src, dst, updown, policy, base.finish_ms, false);
+        let r = run_policy(&topo, src, dst, routes, policy, base.finish_ms);
         println!(
             "  {:<12} {:>7} {:>8} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>9} {:>6}/{:<4} {:>8}",
             policy.name(),
@@ -482,7 +414,7 @@ fn run_fabric(spec: TopoSpec, smoke: bool) -> FabricReport {
             "smoke: the unannounced detach must force an on-demand run"
         );
         assert!(
-            st.probes > full_probes_sanity(&topo),
+            st.probes > full_sweep_probes(&topo),
             "smoke: the scout model must charge a full sweep per epoch"
         );
         assert!(
@@ -506,8 +438,8 @@ fn run_fabric(spec: TopoSpec, smoke: bool) -> FabricReport {
     }
 }
 
-/// One full sweep of the scout model — the floor `static` must exceed.
-fn full_probes_sanity(topo: &Topology) -> u64 {
+/// One full sweep of the scout model: 2 probes per switch port.
+fn full_sweep_probes(topo: &Topology) -> u64 {
     (0..topo.num_switches())
         .map(|i| 2 * topo.switch_ports(san_fabric::SwitchId(i as u16)) as u64)
         .sum()

@@ -34,14 +34,10 @@
 
 use std::time::Instant;
 
-use san_bench::{mapper_stats, tsv};
+use san_bench::{cold_start, remap_under_stream, tsv, ColdStart, Routes, Stream};
 use san_fabric::engine::FabricEvent;
 use san_fabric::updown::UpDownMap;
 use san_fabric::{Endpoint, LinkId, NodeId, Route, RouteHints, SwitchId, Topology};
-use san_ft::{MapperConfig, ProtocolConfig, ReliableFirmware};
-use san_nic::testkit::{inbox, Collector, StreamSender};
-use san_nic::{Cluster, ClusterConfig, HostAgent, IdleHost};
-use san_sim::{Duration, Time};
 use san_telemetry::Telemetry;
 use san_topo::{validate, GenericDiversePlanner, RouteCache, RoutePlanner, TopoSpec};
 
@@ -54,6 +50,21 @@ struct Scenario {
     name: &'static str,
     dead_links: Vec<LinkId>,
     dead_switches: Vec<SwitchId>,
+}
+
+impl Scenario {
+    /// The failure as fabric events: every link, then every switch.
+    fn faults(&self) -> Vec<FabricEvent> {
+        let links = self
+            .dead_links
+            .iter()
+            .map(|&link| FabricEvent::LinkDown { link });
+        let switches = self
+            .dead_switches
+            .iter()
+            .map(|&switch| FabricEvent::SwitchDown { switch });
+        links.chain(switches).collect()
+    }
 }
 
 fn alive_with<'a>(
@@ -176,150 +187,11 @@ fn severities(
     out
 }
 
-/// Run the failure scenario in-simulation with on-demand + hints.
-/// Returns (delivered, src MapStats, dst MapStats, finish virtual ms).
-#[allow(clippy::too_many_arguments)]
-fn run_ondemand(
-    topo: &Topology,
-    n: usize,
-    src: NodeId,
-    dst: NodeId,
-    scen: &Scenario,
-    updown: bool,
-    hints: &[(NodeId, NodeId, RouteHints)],
-    tel: &Telemetry,
-) -> (usize, san_ft::MapStats, san_ft::MapStats, f64) {
-    let ib = inbox();
-    let hosts: Vec<Box<dyn HostAgent>> = (0..n)
-        .map(|h| -> Box<dyn HostAgent> {
-            if h == src.idx() {
-                Box::new(StreamSender::new(dst, BYTES, MESSAGES))
-            } else if h == dst.idx() {
-                Box::new(Collector(ib.clone()))
-            } else {
-                Box::new(IdleHost)
-            }
-        })
-        .collect();
-    let proto = ProtocolConfig {
-        perm_fail_threshold: Duration::from_millis(10),
-        ..ProtocolConfig::default().with_mapping()
-    };
-    let mcfg = MapperConfig::for_topology(topo);
-    let mut cluster = Cluster::new(
-        topo.clone(),
-        ClusterConfig {
-            telemetry: tel.clone(),
-            ..ClusterConfig::default()
-        },
-        move |_| Box::new(ReliableFirmware::new(proto.clone(), mcfg.clone(), n)),
-        hosts,
-    );
-    if updown {
-        cluster.install_updown_routes();
-    } else {
-        cluster.install_shortest_routes();
-    }
-    for (s, d, h) in hints {
-        if let Some(fw) = cluster.nics[s.idx()]
-            .fw
-            .as_any_mut()
-            .downcast_mut::<ReliableFirmware>()
-        {
-            fw.offer_route_hints(*d, h.clone());
-        }
-    }
-    let kill_at = Time::from_millis(2);
-    for &l in &scen.dead_links {
-        cluster
-            .sim
-            .schedule(kill_at, FabricEvent::LinkDown { link: l }.into());
-    }
-    for &s in &scen.dead_switches {
-        cluster
-            .sim
-            .schedule(kill_at, FabricEvent::SwitchDown { switch: s }.into());
-    }
-    let deadline = Time::from_millis(400);
-    let mut t = Time::from_millis(5);
-    let finished = loop {
-        let now = cluster.run_until(t);
-        if ib.borrow().len() >= MESSAGES as usize || t >= deadline {
-            break now;
-        }
-        t += Duration::from_millis(5);
-    };
-    let delivered = ib.borrow().len();
-    (
-        delivered,
-        mapper_stats(&cluster, src.idx()).clone(),
-        mapper_stats(&cluster, dst.idx()).clone(),
-        finished.as_millis_f64(),
-    )
-}
-
-/// Cold-start exploration: no routes installed, no hints — the regime of
-/// Table 3's chain, at fabric scale. Returns (resolved, unreachable,
-/// probes) of the first completed run.
-fn run_coldstart(
-    topo: &Topology,
-    n: usize,
-    src: NodeId,
-    dst: NodeId,
-    deep: bool,
-) -> (u64, u64, u64) {
-    let ib = inbox();
-    let hosts: Vec<Box<dyn HostAgent>> = (0..n)
-        .map(|h| -> Box<dyn HostAgent> {
-            if h == src.idx() {
-                Box::new(StreamSender::new(dst, 64, 1))
-            } else if h == dst.idx() {
-                Box::new(Collector(ib.clone()))
-            } else {
-                Box::new(IdleHost)
-            }
-        })
-        .collect();
-    let proto = ProtocolConfig::default().with_mapping();
-    // Two-hop signatures (fat trees only): host-less aggregation switches
-    // are identified by the pods below them instead of falsely merging
-    // through shared cores — the fix that lets fat-tree cold starts
-    // converge past the old core-aliasing boundary.
-    let mut mcfg = MapperConfig::for_topology(topo);
-    mcfg.deep_signatures = deep;
-    let mut cluster = Cluster::new(
-        topo.clone(),
-        ClusterConfig::default(),
-        move |_| Box::new(ReliableFirmware::new(proto.clone(), mcfg.clone(), n)),
-        hosts,
-    );
-    // No routes: the very first send must map. Deep-signature exploration
-    // is paced by patience deadlines that outlast the ~62 ms path-reset
-    // timer (self-deadlocked probe worms only clear then), so a 128-host
-    // fat-tree cold start legitimately takes several virtual seconds.
-    let deadline = if deep {
-        Time::from_secs(30)
-    } else {
-        Time::from_secs(2)
-    };
-    let mut t = Time::from_millis(5);
-    loop {
-        cluster.run_until(t);
-        let st = mapper_stats(&cluster, src.idx());
-        if st.resolved.get() + st.unreachable.get() >= 1 || t >= deadline {
-            let probes = st.host_probes.get() + st.switch_probes.get();
-            return (st.resolved.get(), st.unreachable.get(), probes);
-        }
-        t += Duration::from_millis(5);
-    }
-}
-
 fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
     let fab = spec.build();
     let survey = validate::check(&fab).expect("atlas fabric must validate");
     let class = fab.class().name();
     let topo = fab.topo.clone();
-    let n = fab.hosts.len();
     // Per-class inventory gauges: dashboards and the telemetry export key
     // fabric scale by family.
     for (leaf, v) in [
@@ -342,21 +214,8 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
     );
 
     let (src, dst) = (fab.hosts[0], *fab.hosts.last().unwrap());
-    // Tori need a deadlock-free installed table; minimal routes there form
-    // channel cycles and wormhole data traffic would deadlock unfaulted.
-    let updown = matches!(
-        spec,
-        TopoSpec::Torus2D { .. } | TopoSpec::Torus3D { .. } | TopoSpec::Regular { .. }
-    );
-    let installed = if updown {
-        UpDownMap::build(&topo, |_| true)
-            .expect("switched fabric")
-            .route(&topo, src, dst, |_| true)
-            .expect("pair routable")
-    } else {
-        topo.shortest_route(src, dst, |_| true)
-            .expect("pair routable")
-    };
+    let routes = Routes::for_spec(&spec);
+    let installed = routes.route(&topo, src, dst);
     let mut planner = GenericDiversePlanner::new();
     let cands = planner.pair_routes(&topo, src, dst, HINT_K, &|_| true);
     let back = planner.pair_routes(&topo, dst, src, HINT_K, &|_| true);
@@ -375,7 +234,11 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
     // host-less aggregation layer used to alias (the old documented
     // boundary); the probe count is what hints then save.
     let deep = matches!(spec, TopoSpec::FatTree { .. });
-    let (res, unr, probes) = run_coldstart(&topo, n, src, dst, deep);
+    let ColdStart {
+        resolved: res,
+        unreachable: unr,
+        probes,
+    } = cold_start(&topo, src, dst, deep);
     let verdict = if res > 0 { "resolved" } else { "failed" };
     println!(
         "  cold-start exploration ({} -> {}): {verdict} after {probes} probes \
@@ -457,8 +320,14 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
         );
 
         // -- on-demand side (simulated) ----------------------------------
-        let (delivered, st_src, st_dst, _fin_ms) =
-            run_ondemand(&topo, n, src, dst, &scen, updown, &hints, tel);
+        let stream = Stream {
+            src,
+            dst,
+            count: MESSAGES,
+            bytes: BYTES,
+        };
+        let remap = remap_under_stream(&topo, stream, routes, &hints, &scen.faults(), tel);
+        let delivered = remap.delivered;
         let degraded_best = topo
             .shortest_route(src, dst, alive)
             .map(|r| r.len())
@@ -476,14 +345,14 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
             (Some(h), b) if b > 0 => h as f64 / b as f64,
             _ => 0.0,
         };
-        let remap_ms = st_src.last_time_ms.max(st_dst.last_time_ms);
+        let remap_ms = remap.remap_ms();
         println!(
             "  {:<20} {:>3}/{:<3} {:>9} {:>9} {:>9.3} {:>8.2} {:>9} {:>11} {:>5}/{:<5}",
             scen.name,
             delivered,
             MESSAGES,
-            st_src.host_probes.get() + st_dst.host_probes.get(),
-            st_src.switch_probes.get() + st_dst.switch_probes.get(),
+            remap.host_probes(),
+            remap.switch_probes(),
             remap_ms,
             stretch,
             full_probes,
@@ -496,8 +365,8 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
             spec.format(),
             scen.name.into(),
             delivered.to_string(),
-            (st_src.host_probes.get() + st_dst.host_probes.get()).to_string(),
-            (st_src.switch_probes.get() + st_dst.switch_probes.get()).to_string(),
+            remap.host_probes().to_string(),
+            remap.switch_probes().to_string(),
             format!("{remap_ms:.3}"),
             format!("{stretch:.2}"),
             full_probes.to_string(),
@@ -518,14 +387,14 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
             scen.name
         );
         assert!(
-            st_src.runs.get() + st_dst.runs.get() >= 1,
+            remap.src.runs.get() + remap.dst.runs.get() >= 1,
             "{} {}: the failure must force at least one mapping run",
             spec.format(),
             scen.name
         );
         if smoke {
             assert!(
-                st_src.hint_resolved.get() + st_dst.hint_resolved.get() >= 1,
+                remap.src.hint_resolved.get() + remap.dst.hint_resolved.get() >= 1,
                 "{} {}: smoke gate expects the planner-hint fast path",
                 spec.format(),
                 scen.name

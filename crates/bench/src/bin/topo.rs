@@ -21,15 +21,13 @@
 //! planner step floor, diversity parity, fat-tree deep-signature
 //! cold-start regression, stream completion) and writes no JSON.
 
-use san_bench::{json_arg, mapper_stats, tsv, write_bench};
+use san_bench::{
+    cold_start, json_arg, remap_under_stream, tsv, write_bench, Remap, Routes, Stream,
+};
 use san_fabric::engine::FabricEvent;
-use san_fabric::updown::UpDownMap;
 use san_fabric::{LinkId, NodeId, Route, RouteHints, Topology};
-use san_ft::{MapperConfig, ProtocolConfig, ReliableFirmware};
-use san_nic::testkit::{inbox, Collector, StreamSender};
-use san_nic::{Cluster, ClusterConfig, HostAgent, IdleHost};
-use san_sim::{Duration, Time};
 use san_telemetry::json::Json;
+use san_telemetry::Telemetry;
 use san_topo::{planner_for, validate, GenericDiversePlanner, RoutePlanner, TopoSpec};
 use san_workload::{run as run_workload, ArrivalSpec, DestSpec, RunConfig, SizeSpec, WorkloadSpec};
 
@@ -66,14 +64,6 @@ struct FaultSurvival {
     generic_alive_cands: usize,
 }
 
-/// The simulated one-link remap leg.
-struct RemapRun {
-    delivered: usize,
-    host_probes: u64,
-    switch_probes: u64,
-    remap_ms: f64,
-}
-
 /// The san-workload throughput leg.
 struct WorkloadLeg {
     offered: u64,
@@ -93,7 +83,7 @@ struct FabricReport {
     diameter: usize,
     planner: PlannerCmp,
     faults: FaultSurvival,
-    remap: RemapRun,
+    remap: Remap,
     workload: WorkloadLeg,
 }
 
@@ -180,24 +170,9 @@ fn fault_survival(topo: &Topology, cmp: &PlannerCmp) -> FaultSurvival {
 /// Kill one switch-switch link of the installed route under a reliable
 /// stream, with family-planner hints (provenance-tagged) pre-offered at
 /// both endpoints. The pair stays connected by construction.
-fn remap_under_stream(
-    spec: &TopoSpec,
-    topo: &Topology,
-    n: usize,
-    src: NodeId,
-    dst: NodeId,
-) -> RemapRun {
-    // Cyclic fabrics need a deadlock-free installed table.
-    let updown = !matches!(spec, TopoSpec::FatTree { .. });
-    let installed = if updown {
-        UpDownMap::build(topo, |_| true)
-            .expect("switched fabric")
-            .route(topo, src, dst, |_| true)
-            .expect("pair routable")
-    } else {
-        topo.shortest_route(src, dst, |_| true)
-            .expect("pair routable")
-    };
+fn remap_one_link(spec: &TopoSpec, topo: &Topology, src: NodeId, dst: NodeId) -> Remap {
+    let routes = Routes::for_spec(spec);
+    let installed = routes.route(topo, src, dst);
     // First on-route fabric link whose death keeps the pair connected.
     let victim = validate::route_links(topo, src, &installed)
         .expect("installed route traces")
@@ -208,70 +183,26 @@ fn remap_under_stream(
         })
         .find(|&l| topo.shortest_route(src, dst, |x| x != l).is_some())
         .expect("a survivable on-route link");
-
-    let ib = inbox();
-    let agents: Vec<Box<dyn HostAgent>> = (0..n)
-        .map(|h| -> Box<dyn HostAgent> {
-            if h == src.idx() {
-                Box::new(StreamSender::new(dst, BYTES, MESSAGES))
-            } else if h == dst.idx() {
-                Box::new(Collector(ib.clone()))
-            } else {
-                Box::new(IdleHost)
-            }
+    let mut planner = planner_for(spec);
+    let hints: Vec<(NodeId, NodeId, RouteHints)> = [(src, dst), (dst, src)]
+        .into_iter()
+        .map(|(s, d)| {
+            let routes = planner.pair_routes(topo, s, d, HINT_K, &|_| true);
+            (
+                s,
+                d,
+                RouteHints::from_strategy(routes, planner.id(), 0, false),
+            )
         })
         .collect();
-    let proto = ProtocolConfig {
-        perm_fail_threshold: Duration::from_millis(10),
-        ..ProtocolConfig::default().with_mapping()
+    let stream = Stream {
+        src,
+        dst,
+        count: MESSAGES,
+        bytes: BYTES,
     };
-    let mcfg = MapperConfig::for_topology(topo);
-    let mut cluster = Cluster::new(
-        topo.clone(),
-        ClusterConfig::default(),
-        move |_| Box::new(ReliableFirmware::new(proto.clone(), mcfg.clone(), n)),
-        agents,
-    );
-    if updown {
-        cluster.install_updown_routes();
-    } else {
-        cluster.install_shortest_routes();
-    }
-    let mut planner = planner_for(spec);
-    for (s, d) in [(src, dst), (dst, src)] {
-        let routes = planner.pair_routes(topo, s, d, HINT_K, &|_| true);
-        if let Some(fw) = cluster.nics[s.idx()]
-            .fw
-            .as_any_mut()
-            .downcast_mut::<ReliableFirmware>()
-        {
-            fw.offer_route_hints(d, RouteHints::from_strategy(routes, planner.id(), 0, false));
-        }
-    }
-    cluster.sim.schedule(
-        Time::from_millis(2),
-        FabricEvent::LinkDown { link: victim }.into(),
-    );
-    let deadline = Time::from_millis(400);
-    let mut t = Time::from_millis(5);
-    loop {
-        cluster.run_until(t);
-        if ib.borrow().len() >= MESSAGES as usize || t >= deadline {
-            break;
-        }
-        t += Duration::from_millis(5);
-    }
-    let (ss, sd) = (
-        mapper_stats(&cluster, src.idx()),
-        mapper_stats(&cluster, dst.idx()),
-    );
-    let delivered = ib.borrow().len();
-    RemapRun {
-        delivered,
-        host_probes: ss.host_probes.get() + sd.host_probes.get(),
-        switch_probes: ss.switch_probes.get() + sd.switch_probes.get(),
-        remap_ms: ss.last_time_ms.max(sd.last_time_ms),
-    }
+    let faults = [FabricEvent::LinkDown { link: victim }];
+    remap_under_stream(topo, stream, routes, &hints, &faults, &Telemetry::new())
 }
 
 /// Offer the standard study workload over the fabric.
@@ -304,49 +235,13 @@ fn workload_leg(spec: &TopoSpec, smoke: bool) -> WorkloadLeg {
 
 /// Cold-start regression (smoke only): a fat-tree cold start with deep
 /// signatures must resolve past the old core-aliasing boundary.
-fn coldstart_gate(topo: &Topology, n: usize) {
-    let ib = inbox();
-    let (src, dst) = (NodeId(0), NodeId(n as u16 - 1));
-    let agents: Vec<Box<dyn HostAgent>> = (0..n)
-        .map(|h| -> Box<dyn HostAgent> {
-            if h == src.idx() {
-                Box::new(StreamSender::new(dst, 64, 1))
-            } else if h == dst.idx() {
-                Box::new(Collector(ib.clone()))
-            } else {
-                Box::new(IdleHost)
-            }
-        })
-        .collect();
-    let proto = ProtocolConfig::default().with_mapping();
-    let mut mcfg = MapperConfig::for_topology(topo);
-    mcfg.deep_signatures = true;
-    let mut cluster = Cluster::new(
-        topo.clone(),
-        ClusterConfig::default(),
-        move |_| Box::new(ReliableFirmware::new(proto.clone(), mcfg.clone(), n)),
-        agents,
+fn coldstart_gate(topo: &Topology, src: NodeId, dst: NodeId) {
+    let cold = cold_start(topo, src, dst, true);
+    assert_eq!(
+        cold.resolved, 1,
+        "fat-tree cold start must resolve with deep signatures"
     );
-    // Patience-paced exploration: several virtual seconds are legitimate.
-    let deadline = Time::from_secs(30);
-    let mut t = Time::from_millis(5);
-    loop {
-        cluster.run_until(t);
-        let st = mapper_stats(&cluster, src.idx());
-        if st.resolved.get() + st.unreachable.get() >= 1 || t >= deadline {
-            assert_eq!(
-                st.resolved.get(),
-                1,
-                "fat-tree cold start must resolve with deep signatures"
-            );
-            println!(
-                "  cold-start gate: resolved after {} probes",
-                st.host_probes.get() + st.switch_probes.get()
-            );
-            return;
-        }
-        t += Duration::from_millis(5);
-    }
+    println!("  cold-start gate: resolved after {} probes", cold.probes);
 }
 
 /// Strategy-selection pin (smoke only): the family planner for a fat-tree
@@ -364,7 +259,6 @@ fn run_fabric(spec: &TopoSpec, smoke: bool) -> FabricReport {
     let fab = spec.build();
     let survey = validate::check(&fab).expect("atlas fabric must validate");
     let topo = fab.topo.clone();
-    let n = fab.hosts.len();
     println!(
         "== {} — {} hosts, {} switches, {} links, diameter {} hops",
         spec.format(),
@@ -421,10 +315,15 @@ fn run_fabric(spec: &TopoSpec, smoke: bool) -> FabricReport {
         faults.generic_alive_cands
     );
 
-    let remap = remap_under_stream(spec, &topo, n, fab.hosts[0], *fab.hosts.last().unwrap());
+    let (src, dst) = (fab.hosts[0], *fab.hosts.last().unwrap());
+    let remap = remap_one_link(spec, &topo, src, dst);
     println!(
         "  remap under stream: {}/{} delivered, {} host + {} switch probes, remap {:.3} ms",
-        remap.delivered, MESSAGES, remap.host_probes, remap.switch_probes, remap.remap_ms
+        remap.delivered,
+        MESSAGES,
+        remap.host_probes(),
+        remap.switch_probes(),
+        remap.remap_ms()
     );
     assert!(
         remap.delivered >= MESSAGES as usize,
@@ -446,7 +345,7 @@ fn run_fabric(spec: &TopoSpec, smoke: bool) -> FabricReport {
 
     if smoke && matches!(spec, TopoSpec::FatTree { .. }) {
         strategy_gate(spec);
-        coldstart_gate(&topo, n);
+        coldstart_gate(&topo, src, dst);
     }
 
     tsv(&[
@@ -460,8 +359,8 @@ fn run_fabric(spec: &TopoSpec, smoke: bool) -> FabricReport {
         faults.native_pairs_alive.to_string(),
         faults.pairs.to_string(),
         remap.delivered.to_string(),
-        (remap.host_probes + remap.switch_probes).to_string(),
-        format!("{:.3}", remap.remap_ms),
+        (remap.host_probes() + remap.switch_probes()).to_string(),
+        format!("{:.3}", remap.remap_ms()),
         format!("{:.1}", workload.mb_per_s),
         format!("{:.4}", workload.ratio),
     ]);
@@ -526,9 +425,9 @@ fn bench_body(mode: &str, reports: &[FabricReport]) -> Vec<(&'static str, Json)>
                     Json::obj(vec![
                         ("messages", MESSAGES.into()),
                         ("delivered", count(m.delivered)),
-                        ("host_probes", m.host_probes.into()),
-                        ("switch_probes", m.switch_probes.into()),
-                        ("remap_ms", m.remap_ms.into()),
+                        ("host_probes", m.host_probes().into()),
+                        ("switch_probes", m.switch_probes().into()),
+                        ("remap_ms", m.remap_ms().into()),
                     ]),
                 ),
                 (

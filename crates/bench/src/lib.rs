@@ -35,15 +35,25 @@
 //! The studies that keep a `BENCH_*.json` artifact (`engine`, `tenants`,
 //! `topo`, `reconfig`) write it through [`write_bench`], which puts the
 //! same provenance header on every file; `--json <path>` redirects it.
+//!
+//! The mapping studies (`table3`, `ablate`, `scale_map`, `topo`,
+//! `reconfig`) build the paper's mapped-stream scenario through
+//! [`StreamRun`]; [`cold_start`] and [`remap_under_stream`] are the two
+//! runs that `scale_map` and `topo` share.
 
 use std::path::{Path, PathBuf};
 
-use san_ft::{MapStats, ReliableFirmware};
+use san_fabric::engine::FabricEvent;
+use san_fabric::updown::UpDownMap;
+use san_fabric::{NodeId, Route, RouteHints, Topology};
+use san_ft::{MapStats, MapperConfig, ProtocolConfig, ReliableFirmware};
 use san_microbench::{unidirectional_bandwidth, BwPoint, FwKind};
-use san_nic::{Cluster, ClusterConfig};
+use san_nic::testkit::{inbox, Collector, Inbox, StreamSender};
+use san_nic::{Cluster, ClusterConfig, HostAgent, IdleHost};
 use san_sim::{Duration, Time};
 use san_telemetry::json::Json;
 use san_telemetry::Telemetry;
+use san_topo::TopoSpec;
 
 /// Parse the common CLI flags.
 pub fn parse_mode() -> RunMode {
@@ -152,15 +162,275 @@ pub fn emit_telemetry(dir: &Path, name: &str, tel: &Telemetry) {
     }
 }
 
-/// The on-demand mapper's statistics at `node`, whose firmware must be a
-/// [`ReliableFirmware`].
-pub fn mapper_stats(cluster: &Cluster, node: usize) -> &MapStats {
-    cluster.nics[node]
-        .fw
-        .as_any()
-        .downcast_ref::<ReliableFirmware>()
-        .expect("reliable firmware")
-        .mapper_stats()
+/// One reliable stream: `count` messages of `bytes` each from `src` to
+/// `dst`.
+#[derive(Debug, Clone, Copy)]
+pub struct Stream {
+    /// Sending host.
+    pub src: NodeId,
+    /// Receiving host.
+    pub dst: NodeId,
+    /// Messages posted, all at once.
+    pub count: u64,
+    /// Bytes per message.
+    pub bytes: u32,
+}
+
+/// A route table a [`StreamRun`] can install before it starts. Without
+/// one, the first send to every peer must map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Routes {
+    /// Shortest routes between every host pair.
+    Shortest,
+    /// UP*/DOWN* routes between every host pair.
+    UpDown,
+}
+
+impl Routes {
+    /// The table a mapped `spec` fabric installs: UP*/DOWN* on the tori and
+    /// random regular fabrics, whose minimal routes form channel cycles that
+    /// wormhole traffic deadlocks on, shortest routes otherwise.
+    pub fn for_spec(spec: &TopoSpec) -> Routes {
+        match spec {
+            TopoSpec::Torus2D { .. } | TopoSpec::Torus3D { .. } | TopoSpec::Regular { .. } => {
+                Routes::UpDown
+            }
+            _ => Routes::Shortest,
+        }
+    }
+
+    /// The route this table holds from `src` to `dst` on the healthy
+    /// `topo`.
+    pub fn route(self, topo: &Topology, src: NodeId, dst: NodeId) -> Route {
+        let route = match self {
+            Routes::Shortest => topo.shortest_route(src, dst, |_| true),
+            Routes::UpDown => UpDownMap::build(topo, |_| true)
+                .expect("switched fabric")
+                .route(topo, src, dst, |_| true),
+        };
+        route.expect("pair routable")
+    }
+}
+
+/// The paper's mapping scenario (§4.2, Table 3): one reliable [`Stream`]
+/// over a cluster whose every NIC runs [`ReliableFirmware`]. Callers
+/// install routes, offer planner hints and schedule fabric events, in the
+/// order they want them, then [`StreamRun::run`] it. Events that tie on
+/// time pop in the order they were scheduled.
+pub struct StreamRun {
+    /// The simulated cluster.
+    pub cluster: Cluster,
+    inbox: Inbox,
+}
+
+impl StreamRun {
+    /// Build `topo` with the stream's sender at `src`, a collector at `dst`
+    /// and idle hosts everywhere else. Every NIC runs
+    /// `ReliableFirmware::new(proto, mapper, n)` under `tel`. No route is
+    /// installed yet.
+    pub fn new(
+        topo: Topology,
+        stream: Stream,
+        proto: ProtocolConfig,
+        mapper: MapperConfig,
+        tel: &Telemetry,
+    ) -> Self {
+        let n = topo.num_hosts();
+        let inbox = inbox();
+        let hosts: Vec<Box<dyn HostAgent>> = (0..n)
+            .map(|h| -> Box<dyn HostAgent> {
+                if h == stream.src.idx() {
+                    Box::new(StreamSender::new(stream.dst, stream.bytes, stream.count))
+                } else if h == stream.dst.idx() {
+                    Box::new(Collector(inbox.clone()))
+                } else {
+                    Box::new(IdleHost)
+                }
+            })
+            .collect();
+        let cfg = ClusterConfig {
+            telemetry: tel.clone(),
+            ..ClusterConfig::default()
+        };
+        let cluster = Cluster::new(
+            topo,
+            cfg,
+            move |_| Box::new(ReliableFirmware::new(proto.clone(), mapper.clone(), n)),
+            hosts,
+        );
+        Self { cluster, inbox }
+    }
+
+    /// Install `routes` between every host pair.
+    pub fn install(&mut self, routes: Routes) {
+        match routes {
+            Routes::Shortest => self.cluster.install_shortest_routes(),
+            Routes::UpDown => self.cluster.install_updown_routes(),
+        }
+    }
+
+    /// Offer planner `hints` for `dst` to the mapper at `at`.
+    pub fn offer_hints(&mut self, at: NodeId, dst: NodeId, hints: RouteHints) {
+        self.cluster.nics[at.idx()]
+            .fw
+            .as_any_mut()
+            .downcast_mut::<ReliableFirmware>()
+            .expect("reliable firmware")
+            .offer_route_hints(dst, hints);
+    }
+
+    /// Schedule a fabric event at `at`.
+    pub fn schedule(&mut self, at: Time, ev: FabricEvent) {
+        self.cluster.sim.schedule(at, ev.into());
+    }
+
+    /// Run in `slice` steps until `stop` holds after a step, or a step
+    /// ends at or past `deadline`. `stop` sees the run and the time of the
+    /// last event processed, which is also what this returns.
+    pub fn run(
+        &mut self,
+        slice: Duration,
+        deadline: Time,
+        mut stop: impl FnMut(&mut StreamRun, Time) -> bool,
+    ) -> Time {
+        let mut t = Time::ZERO + slice;
+        loop {
+            let now = self.cluster.run_until(t);
+            if stop(self, now) || t >= deadline {
+                return now;
+            }
+            t += slice;
+        }
+    }
+
+    /// Messages deposited at the destination so far, duplicates included.
+    pub fn delivered(&self) -> usize {
+        self.inbox.borrow().len()
+    }
+
+    /// When the last deposited message reached its host, if any did.
+    pub fn last_arrival(&self) -> Option<Time> {
+        self.inbox.borrow().iter().map(|p| p.stamps.host_seen).max()
+    }
+
+    /// The on-demand mapper's statistics at `node`.
+    pub fn map_stats(&self, node: NodeId) -> &MapStats {
+        self.cluster.nics[node.idx()]
+            .fw
+            .as_any()
+            .downcast_ref::<ReliableFirmware>()
+            .expect("reliable firmware")
+            .mapper_stats()
+    }
+}
+
+/// What a [`cold_start`] found.
+#[derive(Debug, Clone, Copy)]
+pub struct ColdStart {
+    /// Mapping runs that found the target.
+    pub resolved: u64,
+    /// Mapping runs that gave the target up as unreachable.
+    pub unreachable: u64,
+    /// Host and switch probes sent.
+    pub probes: u64,
+}
+
+/// A cold start at fabric scale, the regime of Table 3's chain: no routes
+/// and no hints, so the first send from `src` to `dst` must map. `deep`
+/// turns on two-hop host signatures, which tell apart the host-less
+/// aggregation switches of a fat tree instead of merging them through a
+/// shared core. Deep exploration is paced by patience deadlines that
+/// outlast the ~62 ms path-reset timer, so it may take up to 30 s of
+/// simulated time; 2 s otherwise. Stops at the mapper's first verdict.
+pub fn cold_start(topo: &Topology, src: NodeId, dst: NodeId, deep: bool) -> ColdStart {
+    let mut mapper = MapperConfig::for_topology(topo);
+    mapper.deep_signatures = deep;
+    let stream = Stream {
+        src,
+        dst,
+        count: 1,
+        bytes: 64,
+    };
+    let proto = ProtocolConfig::default().with_mapping();
+    let mut run = StreamRun::new(topo.clone(), stream, proto, mapper, &Telemetry::new());
+    let deadline = Time::from_secs(if deep { 30 } else { 2 });
+    run.run(Duration::from_millis(5), deadline, |run, _| {
+        let st = run.map_stats(src);
+        st.resolved.get() + st.unreachable.get() >= 1
+    });
+    let st = run.map_stats(src);
+    ColdStart {
+        resolved: st.resolved.get(),
+        unreachable: st.unreachable.get(),
+        probes: st.host_probes.get() + st.switch_probes.get(),
+    }
+}
+
+/// What a [`remap_under_stream`] run delivered and what its two ends'
+/// mappers did.
+pub struct Remap {
+    /// Messages deposited, duplicates at the reset included.
+    pub delivered: usize,
+    /// The sender's mapper statistics.
+    pub src: MapStats,
+    /// The receiver's mapper statistics.
+    pub dst: MapStats,
+}
+
+impl Remap {
+    /// Host probes sent by both ends.
+    pub fn host_probes(&self) -> u64 {
+        self.src.host_probes.get() + self.dst.host_probes.get()
+    }
+
+    /// Switch probes sent by both ends.
+    pub fn switch_probes(&self) -> u64 {
+        self.src.switch_probes.get() + self.dst.switch_probes.get()
+    }
+
+    /// The longer of the two ends' last mapping runs, in ms.
+    pub fn remap_ms(&self) -> f64 {
+        self.src.last_time_ms.max(self.dst.last_time_ms)
+    }
+}
+
+/// A reliable stream that loses part of its route (§4.2): `stream` runs
+/// over `routes` with each `(at, dst, hints)` offered first, and every
+/// `faults` event strikes at 2 ms. A 10 ms permanent-failure verdict
+/// sends the affected end to on-demand mapping. Runs in 5 ms slices
+/// until the stream is delivered or 400 ms have passed.
+pub fn remap_under_stream(
+    topo: &Topology,
+    stream: Stream,
+    routes: Routes,
+    hints: &[(NodeId, NodeId, RouteHints)],
+    faults: &[FabricEvent],
+    tel: &Telemetry,
+) -> Remap {
+    let proto = ProtocolConfig {
+        perm_fail_threshold: Duration::from_millis(10),
+        ..ProtocolConfig::default().with_mapping()
+    };
+    let mapper = MapperConfig::for_topology(topo);
+    let mut run = StreamRun::new(topo.clone(), stream, proto, mapper, tel);
+    run.install(routes);
+    for (at, dst, h) in hints {
+        run.offer_hints(*at, *dst, h.clone());
+    }
+    for &ev in faults {
+        run.schedule(Time::from_millis(2), ev);
+    }
+    let count = stream.count as usize;
+    run.run(
+        Duration::from_millis(5),
+        Time::from_millis(400),
+        |run, _| run.delivered() >= count,
+    );
+    Remap {
+        delivered: run.delivered(),
+        src: run.map_stats(stream.src).clone(),
+        dst: run.map_stats(stream.dst).clone(),
+    }
 }
 
 /// The path given by `--json <path>`, if any.

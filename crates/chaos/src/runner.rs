@@ -9,7 +9,6 @@
 //! runner only changes wall-clock time, never results.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -25,6 +24,7 @@ use san_telemetry::{Telemetry, TraceKind};
 
 use san_fabric::RouteHints;
 use san_topo::planner_for;
+use san_workload::RepostBudget;
 
 use crate::campaign::{mix_seed, Campaign, TopologySpec, Trial};
 use crate::oracle::{self, Delivery, NodeEnd, Observation, PairExpect, Violation};
@@ -48,9 +48,9 @@ type DeliveryLog = Rc<RefCell<Vec<Delivery>>>;
 /// notification order.
 type FailureLog = Rc<RefCell<Vec<(u16, u16, u64)>>>;
 
-/// Traffic setup for one trial: planner-hint pairs, the legacy expected
-/// message total (0 in workload mode), the workload ledger driver (None in
-/// legacy mode) and the host agents.
+/// Traffic setup for one trial: planner-hint pairs, the fixed streams'
+/// expected message total (0 in workload mode), the workload ledger driver
+/// (None for fixed streams) and the host agents.
 type TrafficSetup = (
     Vec<(NodeId, NodeId)>,
     u64,
@@ -64,19 +64,15 @@ type OracleInputs = (Vec<PairExpect>, Vec<Delivery>, Vec<(u16, u16, u64)>, u64);
 
 /// Host agent for chaos trials: optionally streams one message sequence
 /// to a destination, records everything deposited locally, and — when
-/// `recover` is on — re-posts sends the NIC fails as unreachable with
-/// bounded exponential backoff (end-to-end recovery: the transport gives
-/// up after its remap-retry budget; outliving a long outage is the host's
-/// job). With `recover` off the host treats `SendFailed` as final, which
-/// is the paper's silent drop.
+/// `recover` is on — re-posts sends the NIC fails as unreachable through
+/// a [`RepostBudget`]. With `recover` off the host treats `SendFailed` as
+/// final, which is the paper's silent drop.
 struct ChaosHost {
     me: NodeId,
     send: Option<(NodeId, u64)>,
     bytes: u32,
     log: DeliveryLog,
-    failed: Vec<(NodeId, u64)>,
-    /// Re-posts already spent per msg_id.
-    attempts: HashMap<u64, u32>,
+    reposts: RepostBudget,
     recover: bool,
     failures: FailureLog,
 }
@@ -85,16 +81,6 @@ struct ChaosHost {
 const WAKE_POST: u64 = 0;
 /// Wake token for re-posting failed sends.
 const WAKE_REPOST: u64 = 1;
-
-/// Host-level retry pacing: long enough to not hammer the NIC with
-/// back-to-back mapping episodes, short compared to the drain grace.
-/// Doubles per repost of the same message, up to `REPOST_DELAY << 5`.
-const REPOST_DELAY: Duration = Duration::from_millis(1);
-
-/// Re-post budget per message: with the NIC's own remap-retry budget in
-/// front of every attempt this outlives any outage a survivable campaign
-/// can schedule, while still bounding a truly-partitioned stream.
-const MAX_REPOSTS: u32 = 16;
 
 impl HostAgent for ChaosHost {
     fn on_start(&mut self, ctx: &mut HostCtx) {
@@ -121,7 +107,7 @@ impl HostAgent for ChaosHost {
             }
             _ => {
                 let posted = ctx.now();
-                for (dst, msg_id) in std::mem::take(&mut self.failed) {
+                for (dst, msg_id) in self.reposts.take() {
                     ctx.post_send(make_desc(dst, self.bytes, msg_id, posted));
                 }
             }
@@ -130,19 +116,9 @@ impl HostAgent for ChaosHost {
 
     fn on_send_failed(&mut self, ctx: &mut HostCtx, msg_id: u64, dst: NodeId) {
         self.failures.borrow_mut().push((self.me.0, dst.0, msg_id));
-        if !self.recover {
-            return;
+        if self.recover {
+            self.reposts.failed(ctx, dst, msg_id, WAKE_REPOST);
         }
-        let a = self.attempts.entry(msg_id).or_insert(0);
-        if *a >= MAX_REPOSTS {
-            return; // budget spent: abandon (the oracle will notice)
-        }
-        *a += 1;
-        let delay = REPOST_DELAY * (1u64 << (*a - 1).min(5));
-        if self.failed.is_empty() {
-            ctx.wake_in(delay, WAKE_REPOST);
-        }
-        self.failed.push((dst, msg_id));
     }
 
     fn on_message(&mut self, ctx: &mut HostCtx, pkt: san_fabric::Packet) {
@@ -260,9 +236,10 @@ pub fn run_trial_traced(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceSca
     let log: DeliveryLog = Rc::new(RefCell::new(Vec::new()));
     let failures: FailureLog = Rc::new(RefCell::new(Vec::new()));
 
-    // Traffic: either the legacy fixed streams, or a multi-tenant
-    // synthetic workload whose posted-message ledger becomes the oracle's
-    // expectation. `pairs` feeds the planner hints in both modes.
+    // Traffic: either fixed streams, which stay because the golden trial
+    // digests replay them, or a multi-tenant synthetic workload whose
+    // posted-message ledger becomes the oracle's expectation. `pairs`
+    // feeds the planner hints in both modes.
     let (pairs, expected_total, driver, hosts): TrafficSetup = match &trial.workload {
         Some(spec) => {
             // Salt 2: salt 1 already seeds the wire-fault RNG.
@@ -294,8 +271,7 @@ pub fn run_trial_traced(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceSca
                         send,
                         bytes: trial.traffic.bytes,
                         log: log.clone(),
-                        failed: Vec::new(),
-                        attempts: HashMap::new(),
+                        reposts: RepostBudget::default(),
                         recover: trial.protocol.host_recovery,
                         failures: failures.clone(),
                     })

@@ -501,7 +501,8 @@ impl Engine {
     }
 
     /// Statistics so far: a by-value snapshot of the registered `fabric.*`
-    /// counters (the legacy accessor API, kept as a thin view).
+    /// counters. This thin view stays because `perf/` and the `engine`
+    /// study read it.
     pub fn stats(&self) -> EngineStats {
         let m = &self.metrics;
         let mut dropped = [0u64; 6];

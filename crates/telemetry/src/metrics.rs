@@ -4,9 +4,12 @@
 //! Names are dot-separated paths (`fabric.link.3.busy_ns`,
 //! `ft.node.2.retransmits`, `svm.node.0.lock_wait_ns`). Registration is
 //! get-or-create: asking twice for the same name and kind returns handles
-//! to the *same* underlying cell, which is how the legacy per-layer stats
-//! structs remain thin views over registered metrics. Asking for an
-//! existing name with a *different* kind is a collision and fails.
+//! to the *same* underlying cell, which is how the per-layer stats structs
+//! (`NicStats`, `MapStats`, `VmmcStats`) stay thin views over registered
+//! metrics. They stay because the hot paths bump a typed field instead of
+//! looking a name up, and tests, examples and `perf/` read those fields.
+//! Asking for an existing name with a *different* kind is a collision and
+//! fails.
 //!
 //! Handles are `Arc`-backed and atomic (counters/gauges) or mutex-guarded
 //! (histograms/summaries), so a simulation thread can update them while a

@@ -39,12 +39,52 @@ use crate::stats::{jain_index, quantile_ns, TenantStats, WorkloadReport};
 /// host-local stream index, always < this).
 const WAKE_REPOST: u64 = u64::MAX;
 
-/// Host-level re-post pacing after a `SendFailed`, doubling per re-post of
-/// the same message (mirrors the chaos host's recovery loop).
+/// Host-level re-post pacing after a `SendFailed`: long enough not to
+/// hammer the NIC with back-to-back mapping episodes, short compared to a
+/// drain grace. Doubles per re-post of the same message, up to
+/// `REPOST_DELAY << 5`.
 const REPOST_DELAY: Duration = Duration::from_millis(1);
 
-/// Re-post budget per message.
+/// Re-post budget per message: with the NIC's own remap-retry budget in
+/// front of every attempt this outlives any outage a survivable chaos
+/// campaign can schedule, while still bounding a truly partitioned stream.
 const MAX_REPOSTS: u32 = 16;
+
+/// A host's end-to-end recovery of sends the NIC fails as unreachable:
+/// the transport gives up after its remap-retry budget, and outliving a
+/// long outage is the host's job. Each message may be re-posted
+/// [`MAX_REPOSTS`] times with [`REPOST_DELAY`] backoff, and one flush wake
+/// carries every failure that arrives before it fires.
+#[derive(Debug, Default)]
+pub struct RepostBudget {
+    /// Re-posts already spent per (dst, msg_id).
+    attempts: HashMap<(u16, u64), u32>,
+    /// Failed sends waiting for the flush wake.
+    queue: Vec<(NodeId, u64)>,
+}
+
+impl RepostBudget {
+    /// Note that the send of `msg_id` to `dst` failed. Unless the
+    /// message's budget is spent, queue it for the flush wake `token`,
+    /// arming that wake if the queue was empty.
+    pub fn failed(&mut self, ctx: &mut HostCtx, dst: NodeId, msg_id: u64, token: u64) {
+        let a = self.attempts.entry((dst.0, msg_id)).or_insert(0);
+        if *a >= MAX_REPOSTS {
+            return; // budget spent: abandon (the oracle will notice)
+        }
+        *a += 1;
+        let delay = REPOST_DELAY * (1u64 << (*a - 1).min(5));
+        if self.queue.is_empty() {
+            ctx.wake_in(delay, token);
+        }
+        self.queue.push((dst, msg_id));
+    }
+
+    /// The sends to re-post now, at the flush wake.
+    pub fn take(&mut self) -> Vec<(NodeId, u64)> {
+        std::mem::take(&mut self.queue)
+    }
+}
 
 /// One deposited segment, as seen by a receiving host — the raw material
 /// for the chaos oracle's order/dup/completeness invariants.
@@ -212,8 +252,7 @@ struct WorkloadHost {
     /// (tenant index, bytes).
     posted: HashMap<(u16, u64), (u16, u32)>,
     recover: bool,
-    attempts: HashMap<(u16, u64), u32>,
-    repost_queue: Vec<(NodeId, u64)>,
+    reposts: RepostBudget,
     telemetry: Telemetry,
     metrics: Option<Rc<Vec<TenantMetrics>>>,
 }
@@ -278,7 +317,7 @@ impl HostAgent for WorkloadHost {
 
     fn on_wake(&mut self, ctx: &mut HostCtx, token: u64) {
         if token == WAKE_REPOST {
-            for (dst, msg_id) in std::mem::take(&mut self.repost_queue) {
+            for (dst, msg_id) in self.reposts.take() {
                 if let Some(&(tenant, bytes)) = self.posted.get(&(dst.0, msg_id)) {
                     self.post_message(ctx, dst, msg_id, bytes, tenant, false);
                 }
@@ -403,19 +442,9 @@ impl HostAgent for WorkloadHost {
             .borrow_mut()
             .failures
             .push((self.me.0, dst.0, msg_id));
-        if !self.recover {
-            return;
+        if self.recover {
+            self.reposts.failed(ctx, dst, msg_id, WAKE_REPOST);
         }
-        let a = self.attempts.entry((dst.0, msg_id)).or_insert(0);
-        if *a >= MAX_REPOSTS {
-            return; // budget spent: abandon (the oracle will notice)
-        }
-        *a += 1;
-        let delay = REPOST_DELAY * (1u64 << (*a - 1).min(5));
-        if self.repost_queue.is_empty() {
-            ctx.wake_in(delay, WAKE_REPOST);
-        }
-        self.repost_queue.push((dst, msg_id));
     }
 }
 
@@ -432,10 +461,12 @@ pub struct WorkloadOptions {
     /// throughput studies (the segment log is the dominant allocation).
     pub record_segments: bool,
     /// Register per-tenant counters/histograms under
-    /// `workload.tenant.<id>.*`.
+    /// `workload.tenant.<id>.*`. No caller and no test sets it, so this
+    /// path is dead; the field stays only because `perf/src/tenants.rs`
+    /// names it.
     pub register_metrics: bool,
     /// Re-post messages the NIC fails as unreachable (host-level
-    /// end-to-end recovery, mirrors the chaos host's loop).
+    /// end-to-end recovery through a [`RepostBudget`]).
     pub host_recovery: bool,
 }
 
@@ -677,8 +708,7 @@ pub fn build_hosts(
                 sent_pending: BTreeMap::new(),
                 posted: HashMap::new(),
                 recover: opts.host_recovery,
-                attempts: HashMap::new(),
-                repost_queue: Vec::new(),
+                reposts: RepostBudget::default(),
                 telemetry: opts.telemetry.clone(),
                 metrics: metrics.clone(),
             })

@@ -45,8 +45,9 @@ pub struct RunConfig {
     pub grace_ms: u64,
     /// Telemetry sink (trace ring + metrics).
     pub telemetry: Telemetry,
-    /// Register per-tenant metric cells (off for big sweeps: thousands of
-    /// tenants × four cells each is pure registry bloat).
+    /// Register per-tenant metric cells. No caller and no test sets it, so
+    /// the per-tenant metric path is dead; the field stays only because
+    /// `perf/src/tenants.rs` names it.
     pub register_metrics: bool,
 }
 

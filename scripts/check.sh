@@ -67,7 +67,16 @@ cargo run --release -q -p san-mc -- check --smoke
 echo "== san-mc benchmark configs (2-node failure model, two-way traffic, 3-node incast)"
 cargo run --release -q -p san-mc -- check remap2 bidir2 incast3
 
-echo "== engine smoke (events/sec floor + pinned fat_tree:4 outcome: events, sim time, deliveries)"
+echo "== paper regeneration (table3 and ablate print the #tsv lines of results/table3.txt and results/ablate.txt)"
+for bin in table3 ablate; do
+    out=$(cargo run --release -q -p san-bench --bin "$bin")
+    if ! diff <(grep '^#tsv' <<< "$out") <(grep '^#tsv' "results/$bin.txt"); then
+        echo "ERROR: $bin's #tsv lines (<) differ from results/$bin.txt (>)" >&2
+        exit 1
+    fi
+done
+
+echo "== engine smoke (events/sec floor + pinned fat_tree:4 outcome, untraced and traced: events, sim time, deliveries)"
 cargo run --release -q -p san-bench --bin engine -- --smoke
 
 echo "== scale_map smoke (atlas + planner-hint remap gate)"
