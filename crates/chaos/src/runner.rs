@@ -9,6 +9,7 @@
 //! runner only changes wall-clock time, never results.
 
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -206,12 +207,23 @@ impl TrialOutcome {
 
 /// Unique delivered message count (msg_id de-duplicated per pair —
 /// cross-generation resends of a possibly-delivered message are one
-/// delivery for accounting purposes).
-fn unique_delivered(log: &[Delivery]) -> u64 {
-    let mut seen: Vec<(u16, u16, u64)> = log.iter().map(|d| (d.src, d.dst, d.msg_id)).collect();
-    seen.sort_unstable();
-    seen.dedup();
-    seen.len() as u64
+/// delivery for accounting purposes). The delivery log only grows, so
+/// each count folds in just the entries appended since the last one;
+/// every log counted must extend the one counted before.
+#[derive(Default)]
+struct UniqueDelivered {
+    seen: HashSet<(u16, u16, u64)>,
+    folded: usize,
+}
+
+impl UniqueDelivered {
+    fn count(&mut self, log: &[Delivery]) -> u64 {
+        let fresh = &log[self.folded..];
+        self.seen
+            .extend(fresh.iter().map(|d| (d.src, d.dst, d.msg_id)));
+        self.folded = log.len();
+        self.seen.len() as u64
+    }
 }
 
 /// Execute one trial and run the oracle over what happened.
@@ -353,6 +365,7 @@ pub fn run_trial_traced(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceSca
     let window = Time::from_millis(trial.workload.as_ref().map_or(0, |w| w.window_ms));
     let mut t = Time::from_millis(SLICE_MS);
     let mut seen_epoch = cluster.engine.reconfig_epoch();
+    let mut unique = UniqueDelivered::default();
     let finished_at = loop {
         let now = cluster.run_until(t);
         // After a reconfiguration epoch the planner hints are stale: they
@@ -393,7 +406,7 @@ pub fn run_trial_traced(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceSca
         }
         let complete = match &driver {
             Some(d) => now >= window && d.total_delivered() >= d.total_posted(),
-            None => unique_delivered(&log.borrow()) >= expected_total,
+            None => unique.count(&log.borrow()) >= expected_total,
         };
         let drained = !trial.protocol.reliable
             || cluster.nics.iter().all(|nic| {
@@ -504,7 +517,7 @@ pub fn run_trial_traced(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceSca
         index: trial.index,
         seed: trial.seed,
         violations,
-        delivered: unique_delivered(&obs.deliveries),
+        delivered: unique.count(&obs.deliveries),
         expected: expected_total,
         path_resets: stats.path_resets,
         send_failed: obs.send_failed.len() as u64,

@@ -31,6 +31,7 @@
 
 pub mod config;
 pub mod firmware;
+pub mod image;
 pub mod mapper;
 pub mod proto;
 pub mod seq;

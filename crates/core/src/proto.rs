@@ -10,6 +10,7 @@ use std::collections::VecDeque;
 use san_nic::BufId;
 use san_sim::{Duration, Time};
 
+use crate::image_fields;
 use crate::seq::{gen_newer, seq_leq};
 
 /// Cap on the consecutive-expiry backoff shift: the threshold never grows
@@ -38,6 +39,12 @@ pub struct RttEstimator {
     /// Consecutive-expiry backoff shift (doubles the threshold per step).
     backoff: u32,
 }
+
+image_fields!(RttEstimator {
+    srtt_ns,
+    rttvar_ns,
+    backoff,
+});
 
 impl RttEstimator {
     /// Feed one clean round-trip sample (SRTT ← 7/8·SRTT + 1/8·sample,
@@ -212,6 +219,22 @@ impl Clone for SenderState {
     }
 }
 
+image_fields!(SenderState {
+    next_seq,
+    generation,
+    retrans_q,
+    since_ack_req,
+    last_progress,
+    retx_busy_until,
+    mapping,
+    map_attempts,
+    remap_backoff_until,
+    rtt,
+    karn_barrier,
+    cwnd,
+    unsent_tail,
+});
+
 impl SenderState {
     /// Assign the next sequence number.
     pub fn take_seq(&mut self) -> u32 {
@@ -279,6 +302,13 @@ pub struct ReceiverState {
     /// drives the receiver-side group-ACK threshold.
     pub accepted_since_ack: u32,
 }
+
+image_fields!(ReceiverState {
+    expected,
+    generation,
+    ack_owed,
+    accepted_since_ack,
+});
 
 /// What the receiver decides to do with an arriving data packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -26,6 +26,7 @@ use std::collections::VecDeque;
 use san_nic::BufId;
 
 use crate::config::FeedbackPolicy;
+use crate::image_fields;
 use crate::proto::{ReceiverState, RxVerdict, SenderState, MIN_CWND};
 
 /// How many consecutive unreachable verdicts the protocol accepts before
@@ -223,7 +224,7 @@ pub struct FaultKnobs {
 /// A send descriptor in the model: destination plus a payload identity
 /// (the host's message id). Payload ids are assigned in post order, which
 /// is what the exactly-once/in-order invariants are phrased over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModelDesc {
     /// Destination node index.
     pub dst: usize,
@@ -231,8 +232,10 @@ pub struct ModelDesc {
     pub payload: u64,
 }
 
+image_fields!(ModelDesc { dst, payload });
+
 /// One occupied NIC send buffer in the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModelBuf {
     /// Destination the buffer is queued toward.
     pub dst: usize,
@@ -247,8 +250,16 @@ pub struct ModelBuf {
     pub ack_request: bool,
 }
 
+image_fields!(ModelBuf {
+    dst,
+    seq,
+    generation,
+    payload,
+    ack_request,
+});
+
 /// A data packet on the model's wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ModelPacket {
     /// Sequence number.
     pub seq: u32,
@@ -261,6 +272,14 @@ pub struct ModelPacket {
     /// Piggy-backed cumulative ACK `(ack_seq, ack_gen)`, if any.
     pub piggy: Option<(u32, u16)>,
 }
+
+image_fields!(ModelPacket {
+    seq,
+    generation,
+    payload,
+    ack_request,
+    piggy,
+});
 
 /// One abstract input event for a [`NodeModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,7 +397,7 @@ pub enum NodeAction {
 }
 
 /// The whole protocol state of one NIC as a value.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct NodeState {
     /// Per-peer send-side state (indexed by node id).
     pub senders: Vec<SenderState>,
@@ -457,6 +476,19 @@ impl Clone for NodeState {
         failed.clone_from(&src.failed);
     }
 }
+
+image_fields!(NodeState {
+    senders,
+    receivers,
+    pool,
+    pending,
+    held,
+    retry_pending,
+    route_ok,
+    tx_counter,
+    completed,
+    failed,
+});
 
 /// The reference pure model of one NIC running the paper's protocol —
 /// the [`ProtocolStep`] implementation driven by the `san-mc` checker
@@ -736,7 +768,6 @@ impl NodeModel {
         if !st.senders[dst].mapping {
             return;
         }
-        let descs = std::mem::take(&mut st.held[dst]);
         if found {
             // New generation: renumber the queued window from zero and
             // retransmit it over the new route.
@@ -745,8 +776,8 @@ impl NodeModel {
             s.mapping = false;
             s.new_generation();
             let generation = s.generation;
-            let bufs: Vec<BufId> = s.retrans_q.iter().copied().collect();
-            for b in &bufs {
+            for i in 0..s.retrans_q.len() {
+                let b = s.retrans_q[i];
                 let seq = s.take_seq();
                 let mb = st.pool[b.0 as usize].as_mut().expect("queued buf occupied");
                 mb.seq = seq;
@@ -758,23 +789,20 @@ impl NodeModel {
             s.map_attempts = 0;
             out.push(NodeAction::GenerationBump { dst, generation });
             self.replay(st, out, dst, false);
-            for d in descs {
-                st.pending.push_back(d);
-            }
+            // The descriptors the mapper held return to the send path.
+            st.pending.extend(st.held[dst].drain(..));
             self.pump(st, out);
             return;
         }
         st.senders[dst].map_attempts += 1;
         let attempt = st.senders[dst].map_attempts;
-        let owes = !st.senders[dst].retrans_q.is_empty() || !descs.is_empty();
+        let owes = !st.senders[dst].retrans_q.is_empty() || !st.held[dst].is_empty();
         match unreachable_next(attempt, owes, self.max_map_attempts) {
             UnreachableNext::Retry => {
                 // Don't believe a single silent run while traffic is still
                 // queued: keep everything and try again after a backoff.
-                let s = &mut st.senders[dst];
-                s.mapping = false;
+                st.senders[dst].mapping = false;
                 st.retry_pending[dst] = true;
-                st.held[dst] = descs;
             }
             UnreachableNext::Accept => {
                 // Unreachable: drop everything queued toward dst and post
@@ -783,9 +811,8 @@ impl NodeModel {
                 let s = &mut st.senders[dst];
                 s.mapping = false;
                 s.map_attempts = 0;
-                let bufs: Vec<BufId> = s.retrans_q.drain(..).collect();
                 s.unsent_tail = 0;
-                for b in bufs {
+                for b in s.retrans_q.drain(..) {
                     let mb = st.pool[b.0 as usize].take().expect("queued buf occupied");
                     out.push(NodeAction::SendFailed {
                         dst,
@@ -793,7 +820,7 @@ impl NodeModel {
                     });
                     st.failed[dst] += 1;
                 }
-                for d in descs {
+                for d in st.held[dst].drain(..) {
                     out.push(NodeAction::SendFailed {
                         dst,
                         payload: d.payload,
@@ -801,19 +828,18 @@ impl NodeModel {
                     st.failed[dst] += 1;
                 }
                 // Descriptors still pending toward dst are dropped too.
-                let mut kept = VecDeque::new();
-                for d in std::mem::take(&mut st.pending) {
-                    if d.dst == dst {
-                        out.push(NodeAction::SendFailed {
-                            dst,
-                            payload: d.payload,
-                        });
-                        st.failed[dst] += 1;
-                    } else {
-                        kept.push_back(d);
+                let failed = &mut st.failed[dst];
+                st.pending.retain(|d| {
+                    if d.dst != dst {
+                        return true;
                     }
-                }
-                st.pending = kept;
+                    out.push(NodeAction::SendFailed {
+                        dst,
+                        payload: d.payload,
+                    });
+                    *failed += 1;
+                    false
+                });
                 self.pump(st, out);
             }
         }
@@ -827,29 +853,26 @@ impl NodeModel {
             // descriptors.
             return;
         }
-        let descs = std::mem::take(&mut st.held[dst]);
         if retry_is_stale(st.senders[dst].map_attempts, st.route_ok[dst]) {
             // The episode is over, but descriptors parked in the mapper
             // must go back to the normal send path or they are lost.
-            if !descs.is_empty() {
+            if !st.held[dst].is_empty() {
                 if self.knobs.leak_stale_retry_descs {
                     // PR 2 bug, deliberately re-introduced for the checker:
                     // the parked descriptors vanish without completion.
+                    st.held[dst].clear();
                 } else {
-                    for d in descs {
-                        st.pending.push_back(d);
-                    }
+                    st.pending.extend(st.held[dst].drain(..));
                     self.pump(st, out);
                 }
             }
             return;
         }
-        if st.senders[dst].retrans_q.is_empty() && descs.is_empty() {
+        if st.senders[dst].retrans_q.is_empty() && st.held[dst].is_empty() {
             // Nothing owed toward dst anymore; forget the episode.
             st.senders[dst].map_attempts = 0;
             return;
         }
-        st.held[dst] = descs;
         st.route_ok[dst] = false;
         st.senders[dst].mapping = true;
         out.push(NodeAction::StartMapping { dst });

@@ -83,7 +83,8 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One line of verdict per config run.
+/// One line of verdict per config run: the counts, the peak frontier,
+/// the seconds and the verdict.
 fn report_line(r: &san_mc::CheckReport, expect_violation: bool) -> (bool, String) {
     let verdict = match (&r.counterexample, r.truncated, expect_violation) {
         (Some(_), _, true) => (true, "FAIL-AS-EXPECTED"),
@@ -93,12 +94,13 @@ fn report_line(r: &san_mc::CheckReport, expect_violation: bool) -> (bool, String
         (None, false, false) => (true, "VERIFIED"),
     };
     let line = format!(
-        "{:<8} {:>9} states {:>10} transitions depth {:<3} dedup {:>9} {:>8.2}s  {}",
+        "{:<8} {:>9} states {:>10} transitions depth {:<3} dedup {:>9} frontier {:>7} {:>8.2}s  {}",
         r.config,
         r.states,
         r.transitions,
         r.max_depth_seen,
         r.dedup_hits,
+        r.frontier_peak,
         r.elapsed_secs,
         verdict.1
     );

@@ -6,14 +6,25 @@
 //! counterexample found is a *shortest* one; the parent map reconstructs
 //! its event list, which replays through [`crate::trace::replay_model`]
 //! and (for environment-level events) [`crate::simreplay`].
+//!
+//! The frontier holds each discovered, unexpanded state as one exact
+//! byte image ([`san_ft::image`]), not as a `SysState`: a popped image is
+//! unpacked into one reused state and expanded from there. The image is
+//! exact, not the canonical key. The key erases channel order under
+//! reordering, absolute seqs and generations, pool slot ids and the
+//! fields the model does not read yet; counterexample events and
+//! violation details need all of them.
 
 use std::collections::{HashSet, VecDeque};
 use std::time::Instant;
 
+use san_ft::image::{pack_into, unpack_from};
 use san_telemetry::Telemetry;
 
 use crate::invariant::check_state;
-use crate::model::{apply_in_place, enabled, encode_into, McConfig, McEvent, SysState, Violation};
+use crate::model::{
+    apply_in_place, enabled_into, encode_into, McConfig, McEvent, SysState, Violation,
+};
 
 /// Search budgets and switches.
 #[derive(Debug, Clone)]
@@ -124,20 +135,24 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
     if let Err(e) = cfg.validate() {
         panic!("invalid model-checker config `{}`: {e}", cfg.name);
     }
-    let init = SysState::initial(cfg);
+    // The state being expanded: each popped image is unpacked over it.
+    let mut st = SysState::initial(cfg);
     // Invariants must hold in the initial state too.
-    let init_viols = check_state(cfg, &init);
+    let init_viols = check_state(cfg, &st);
     let mut visited: HashSet<Box<[u8]>> = HashSet::new();
     let mut reached: Vec<Option<Reached>> = Vec::new();
-    let mut frontier: VecDeque<(u32, SysState)> = VecDeque::new();
+    let mut frontier: VecDeque<(u32, Box<[u8]>)> = VecDeque::new();
     // Every transition is expanded into this one scratch successor and
     // encoded into one reused key; only a state not seen before is copied
-    // out (exact-size key, fresh state), so the ~84% of transitions that
-    // land on a visited state allocate neither a state nor a key.
-    let mut succ = init.clone();
+    // out (an exact-size key and an exact-size image), so the ~84% of
+    // transitions that land on a visited state allocate neither.
+    let mut succ = st.clone();
     let mut key: Vec<u8> = Vec::new();
+    let mut image: Vec<u8> = Vec::new();
+    let mut evs: Vec<McEvent> = Vec::new();
+    let mut actions = Vec::new();
     let mut viols: Vec<Violation> = Vec::new();
-    encode_into(cfg, &init, &mut key);
+    encode_into(cfg, &st, &mut key);
     visited.insert(key.as_slice().into());
     reached.push(None);
     report.states = 1;
@@ -150,10 +165,12 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
         report.elapsed_secs = t0.elapsed().as_secs_f64();
         return report;
     }
-    frontier.push_back((0, init));
+    pack_into(&st, &mut image);
+    frontier.push_back((0, image.as_slice().into()));
     report.frontier_peak = 1;
 
-    'search: while let Some((id, st)) = frontier.pop_front() {
+    'search: while let Some((id, packed)) = frontier.pop_front() {
+        unpack_from(&mut st, &packed);
         let depth = reached[id as usize].as_ref().map_or(0, |r| r.depth);
         report.max_depth_seen = report.max_depth_seen.max(depth as usize);
         if opts.liveness {
@@ -172,11 +189,12 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
             report.truncated = true;
             continue;
         }
-        for ev in enabled(cfg, &st) {
+        enabled_into(cfg, &st, &mut evs);
+        for &ev in &evs {
             report.transitions += 1;
             c_trans.hit();
             succ.clone_from(&st);
-            apply_in_place(cfg, &mut succ, &ev, &mut viols);
+            apply_in_place(cfg, &mut succ, &ev, &mut actions, &mut viols);
             viols.extend(check_state(cfg, &succ));
             if let Some(v) = viols.drain(..).next() {
                 let mut trace = trace_to(&reached, id);
@@ -212,7 +230,8 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
                 report.truncated = true;
                 break 'search;
             }
-            frontier.push_back((succ_id, succ.clone()));
+            pack_into(&succ, &mut image);
+            frontier.push_back((succ_id, image.as_slice().into()));
         }
         report.frontier_peak = report.frontier_peak.max(frontier.len());
     }
@@ -244,7 +263,7 @@ pub fn recovery_converges(cfg: &McConfig, st: &SysState) -> Result<(), String> {
     }
     // Transition-level violations are the safety search's business; the
     // recovery schedule only asks whether the system drains.
-    let mut ignored = Vec::new();
+    let (mut actions, mut ignored) = (Vec::new(), Vec::new());
     for step in 0..RECOVERY_STEP_BOUND {
         match recovery_next(cfg, &st) {
             None => {
@@ -252,7 +271,7 @@ pub fn recovery_converges(cfg: &McConfig, st: &SysState) -> Result<(), String> {
                     .map_err(|e| format!("stuck after {step} steps: {e}"));
             }
             Some(ev) => {
-                apply_in_place(cfg, &mut st, &ev, &mut ignored);
+                apply_in_place(cfg, &mut st, &ev, &mut actions, &mut ignored);
                 ignored.clear();
             }
         }

@@ -34,8 +34,8 @@ pub mod trace;
 pub use checker::{check, recovery_converges, CheckOpts, CheckReport, Counterexample};
 pub use invariant::check_state;
 pub use model::{
-    apply, apply_in_place, enabled, encode, encode_into, Chan, McConfig, McEvent, SysState,
-    Violation,
+    apply, apply_in_place, enabled, enabled_into, encode, encode_into, Chan, McConfig, McEvent,
+    SysState, Violation,
 };
 pub use simreplay::{replay_on_sim, SimReplay};
 pub use trace::{from_lines, render, replay_model, to_lines, Replay};

@@ -17,7 +17,7 @@
 use san_ft::step::{
     FaultKnobs, ModelPacket, NodeAction, NodeEvent, NodeModel, NodeState, ProtocolStep,
 };
-use san_ft::{gen_newer, FeedbackPolicy};
+use san_ft::{gen_newer, image_fields, FeedbackPolicy};
 
 /// One checked configuration: topology size, traffic matrix, protocol
 /// parameters and the adversary's fault budgets.
@@ -294,7 +294,7 @@ pub const MAX_CHAN_CAP: usize = 8;
 
 /// One directed channel: packets and ACKs in flight from one node to
 /// another. `up == false` models a dead link — transmissions vanish.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Chan {
     /// Is the link alive in this direction?
     pub up: bool,
@@ -322,6 +322,8 @@ impl Clone for Chan {
         acks.clone_from(&src.acks);
     }
 }
+
+image_fields!(Chan { up, data, acks });
 
 /// The composite state the checker explores.
 #[derive(Debug)]
@@ -425,6 +427,20 @@ impl Clone for SysState {
         *used = src.used;
     }
 }
+
+// The checker's frontier image: every field, absolute values included
+// (see `san_ft::image`).
+image_fields!(SysState {
+    nodes,
+    chans,
+    posted,
+    delivered_mask,
+    gen_delivered_mask,
+    failed_mask,
+    last_delivered,
+    last_dep_gen,
+    used,
+});
 
 /// One atomic transition of the checked system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -649,18 +665,19 @@ fn route_actions(
     }
 }
 
-/// Step one node inside the system state.
+/// Step one node inside the system state, collecting its actions in
+/// `actions` (cleared first).
 fn step_node(
     cfg: &McConfig,
     st: &mut SysState,
     who: usize,
     ev: NodeEvent,
+    actions: &mut Vec<NodeAction>,
     viols: &mut Vec<Violation>,
 ) {
-    let mut actions = Vec::new();
-    cfg.node_model(who)
-        .step(&mut st.nodes[who], &ev, &mut actions);
-    route_actions(cfg, st, who, &actions, viols);
+    actions.clear();
+    cfg.node_model(who).step(&mut st.nodes[who], &ev, actions);
+    route_actions(cfg, st, who, actions, viols);
 }
 
 /// Apply one transition. Returns the successor plus any transition-level
@@ -669,13 +686,21 @@ fn step_node(
 pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Violation>) {
     let mut st = st.clone();
     let mut viols = Vec::new();
-    apply_in_place(cfg, &mut st, ev, &mut viols);
+    apply_in_place(cfg, &mut st, ev, &mut Vec::new(), &mut viols);
     (st, viols)
 }
 
 /// [`apply`] without the copy: advance `st` by `ev`, appending any
-/// transition-level invariant violations to `viols`.
-pub fn apply_in_place(cfg: &McConfig, st: &mut SysState, ev: &McEvent, viols: &mut Vec<Violation>) {
+/// transition-level invariant violations to `viols`. `actions` is scratch
+/// for the stepped node's actions, so a caller that applies many events
+/// reuses one buffer.
+pub fn apply_in_place(
+    cfg: &McConfig,
+    st: &mut SysState,
+    ev: &McEvent,
+    actions: &mut Vec<NodeAction>,
+    viols: &mut Vec<Violation>,
+) {
     match *ev {
         McEvent::Post { src, dst } => {
             let p = cfg.pair(src as usize, dst as usize);
@@ -689,6 +714,7 @@ pub fn apply_in_place(cfg: &McConfig, st: &mut SysState, ev: &McEvent, viols: &m
                     dst: dst as usize,
                     payload,
                 },
+                actions,
                 viols,
             );
         }
@@ -704,6 +730,7 @@ pub fn apply_in_place(cfg: &McConfig, st: &mut SysState, ev: &McEvent, viols: &m
                     src: src as usize,
                     pkt,
                 },
+                actions,
                 viols,
             );
         }
@@ -732,6 +759,7 @@ pub fn apply_in_place(cfg: &McConfig, st: &mut SysState, ev: &McEvent, viols: &m
                     ack_seq,
                     ack_gen,
                 },
+                actions,
                 viols,
             );
         }
@@ -753,6 +781,7 @@ pub fn apply_in_place(cfg: &McConfig, st: &mut SysState, ev: &McEvent, viols: &m
                 st,
                 node as usize,
                 NodeEvent::ScanTick { dst: dst as usize },
+                actions,
                 viols,
             );
         }
@@ -763,6 +792,7 @@ pub fn apply_in_place(cfg: &McConfig, st: &mut SysState, ev: &McEvent, viols: &m
                 st,
                 node as usize,
                 NodeEvent::SuspectPermFail { dst: dst as usize },
+                actions,
                 viols,
             );
         }
@@ -780,6 +810,7 @@ pub fn apply_in_place(cfg: &McConfig, st: &mut SysState, ev: &McEvent, viols: &m
                     dst: dst as usize,
                     found,
                 },
+                actions,
                 viols,
             );
         }
@@ -789,6 +820,7 @@ pub fn apply_in_place(cfg: &McConfig, st: &mut SysState, ev: &McEvent, viols: &m
                 st,
                 node as usize,
                 NodeEvent::RemapRetry { dst: dst as usize },
+                actions,
                 viols,
             );
         }
@@ -817,10 +849,19 @@ fn explored_idx<T: PartialEq>(v: &[T], reorder: bool) -> impl Iterator<Item = u8
         .map(|i| i as u8)
 }
 
-/// Enumerate every enabled transition of `st`, in deterministic order.
+/// Every enabled transition of `st`, in deterministic order, as a fresh
+/// vector; see [`enabled_into`].
 pub fn enabled(cfg: &McConfig, st: &SysState) -> Vec<McEvent> {
-    let n = cfg.n_nodes;
     let mut evs = Vec::new();
+    enabled_into(cfg, st, &mut evs);
+    evs
+}
+
+/// Enumerate every enabled transition of `st`, in deterministic order,
+/// into `evs` (cleared first, keeping its buffer).
+pub fn enabled_into(cfg: &McConfig, st: &SysState, evs: &mut Vec<McEvent>) {
+    let n = cfg.n_nodes;
+    evs.clear();
     let [losses, dups, downs, ups, permfails, spurious] = st.used;
     for src in 0..n {
         for dst in 0..n {
@@ -923,7 +964,6 @@ pub fn enabled(cfg: &McConfig, st: &SysState) -> Vec<McEvent> {
             }
         }
     }
-    evs
 }
 
 /// Canonical byte encoding of a state, as a fresh vector; see

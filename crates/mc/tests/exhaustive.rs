@@ -11,6 +11,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use san_fabric::fingerprint::Fnv;
+use san_ft::image::{pack_into, unpack_from};
 use san_mc::{
     apply, check, enabled, encode, replay_model, replay_on_sim, CheckOpts, McConfig, SysState,
 };
@@ -192,9 +193,13 @@ fn fold_key(h: &mut Fnv, key: &[u8]) {
 
 /// A plain breadth-first search over the public, allocating model API
 /// (`enabled`, `apply`, `encode`), independent of the checker's scratch
-/// successor. Along the way it `clone_from`s every newly discovered
-/// state into a scratch that holds the previous one and demands the copy
-/// print exactly like its source, so a field `clone_from` skips shows.
+/// successor and packed frontier. Along the way it copies every newly
+/// discovered state into two scratches that each hold the previous one:
+/// one by `clone_from`, one by packing the state's frontier image and
+/// unpacking it. Both must print exactly like the source, and the
+/// unpacked one must encode to the same key, so a field that
+/// `clone_from` or the image skips, or a container that unpacking fails
+/// to clear, shows.
 fn reference_bfs(cfg: &McConfig) -> Walk {
     let init = SysState::initial(cfg);
     let mut h = Fnv::new();
@@ -202,7 +207,9 @@ fn reference_bfs(cfg: &McConfig) -> Walk {
     let key = encode(cfg, &init);
     fold_key(&mut h, &key);
     visited.insert(key);
-    let mut scratch = init.clone();
+    let mut copied = init.clone();
+    let mut unpacked = init.clone();
+    let mut image = Vec::new();
     let mut frontier = VecDeque::from([init]);
     let (mut transitions, mut dedup_hits) = (0, 0);
     while let Some(st) = frontier.pop_front() {
@@ -216,9 +223,14 @@ fn reference_bfs(cfg: &McConfig) -> Walk {
                 continue;
             }
             fold_key(&mut h, &key);
+            let printed = format!("{succ:?}");
+            copied.clone_from(&succ);
+            assert_eq!(format!("{copied:?}"), printed);
+            pack_into(&succ, &mut image);
+            unpack_from(&mut unpacked, &image);
+            assert_eq!(format!("{unpacked:?}"), printed);
+            assert_eq!(encode(cfg, &unpacked), key);
             visited.insert(key);
-            scratch.clone_from(&succ);
-            assert_eq!(format!("{scratch:?}"), format!("{succ:?}"));
             frontier.push_back(succ);
         }
     }
@@ -253,7 +265,16 @@ fn tiny2_keys_match_the_reference_digest() {
     assert_reference_walk(&McConfig::tiny2(), 0xabf0_c78a_5a10_fe76);
 }
 
-/// remap2 exercises link death, mapping, generation bumps and retries.
+/// wrap2 starts every seq at `u32::MAX - 1` and every generation at
+/// `u16::MAX`, the longest varints in a frontier image. Its keys are
+/// relative, so they digest exactly as tiny2's do.
+#[test]
+fn wrap2_keys_match_the_reference_digest() {
+    assert_reference_walk(&McConfig::wrap2(), 0xabf0_c78a_5a10_fe76);
+}
+
+/// remap2 exercises link death, mapping, generation bumps and retries,
+/// so its images carry held descriptors and retry state.
 #[test]
 fn remap2_keys_match_the_reference_digest() {
     assert_reference_walk(&McConfig::remap2(), 0x3c53_29b0_f323_bcdc);

@@ -21,7 +21,7 @@ pub const FIRMWARE_BYTES: u32 = 256 * 1024;
 pub const BUF_BYTES: u32 = 4096 + 128; // payload + header slack
 
 /// Index of a send buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct BufId(pub u16);
 
 /// One send buffer: either free or holding a packet awaiting transmission

@@ -64,8 +64,25 @@ echo "== san-mc smoke (exhaustive 2-node model check + leak-knob canary)"
 # re-introduced PR 2 leak, this gate trips.
 cargo run --release -q -p san-mc -- check --smoke
 
-echo "== san-mc benchmark configs (2-node failure model, two-way traffic, 3-node incast)"
-cargo run --release -q -p san-mc -- check remap2 bidir2 incast3
+echo "== san-mc benchmark configs (2-node failure model, two-way traffic, 3-node incast: exact counts and frontier peaks)"
+# The perf digest pins every count here but the frontier peak, which
+# bounds the checker's memory; each config must verify with exactly
+# these states/transitions/depth/dedup/frontier.
+mc_out=$(cargo run --release -q -p san-mc -- check remap2 bidir2 incast3) || {
+    echo "$mc_out" >&2
+    echo "ERROR: a san-mc benchmark config did not verify" >&2
+    exit 1
+}
+echo "$mc_out"
+for pin in remap2=18424/72396/21/53973/2685 bidir2=260276/1690062/26/1429787/33714 \
+    incast3=53907/319072/26/265166/6076; do
+    cfg=${pin%%=*}
+    IFS=/ read -r states transitions depth dedup frontier <<< "${pin#*=}"
+    if ! grep -Eq "^${cfg} +${states} states +${transitions} transitions depth ${depth} +dedup +${dedup} frontier +${frontier} .*VERIFIED\$" <<< "$mc_out"; then
+        echo "ERROR: ${cfg} must verify with ${states} states, ${transitions} transitions, depth ${depth}, dedup ${dedup}, frontier ${frontier}" >&2
+        exit 1
+    fi
+done
 
 echo "== paper regeneration (table3 and ablate print the #tsv lines of results/table3.txt and results/ablate.txt)"
 for bin in table3 ablate; do

@@ -1,8 +1,8 @@
-//! Tier-1 pins on the `san-mc` model checker: the canonical config's
-//! exact state space (counts, depth and peak frontier) and the leak-knob
-//! config's exact shortest counterexample. A change to the protocol
-//! kernel, the adversary, the canonical encoding or the search order moves
-//! one of them.
+//! Tier-1 pins on the `san-mc` model checker: the exact state spaces
+//! (counts, depth and peak frontier) of the canonical config and of the
+//! failure-model config, and the leak-knob config's exact shortest
+//! counterexample. A change to the protocol kernel, the adversary, the
+//! canonical encoding or the search order moves one of them.
 
 use san_mc::{check, to_lines, CheckOpts, McConfig};
 use san_telemetry::Telemetry;
@@ -30,6 +30,23 @@ fn tiny2_state_space_is_pinned() {
     assert_eq!(r.dedup_hits, 206_047, "dedup hits");
     assert_eq!(r.max_depth_seen, 25, "depth");
     assert_eq!(r.frontier_peak, 6_063, "frontier peak");
+}
+
+/// remap2 adds the mapping half of the model: link death and repair,
+/// permanent-failure suspicion, spurious verdicts and remap retries.
+#[test]
+fn remap2_state_space_is_pinned() {
+    let r = check(
+        &McConfig::remap2(),
+        &CheckOpts::default(),
+        &Telemetry::new(),
+    );
+    assert!(r.verified(), "remap2 must verify: {:?}", r.counterexample);
+    assert_eq!(r.states, 18_424, "states");
+    assert_eq!(r.transitions, 72_396, "transitions");
+    assert_eq!(r.dedup_hits, 53_973, "dedup hits");
+    assert_eq!(r.max_depth_seen, 21, "depth");
+    assert_eq!(r.frontier_peak, 2_685, "frontier peak");
 }
 
 #[test]
