@@ -10,9 +10,10 @@
 //! bit-identical to the sequential reference (same operations in the same
 //! per-element order), which the tests assert.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use san_svm::{page_of, run_svm, ProcBody, Svm, SvmConfig, SvmIo};
+use san_svm::{page_of, proc_body, run_svm, ProcBody, Svm, SvmConfig};
 
 use crate::common::{flops, AppRun, InputRng};
 
@@ -163,14 +164,14 @@ pub fn fft_input(cfg: &FftConfig) -> Vec<C> {
 }
 
 struct FftShared {
-    a: Mutex<Vec<C>>, // matrix A
-    b: Mutex<Vec<C>>, // matrix B (transpose target)
+    a: RefCell<Vec<C>>, // matrix A
+    b: RefCell<Vec<C>>, // matrix B (transpose target)
 }
 
 /// Declare SVM reads for the source block columns and writes for the
 /// destination rows of a blocked transpose, then perform it on real data.
 #[allow(clippy::too_many_arguments)]
-fn transpose_phase(
+async fn transpose_phase(
     svm: &mut Svm,
     shared: &FftShared,
     from_a: bool,
@@ -193,22 +194,22 @@ fn transpose_phase(
         ((p + 1) * chunk * m - 1).max(p * chunk * m),
         BYTES_PER_ELEM,
     );
-    svm.write_range(first, last);
+    svm.write_range(first, last).await;
     // Reads: for every peer q, the block (rows q·chunk.., my column range).
     for q in 0..procs {
         for r in q * chunk..(q + 1) * chunk {
             let lo = page_of(src_base, r * m + p * chunk, BYTES_PER_ELEM);
             let hi = page_of(src_base, r * m + (p + 1) * chunk - 1, BYTES_PER_ELEM);
-            svm.read_range(lo, hi);
+            svm.read_range(lo, hi).await;
         }
     }
     // Real data movement: dst[c][r] = src[r][c] for my destination rows
     // (destination row index = source column index in my column range).
     {
         let (src, mut dst) = if from_a {
-            (shared.a.lock().unwrap(), shared.b.lock().unwrap())
+            (shared.a.borrow(), shared.b.borrow_mut())
         } else {
-            (shared.b.lock().unwrap(), shared.a.lock().unwrap())
+            (shared.b.borrow(), shared.a.borrow_mut())
         };
         for c in p * chunk..(p + 1) * chunk {
             for r in 0..m {
@@ -217,7 +218,7 @@ fn transpose_phase(
         }
     }
     // ~2 ops per element moved (load + store).
-    svm.compute(flops((2 * chunk * m) as u64));
+    svm.compute(flops((2 * chunk * m) as u64)).await;
 }
 
 /// Run the parallel FFT; returns the run plus validation verdict.
@@ -230,9 +231,9 @@ pub fn run_fft(cfg: FftConfig) -> AppRun {
         "m={m} must divide by {procs} processes"
     );
     let input = fft_input(&cfg);
-    let shared = Arc::new(FftShared {
-        a: Mutex::new(input.clone()),
-        b: Mutex::new(vec![(0.0, 0.0); n]),
+    let shared = Rc::new(FftShared {
+        a: RefCell::new(input.clone()),
+        b: RefCell::new(vec![(0.0, 0.0); n]),
     });
     let a_base = 0u32;
     let b_base = (n * BYTES_PER_ELEM).div_ceil(4096) as u32;
@@ -243,58 +244,55 @@ pub fn run_fft(cfg: FftConfig) -> AppRun {
         .map(|p| {
             let sh = shared.clone();
             let cfg = cfg.clone();
-            Box::new(move |io: &mut SvmIo| {
-                let mut svm = Svm::new(io);
+            proc_body(move |mut svm| async move {
                 let chunk = m / procs;
                 let row_fft_flops = (5 * m as u64 * m.trailing_zeros() as u64
                     + 6 * m as u64/* twiddle */)
                     * chunk as u64;
                 for _ in 0..cfg.iterations {
                     // Step 1: transpose A -> B.
-                    transpose_phase(&mut svm, &sh, true, m, procs, p, a_base, b_base);
-                    svm.barrier();
+                    transpose_phase(&mut svm, &sh, true, m, procs, p, a_base, b_base).await;
+                    svm.barrier().await;
                     // Step 2+3: FFT my rows of B, then twiddle.
                     {
                         let lo = page_of(b_base, p * chunk * m, BYTES_PER_ELEM);
                         let hi = page_of(b_base, (p + 1) * chunk * m - 1, BYTES_PER_ELEM);
-                        svm.write_range(lo, hi);
-                        let mut b = sh.b.lock().unwrap();
+                        svm.write_range(lo, hi).await;
+                        let mut b = sh.b.borrow_mut();
                         for r in p * chunk..(p + 1) * chunk {
                             fft_row(&mut b[r * m..(r + 1) * m]);
                             twiddle_row(&mut b[r * m..(r + 1) * m], r, m);
                         }
                     }
-                    svm.compute(flops(row_fft_flops));
-                    svm.barrier();
+                    svm.compute(flops(row_fft_flops)).await;
+                    svm.barrier().await;
                     // Step 4: transpose B -> A.
-                    transpose_phase(&mut svm, &sh, false, m, procs, p, a_base, b_base);
-                    svm.barrier();
+                    transpose_phase(&mut svm, &sh, false, m, procs, p, a_base, b_base).await;
+                    svm.barrier().await;
                     // Step 5: FFT my rows of A.
                     {
                         let lo = page_of(a_base, p * chunk * m, BYTES_PER_ELEM);
                         let hi = page_of(a_base, (p + 1) * chunk * m - 1, BYTES_PER_ELEM);
-                        svm.write_range(lo, hi);
-                        let mut a = sh.a.lock().unwrap();
+                        svm.write_range(lo, hi).await;
+                        let mut a = sh.a.borrow_mut();
                         for r in p * chunk..(p + 1) * chunk {
                             fft_row(&mut a[r * m..(r + 1) * m]);
                         }
                     }
-                    svm.compute(flops(row_fft_flops));
-                    svm.barrier();
+                    svm.compute(flops(row_fft_flops)).await;
+                    svm.barrier().await;
                     // Step 6: transpose A -> B, then adopt B as the data.
-                    transpose_phase(&mut svm, &sh, true, m, procs, p, a_base, b_base);
-                    svm.barrier();
+                    transpose_phase(&mut svm, &sh, true, m, procs, p, a_base, b_base).await;
+                    svm.barrier().await;
                     // One process swaps the matrices (pointer swap on the
                     // shared heap; pages logically swap identity too, which
                     // the next iteration's declarations capture).
                     if p == 0 {
-                        let mut a = sh.a.lock().unwrap();
-                        let mut b = sh.b.lock().unwrap();
-                        std::mem::swap(&mut *a, &mut *b);
+                        sh.a.swap(&sh.b);
                     }
-                    svm.barrier();
+                    svm.barrier().await;
                 }
-            }) as ProcBody
+            })
         })
         .collect();
 
@@ -303,7 +301,7 @@ pub fn run_fft(cfg: FftConfig) -> AppRun {
     // operation order).
     let mut reference = input;
     fft_reference(&mut reference, cfg.iterations);
-    let result = shared.a.lock().unwrap();
+    let result = shared.a.borrow();
     let valid = report.completed
         && result.len() == reference.len()
         && result.iter().zip(reference.iter()).all(|(x, y)| x == y);

@@ -11,9 +11,10 @@
 //! Sorting is stable per pass, so the multi-pass LSD sort is exact; the
 //! result is validated against `slice::sort`.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use san_svm::{page_of, run_svm, ProcBody, Svm, SvmConfig, SvmIo};
+use san_svm::{page_of, proc_body, run_svm, ProcBody, Svm, SvmConfig};
 
 use crate::common::{flops, AppRun, InputRng};
 
@@ -76,9 +77,9 @@ impl RadixConfig {
 }
 
 struct RadixShared {
-    src: Mutex<Vec<u32>>,
-    dst: Mutex<Vec<u32>>,
-    hist: Mutex<Vec<u32>>, // procs × radix
+    src: RefCell<Vec<u32>>,
+    dst: RefCell<Vec<u32>>,
+    hist: RefCell<Vec<u32>>, // procs × radix
 }
 
 /// Deterministic input keys.
@@ -89,7 +90,7 @@ pub fn radix_input(cfg: &RadixConfig) -> Vec<u32> {
 
 /// Declare writes for a set of (possibly scattered) destination positions:
 /// one SVM write per distinct page touched.
-fn declare_write_pages(svm: &mut Svm, base: u32, positions: &[usize], bytes_per_elem: usize) {
+async fn declare_write_pages(svm: &mut Svm, base: u32, positions: &[usize], bytes_per_elem: usize) {
     let mut pages: Vec<u32> = positions
         .iter()
         .map(|&i| page_of(base, i, bytes_per_elem))
@@ -97,7 +98,7 @@ fn declare_write_pages(svm: &mut Svm, base: u32, positions: &[usize], bytes_per_
     pages.sort_unstable();
     pages.dedup();
     for p in pages {
-        svm.write(p);
+        svm.write(p).await;
     }
 }
 
@@ -112,10 +113,10 @@ pub fn run_radix(cfg: RadixConfig) -> AppRun {
     let radix = cfg.radix();
     let chunk = n / procs;
     let input = radix_input(&cfg);
-    let shared = Arc::new(RadixShared {
-        src: Mutex::new(input.clone()),
-        dst: Mutex::new(vec![0; n]),
-        hist: Mutex::new(vec![0; procs * radix]),
+    let shared = Rc::new(RadixShared {
+        src: RefCell::new(input.clone()),
+        dst: RefCell::new(vec![0; n]),
+        hist: RefCell::new(vec![0; procs * radix]),
     });
     let src_base = 0u32;
     let dst_base = (n * BYTES_PER_KEY).div_ceil(4096) as u32;
@@ -127,8 +128,7 @@ pub fn run_radix(cfg: RadixConfig) -> AppRun {
         .map(|p| {
             let sh = shared.clone();
             let cfg = cfg.clone();
-            Box::new(move |io: &mut SvmIo| {
-                let mut svm = Svm::new(io);
+            proc_body(move |mut svm| async move {
                 for _ in 0..cfg.iterations {
                     for pass in 0..cfg.passes() {
                         let shift = pass * cfg.digit_bits;
@@ -137,30 +137,30 @@ pub fn run_radix(cfg: RadixConfig) -> AppRun {
                         let local_hist: Vec<u32> = {
                             let lo = page_of(src_base, p * chunk, BYTES_PER_KEY);
                             let hi = page_of(src_base, (p + 1) * chunk - 1, BYTES_PER_KEY);
-                            svm.read_range(lo, hi);
-                            let src = sh.src.lock().unwrap();
+                            svm.read_range(lo, hi).await;
+                            let src = sh.src.borrow();
                             let mut h = vec![0u32; radix];
                             for &k in &src[p * chunk..(p + 1) * chunk] {
                                 h[((k >> shift) & mask) as usize] += 1;
                             }
                             h
                         };
-                        svm.compute(flops(chunk as u64 * 2));
+                        svm.compute(flops(chunk as u64 * 2)).await;
                         // (2) Publish my histogram.
                         {
                             let lo = page_of(hist_base, p * radix, BYTES_PER_KEY);
                             let hi = page_of(hist_base, (p + 1) * radix - 1, BYTES_PER_KEY);
-                            svm.write_range(lo, hi);
-                            let mut hist = sh.hist.lock().unwrap();
+                            svm.write_range(lo, hi).await;
+                            let mut hist = sh.hist.borrow_mut();
                             hist[p * radix..(p + 1) * radix].copy_from_slice(&local_hist);
                         }
-                        svm.barrier();
+                        svm.barrier().await;
                         // (3) Read everyone's histograms; compute my offsets.
                         let offsets: Vec<usize> = {
                             let lo = page_of(hist_base, 0, BYTES_PER_KEY);
                             let hi = page_of(hist_base, procs * radix - 1, BYTES_PER_KEY);
-                            svm.read_range(lo, hi);
-                            let hist = sh.hist.lock().unwrap();
+                            svm.read_range(lo, hi).await;
+                            let hist = sh.hist.borrow();
                             // offset[d] = all keys with digit < d, plus keys
                             // with digit d on processes before me.
                             let mut off = vec![0usize; radix];
@@ -175,18 +175,18 @@ pub fn run_radix(cfg: RadixConfig) -> AppRun {
                             }
                             off
                         };
-                        svm.compute(flops((radix * procs) as u64));
+                        svm.compute(flops((radix * procs) as u64)).await;
                         // (4) Permute my keys into dst (stable: scan in
                         // order, each digit's run is contiguous — the
                         // locality improvement of [19]).
                         {
                             let src_lo = page_of(src_base, p * chunk, BYTES_PER_KEY);
                             let src_hi = page_of(src_base, (p + 1) * chunk - 1, BYTES_PER_KEY);
-                            svm.read_range(src_lo, src_hi);
+                            svm.read_range(src_lo, src_hi).await;
                             // Compute destination positions first so page
                             // declarations cover exactly what is touched.
                             let (positions, keys): (Vec<usize>, Vec<u32>) = {
-                                let src = sh.src.lock().unwrap();
+                                let src = sh.src.borrow();
                                 let mut off = offsets.clone();
                                 let mut pos = Vec::with_capacity(chunk);
                                 let mut ks = Vec::with_capacity(chunk);
@@ -198,31 +198,30 @@ pub fn run_radix(cfg: RadixConfig) -> AppRun {
                                 }
                                 (pos, ks)
                             };
-                            declare_write_pages(&mut svm, dst_base, &positions, BYTES_PER_KEY);
-                            let mut dst = sh.dst.lock().unwrap();
+                            declare_write_pages(&mut svm, dst_base, &positions, BYTES_PER_KEY)
+                                .await;
+                            let mut dst = sh.dst.borrow_mut();
                             for (&at, &k) in positions.iter().zip(keys.iter()) {
                                 dst[at] = k;
                             }
                         }
-                        svm.compute(flops(chunk as u64 * 3));
-                        svm.barrier();
+                        svm.compute(flops(chunk as u64 * 3)).await;
+                        svm.barrier().await;
                         // Swap src/dst (one process does the real swap).
                         if p == 0 {
-                            let mut src = sh.src.lock().unwrap();
-                            let mut dst = sh.dst.lock().unwrap();
-                            std::mem::swap(&mut *src, &mut *dst);
+                            sh.src.swap(&sh.dst);
                         }
-                        svm.barrier();
+                        svm.barrier().await;
                     }
                 }
-            }) as ProcBody
+            })
         })
         .collect();
 
     let report = run_svm(svm_cfg, bodies);
     let mut reference = input;
     reference.sort_unstable();
-    let result = shared.src.lock().unwrap();
+    let result = shared.src.borrow();
     let valid = report.completed && *result == reference;
     AppRun { report, valid }
 }

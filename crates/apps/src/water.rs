@@ -15,9 +15,10 @@
 //! validation against the sequential reference uses a tight relative
 //! tolerance rather than bit equality.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use san_svm::{page_of, run_svm, ProcBody, Svm, SvmConfig, SvmIo};
+use san_svm::{page_of, proc_body, run_svm, ProcBody, SvmConfig};
 
 use crate::common::{flops, AppRun, InputRng};
 
@@ -66,10 +67,10 @@ impl WaterConfig {
 type V3 = [f64; 3];
 
 struct WaterShared {
-    pos: Mutex<Vec<V3>>,
-    vel: Mutex<Vec<V3>>,
-    force: Mutex<Vec<V3>>,
-    energy: Mutex<f64>,
+    pos: RefCell<Vec<V3>>,
+    vel: RefCell<Vec<V3>>,
+    force: RefCell<Vec<V3>>,
+    energy: RefCell<f64>,
 }
 
 /// Deterministic initial state: positions in a unit box, small velocities.
@@ -140,11 +141,11 @@ pub fn run_water(cfg: WaterConfig) -> AppRun {
     assert!(n.is_multiple_of(procs));
     let chunk = n / procs;
     let (pos0, vel0) = water_input(&cfg);
-    let shared = Arc::new(WaterShared {
-        pos: Mutex::new(pos0),
-        vel: Mutex::new(vel0),
-        force: Mutex::new(vec![[0.0; 3]; n]),
-        energy: Mutex::new(0.0),
+    let shared = Rc::new(WaterShared {
+        pos: RefCell::new(pos0),
+        vel: RefCell::new(vel0),
+        force: RefCell::new(vec![[0.0; 3]; n]),
+        energy: RefCell::new(0.0),
     });
     let pos_base = 0u32;
     let force_base = (n * BYTES_PER_VEC3).div_ceil(4096) as u32;
@@ -156,8 +157,7 @@ pub fn run_water(cfg: WaterConfig) -> AppRun {
         .map(|p| {
             let sh = shared.clone();
             let cfg = cfg.clone();
-            Box::new(move |io: &mut SvmIo| {
-                let mut svm = Svm::new(io);
+            proc_body(move |mut svm| async move {
                 let my_lo = p * chunk;
                 let my_hi = (p + 1) * chunk;
                 for _step in 0..cfg.steps {
@@ -165,22 +165,22 @@ pub fn run_water(cfg: WaterConfig) -> AppRun {
                     {
                         let lo = page_of(force_base, my_lo, BYTES_PER_VEC3);
                         let hi = page_of(force_base, my_hi - 1, BYTES_PER_VEC3);
-                        svm.write_range(lo, hi);
-                        let mut f = sh.force.lock().unwrap();
+                        svm.write_range(lo, hi).await;
+                        let mut f = sh.force.borrow_mut();
                         for v in &mut f[my_lo..my_hi] {
                             *v = [0.0; 3];
                         }
                     }
-                    svm.barrier();
+                    svm.barrier().await;
                     // Read all positions (everyone computes against all).
                     {
                         let lo = page_of(pos_base, 0, BYTES_PER_VEC3);
                         let hi = page_of(pos_base, n - 1, BYTES_PER_VEC3);
-                        svm.read_range(lo, hi);
+                        svm.read_range(lo, hi).await;
                     }
                     // Pair forces into a private buffer (real math).
                     let (local_force, local_pe, pairs) = {
-                        let pos = sh.pos.lock().unwrap();
+                        let pos = sh.pos.borrow();
                         let mut lf = vec![[0.0f64; 3]; n];
                         let mut pe = 0.0;
                         let mut pairs = 0u64;
@@ -197,12 +197,12 @@ pub fn run_water(cfg: WaterConfig) -> AppRun {
                         }
                         (lf, pe, pairs)
                     };
-                    svm.compute(flops(pairs * 30));
+                    svm.compute(flops(pairs * 30)).await;
                     // Merge into the shared array, one partition lock at a
                     // time (starting from my own to stagger contention).
                     for q0 in 0..procs {
                         let q = (p + q0) % procs;
-                        svm.acquire(q as u32);
+                        svm.acquire(q as u32).await;
                         let qlo = q * chunk;
                         let qhi = (q + 1) * chunk;
                         let touched = local_force[qlo..qhi]
@@ -211,42 +211,37 @@ pub fn run_water(cfg: WaterConfig) -> AppRun {
                         if touched {
                             let lo = page_of(force_base, qlo, BYTES_PER_VEC3);
                             let hi = page_of(force_base, qhi - 1, BYTES_PER_VEC3);
-                            svm.write_range(lo, hi);
+                            svm.write_range(lo, hi).await;
                             {
-                                // NOTE: the heap guard must drop before any
-                                // SVM call — parking while holding it would
-                                // wedge every other coroutine.
-                                let mut f = sh.force.lock().unwrap();
+                                // NOTE: end borrows before SVM calls (await_holding_refcell_ref).
+                                let mut f = sh.force.borrow_mut();
                                 for i in qlo..qhi {
                                     for k in 0..3 {
                                         f[i][k] += local_force[i][k];
                                     }
                                 }
                             }
-                            svm.compute(flops((qhi - qlo) as u64 * 3));
+                            svm.compute(flops((qhi - qlo) as u64 * 3)).await;
                         }
-                        svm.release(q as u32);
+                        svm.release(q as u32).await;
                     }
                     // Global potential-energy accumulation.
-                    svm.acquire(ENERGY_LOCK);
-                    {
-                        let mut e = sh.energy.lock().unwrap();
-                        *e += local_pe;
-                    }
-                    svm.compute(flops(2));
-                    svm.release(ENERGY_LOCK);
-                    svm.barrier();
+                    svm.acquire(ENERGY_LOCK).await;
+                    *sh.energy.borrow_mut() += local_pe;
+                    svm.compute(flops(2)).await;
+                    svm.release(ENERGY_LOCK).await;
+                    svm.barrier().await;
                     // Integrate my molecules.
                     {
                         let flo = page_of(force_base, my_lo, BYTES_PER_VEC3);
                         let fhi = page_of(force_base, my_hi - 1, BYTES_PER_VEC3);
-                        svm.read_range(flo, fhi);
+                        svm.read_range(flo, fhi).await;
                         let plo = page_of(pos_base, my_lo, BYTES_PER_VEC3);
                         let phi = page_of(pos_base, my_hi - 1, BYTES_PER_VEC3);
-                        svm.write_range(plo, phi);
-                        let f = sh.force.lock().unwrap();
-                        let mut vel = sh.vel.lock().unwrap();
-                        let mut pos = sh.pos.lock().unwrap();
+                        svm.write_range(plo, phi).await;
+                        let f = sh.force.borrow();
+                        let mut vel = sh.vel.borrow_mut();
+                        let mut pos = sh.pos.borrow_mut();
                         for i in my_lo..my_hi {
                             for k in 0..3 {
                                 vel[i][k] += f[i][k] * DT;
@@ -254,17 +249,17 @@ pub fn run_water(cfg: WaterConfig) -> AppRun {
                             }
                         }
                     }
-                    svm.compute(flops(chunk as u64 * 12));
-                    svm.barrier();
+                    svm.compute(flops(chunk as u64 * 12)).await;
+                    svm.barrier().await;
                 }
-            }) as ProcBody
+            })
         })
         .collect();
 
     let report = run_svm(svm_cfg, bodies);
     let (ref_pos, ref_energy) = water_reference(&cfg);
-    let pos = shared.pos.lock().unwrap();
-    let energy = *shared.energy.lock().unwrap();
+    let pos = shared.pos.borrow();
+    let energy = *shared.energy.borrow();
     let close = |a: f64, b: f64| {
         let scale = a.abs().max(b.abs()).max(1.0);
         (a - b).abs() / scale < 1e-9

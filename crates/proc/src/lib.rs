@@ -1,25 +1,27 @@
-//! # san-proc — deterministic thread-backed coroutines
+//! # san-proc — deterministic poll-driven coroutines
 //!
 //! The SPLASH-2 kernels in `san-apps` are real algorithms with loops,
 //! branches and data; forcing them into hand-written event-machine form
 //! would make them unreadable and unfaithful. Instead, each simulated
-//! process runs on its own OS thread as a *coroutine*: it computes with real
-//! data, and whenever it touches simulated time — `compute(d)`, or a
-//! blocking protocol request — it parks on a rendezvous channel until the
-//! simulation scheduler resumes it.
+//! process is an `async` body — a *coroutine* the compiler turns into a
+//! state machine: it computes with real data, and whenever it touches
+//! simulated time — `compute(d)`, or a blocking protocol request — it
+//! `.await`s a park that hands the step to the simulation scheduler.
 //!
-//! Determinism: the scheduler resumes exactly one coroutine at a time and
-//! blocks until that coroutine either finishes or parks again
-//! (`resume` is strictly synchronous), so execution is a deterministic
-//! interleaving fully controlled by the discrete-event simulation — OS
-//! scheduling cannot influence results.
+//! Determinism: [`Coroutine::resume`] polls the body once, on the caller's
+//! thread, and returns when the body parks again or finishes. No other
+//! thread and no waker exist, so execution is a deterministic interleaving
+//! fully controlled by the discrete-event simulation. A panic in a body
+//! unwinds out of `resume` into the simulation that resumed it.
 //!
 //! The request/response types are generic (`Q`/`R`): `san-svm` plugs in its
 //! shared-memory operations, tests plug in toy protocols.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::thread::JoinHandle;
+use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use san_sim::{Duration, Time};
 
@@ -35,144 +37,113 @@ pub enum Step<Q> {
     Done,
 }
 
-enum Resume<R> {
-    Go { now: Time, value: Option<R> },
-    Kill,
+/// What the scheduler and the body exchange across one park.
+struct Slot<Q, R> {
+    now: Time,
+    parked: Option<Step<Q>>,
+    response: Option<R>,
 }
 
-struct KillToken;
-
-/// The coroutine's side of the rendezvous: blocking calls into simulation
+/// The coroutine's side of the exchange: awaitable calls into simulation
 /// time. Handed to the coroutine body on spawn.
 pub struct ProcIo<Q, R> {
-    tx: SyncSender<Step<Q>>,
-    rx: Receiver<Resume<R>>,
-    now: Time,
+    slot: Rc<RefCell<Slot<Q, R>>>,
 }
 
 impl<Q, R> ProcIo<Q, R> {
     /// Current simulated time (as of the last resume).
     pub fn now(&self) -> Time {
-        self.now
+        self.slot.borrow().now
     }
 
     /// Spend `d` of simulated CPU time.
-    pub fn compute(&mut self, d: Duration) {
+    pub async fn compute(&mut self, d: Duration) {
         if d == Duration::ZERO {
             return;
         }
-        self.tx.send(Step::Compute(d)).expect("scheduler gone");
-        self.wait();
+        self.park(Step::Compute(d)).await;
     }
 
     /// Issue a blocking request and wait for its response.
-    pub fn request(&mut self, q: Q) -> R {
-        self.tx.send(Step::Request(q)).expect("scheduler gone");
-        self.wait()
+    pub async fn request(&mut self, q: Q) -> R {
+        self.park(Step::Request(q)).await;
+        self.slot
+            .borrow_mut()
+            .response
+            .take()
             .expect("request resumed without a response value")
     }
 
-    fn wait(&mut self) -> Option<R> {
-        match self.rx.recv() {
-            Ok(Resume::Go { now, value }) => {
-                self.now = now;
-                value
+    /// Leave `step` for the scheduler and yield to it once.
+    async fn park(&mut self, step: Step<Q>) {
+        self.slot.borrow_mut().parked = Some(step);
+        let mut yielded = false;
+        std::future::poll_fn(|_| {
+            if std::mem::replace(&mut yielded, true) {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
             }
-            Ok(Resume::Kill) | Err(_) => std::panic::panic_any(KillToken),
-        }
+        })
+        .await;
     }
 }
 
 /// Scheduler-side handle to one coroutine.
 pub struct Coroutine<Q, R> {
-    to_proc: SyncSender<Resume<R>>,
-    from_proc: Receiver<Step<Q>>,
-    thread: Option<JoinHandle<()>>,
-    finished: bool,
+    slot: Rc<RefCell<Slot<Q, R>>>,
+    /// `None` once the body has returned.
+    body: Option<Pin<Box<dyn Future<Output = ()>>>>,
 }
 
-impl<Q: Send + 'static, R: Send + 'static> Coroutine<Q, R> {
+impl<Q, R> Coroutine<Q, R> {
     /// Spawn `body` as a parked coroutine. Nothing runs until the first
     /// [`Coroutine::resume`].
-    pub fn spawn<F>(name: String, body: F) -> Self
+    pub fn spawn<Fut>(body: impl FnOnce(ProcIo<Q, R>) -> Fut) -> Self
     where
-        F: FnOnce(&mut ProcIo<Q, R>) + Send + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
-        // Rendezvous channels (capacity 0): every send blocks until the
-        // other side is at its recv — strict alternation.
-        let (step_tx, step_rx) = std::sync::mpsc::sync_channel::<Step<Q>>(0);
-        let (resume_tx, resume_rx) = std::sync::mpsc::sync_channel::<Resume<R>>(0);
-        let thread = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                // Wait for the first resume before running the body.
-                let first = resume_rx.recv();
-                let now = match first {
-                    Ok(Resume::Go { now, .. }) => now,
-                    Ok(Resume::Kill) | Err(_) => return,
-                };
-                let mut io = ProcIo {
-                    tx: step_tx,
-                    rx: resume_rx,
-                    now,
-                };
-                let tx = io.tx.clone();
-                let result = catch_unwind(AssertUnwindSafe(move || body(&mut io)));
-                match result {
-                    Ok(()) => {
-                        let _ = tx.send(Step::Done);
-                    }
-                    Err(payload) if payload.is::<KillToken>() => {
-                        // Graceful teardown; the scheduler is not listening.
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            })
-            .expect("spawn coroutine thread");
+        let slot = Rc::new(RefCell::new(Slot {
+            now: Time::ZERO,
+            parked: None,
+            response: None,
+        }));
+        let body = Box::pin(body(ProcIo { slot: slot.clone() }));
         Self {
-            to_proc: resume_tx,
-            from_proc: step_rx,
-            thread: Some(thread),
-            finished: false,
+            slot,
+            body: Some(body),
         }
     }
 
     /// Resume the coroutine at simulated time `now`, delivering `value` as
     /// the response to its pending request (use `None` after a `Compute`
-    /// park and for the first resume). Blocks until it parks again; returns
-    /// how it parked.
+    /// park and for the first resume). Runs it until it parks again;
+    /// returns how it parked.
     ///
     /// # Panics
-    /// Panics if called after the coroutine finished.
+    /// Panics if called after the coroutine finished, if the body awaits a
+    /// future other than its [`ProcIo`]'s, and with the body's own panic.
     pub fn resume(&mut self, now: Time, value: Option<R>) -> Step<Q> {
-        assert!(!self.finished, "resumed a finished coroutine");
-        self.to_proc
-            .send(Resume::Go { now, value })
-            .expect("coroutine thread died");
-        match self.from_proc.recv() {
-            Ok(Step::Done) | Err(_) => {
-                self.finished = true;
+        let body = self.body.as_mut().expect("resumed a finished coroutine");
+        {
+            let mut slot = self.slot.borrow_mut();
+            slot.now = now;
+            slot.response = value;
+        }
+        match body.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(()) => {
+                self.body = None;
                 Step::Done
             }
-            Ok(step) => step,
+            Poll::Pending => self.slot.borrow_mut().parked.take().expect(
+                "coroutine body awaited a future other than its ProcIo's compute or request",
+            ),
         }
     }
 
     /// Has the body returned?
     pub fn finished(&self) -> bool {
-        self.finished
-    }
-}
-
-impl<Q, R> Drop for Coroutine<Q, R> {
-    fn drop(&mut self) {
-        if !self.finished {
-            // Unpark the thread with a kill so it can unwind and exit.
-            let _ = self.to_proc.send(Resume::Kill);
-        }
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.body.is_none()
     }
 }
 
@@ -182,9 +153,9 @@ mod tests {
 
     #[test]
     fn compute_parks_and_resumes() {
-        let mut co: Coroutine<(), ()> = Coroutine::spawn("t".into(), |io| {
-            io.compute(Duration::from_micros(5));
-            io.compute(Duration::from_micros(7));
+        let mut co: Coroutine<(), ()> = Coroutine::spawn(|mut io| async move {
+            io.compute(Duration::from_micros(5)).await;
+            io.compute(Duration::from_micros(7)).await;
         });
         assert_eq!(
             co.resume(Time::ZERO, None),
@@ -200,9 +171,9 @@ mod tests {
 
     #[test]
     fn request_response_roundtrip() {
-        let mut co: Coroutine<u32, u32> = Coroutine::spawn("t".into(), |io| {
-            let a = io.request(10);
-            let b = io.request(a + 1);
+        let mut co: Coroutine<u32, u32> = Coroutine::spawn(|mut io| async move {
+            let a = io.request(10).await;
+            let b = io.request(a + 1).await;
             assert_eq!(b, 42);
         });
         let s = co.resume(Time::ZERO, None);
@@ -215,9 +186,9 @@ mod tests {
 
     #[test]
     fn now_advances_with_resume() {
-        let mut co: Coroutine<(), ()> = Coroutine::spawn("t".into(), |io| {
+        let mut co: Coroutine<(), ()> = Coroutine::spawn(|mut io| async move {
             assert_eq!(io.now(), Time::ZERO);
-            io.compute(Duration::from_micros(3));
+            io.compute(Duration::from_micros(3)).await;
             assert_eq!(io.now(), Time::from_micros(3));
         });
         co.resume(Time::ZERO, None);
@@ -226,17 +197,17 @@ mod tests {
 
     #[test]
     fn zero_compute_is_free() {
-        let mut co: Coroutine<(), ()> = Coroutine::spawn("t".into(), |io| {
-            io.compute(Duration::ZERO); // must not park
+        let mut co: Coroutine<(), ()> = Coroutine::spawn(|mut io| async move {
+            io.compute(Duration::ZERO).await; // must not park
         });
         assert_eq!(co.resume(Time::ZERO, None), Step::Done);
     }
 
     #[test]
     fn drop_unfinished_coroutine_is_clean() {
-        let mut co: Coroutine<u32, u32> = Coroutine::spawn("t".into(), |io| {
-            let _ = io.request(1);
-            unreachable!("killed before a response arrives");
+        let mut co: Coroutine<u32, u32> = Coroutine::spawn(|mut io| async move {
+            let _ = io.request(1).await;
+            unreachable!("dropped before a response arrives");
         });
         let _ = co.resume(Time::ZERO, None); // park it at the request
         drop(co); // must not hang or panic
@@ -244,22 +215,41 @@ mod tests {
 
     #[test]
     fn drop_never_started_coroutine_is_clean() {
-        let co: Coroutine<u32, u32> = Coroutine::spawn("t".into(), |io| {
-            let _ = io.request(1);
+        let co: Coroutine<u32, u32> = Coroutine::spawn(|mut io| async move {
+            let _ = io.request(1).await;
         });
         drop(co);
+    }
+
+    #[test]
+    #[should_panic(expected = "body failed after its first request")]
+    fn body_panic_unwinds_out_of_resume() {
+        let mut co: Coroutine<u32, u32> = Coroutine::spawn(|mut io| async move {
+            let _ = io.request(1).await;
+            panic!("body failed after its first request");
+        });
+        assert_eq!(co.resume(Time::ZERO, None), Step::Request(1));
+        co.resume(Time::from_micros(1), Some(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "awaited a future other than its ProcIo's")]
+    fn foreign_await_is_refused() {
+        let mut co: Coroutine<u32, u32> =
+            Coroutine::spawn(|_io| async move { std::future::pending::<()>().await });
+        co.resume(Time::ZERO, None);
     }
 
     #[test]
     fn many_coroutines_interleave_deterministically() {
         let mut cos: Vec<Coroutine<u32, u32>> = (0..8)
             .map(|i| {
-                Coroutine::spawn(format!("w{i}"), move |io| {
+                Coroutine::spawn(move |mut io| async move {
                     let mut acc = i;
                     for _ in 0..50 {
-                        acc = io.request(acc);
+                        acc = io.request(acc).await;
                     }
-                    io.compute(Duration::from_micros(acc as u64 % 7 + 1));
+                    io.compute(Duration::from_micros(acc as u64 % 7 + 1)).await;
                 })
             })
             .collect();

@@ -17,14 +17,16 @@
 //! * everything else is **Compute + Handler time** — matching the four bars
 //!   of Figure 9.
 //!
-//! Application *data* lives in shared heaps (`Arc<Mutex<…>>`) accessed
+//! Application *data* lives in shared heaps (`Rc<RefCell<…>>`) accessed
 //! directly by the process coroutines; the SVM protocol carries the
 //! *timing and ordering* of coherence (fetches, flushes and invalidations
 //! move logical 4 KB payloads through the full simulated stack). Processes
 //! declare their accesses (`read(page)` / `write(page)`) exactly where a
 //! page fault would occur. This is the standard SVM-simulation split: data
 //! correctness is guaranteed by protocol ordering, which the application
-//! results then validate against sequential references.
+//! results then validate against sequential references. A process parks at
+//! every SVM call, so a heap borrow must end before the next one; clippy's
+//! `await_holding_refcell_ref` lint rejects a borrow held across an `.await`.
 
 pub mod msg;
 pub mod node;
@@ -32,64 +34,64 @@ pub mod runner;
 
 pub use msg::SvmMsg;
 pub use node::{SvmNode, SvmReq, SvmResp, PAGE_BYTES};
-pub use runner::{run_svm, ProcBody, SvmConfig, SvmReport, TimeBreakdown};
+pub use runner::{proc_body, run_svm, ProcBody, SvmConfig, SvmReport, TimeBreakdown};
 
 /// Shorthand for the coroutine IO type SVM processes use.
 pub type SvmIo = san_proc::ProcIo<SvmReq, SvmResp>;
 
-/// Convenience wrapper giving application code readable SVM calls.
-pub struct Svm<'a> {
-    io: &'a mut SvmIo,
+/// A process's handle to the SVM: readable, awaitable shared-memory calls.
+pub struct Svm {
+    io: SvmIo,
 }
 
-impl<'a> Svm<'a> {
+impl Svm {
     /// Wrap a coroutine's IO handle.
-    pub fn new(io: &'a mut SvmIo) -> Self {
+    pub fn new(io: SvmIo) -> Self {
         Self { io }
     }
 
     /// Spend `d` of CPU time.
-    pub fn compute(&mut self, d: san_sim::Duration) {
-        self.io.compute(d);
+    pub async fn compute(&mut self, d: san_sim::Duration) {
+        self.io.compute(d).await;
     }
 
     /// Declare a read of `page` (fetches it if not locally valid).
-    pub fn read(&mut self, page: u32) {
-        self.io.request(SvmReq::Read(page));
+    pub async fn read(&mut self, page: u32) {
+        self.io.request(SvmReq::Read(page)).await;
     }
 
     /// Declare a write to `page` (fetches if needed, marks dirty).
-    pub fn write(&mut self, page: u32) {
-        self.io.request(SvmReq::Write(page));
+    pub async fn write(&mut self, page: u32) {
+        self.io.request(SvmReq::Write(page)).await;
     }
 
     /// Declare reads over an inclusive page range.
-    pub fn read_range(&mut self, first: u32, last: u32) {
+    pub async fn read_range(&mut self, first: u32, last: u32) {
         for p in first..=last {
-            self.read(p);
+            self.read(p).await;
         }
     }
 
     /// Declare writes over an inclusive page range.
-    pub fn write_range(&mut self, first: u32, last: u32) {
+    pub async fn write_range(&mut self, first: u32, last: u32) {
         for p in first..=last {
-            self.write(p);
+            self.write(p).await;
         }
     }
 
     /// Acquire a global lock.
-    pub fn acquire(&mut self, lock: u32) {
-        self.io.request(SvmReq::Acquire(lock));
+    pub async fn acquire(&mut self, lock: u32) {
+        self.io.request(SvmReq::Acquire(lock)).await;
     }
 
     /// Release a global lock (flushes this node's writes under it).
-    pub fn release(&mut self, lock: u32) {
-        self.io.request(SvmReq::Release(lock));
+    pub async fn release(&mut self, lock: u32) {
+        self.io.request(SvmReq::Release(lock)).await;
     }
 
     /// Enter the global barrier.
-    pub fn barrier(&mut self) {
-        self.io.request(SvmReq::Barrier);
+    pub async fn barrier(&mut self) {
+        self.io.request(SvmReq::Barrier).await;
     }
 
     /// Current simulated time.

@@ -170,9 +170,8 @@ impl SvmNode {
         assert_eq!(bodies.len(), procs_per_node);
         let procs = bodies
             .into_iter()
-            .enumerate()
-            .map(|(i, body)| ProcSlot {
-                co: Coroutine::spawn(format!("svm-n{}p{}", node.0, i), body),
+            .map(|body| ProcSlot {
+                co: Coroutine::spawn(|io| body(crate::Svm::new(io))),
                 state: ProcState::Running,
                 buckets: TimeBreakdown::default(),
                 dirty: BTreeSet::new(),

@@ -4,6 +4,8 @@
 //! breakdown.
 
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 
 use san_fabric::engine::FabricEvent;
@@ -13,7 +15,7 @@ use san_nic::{Cluster, ClusterConfig, HostAgent, UnreliableFirmware};
 use san_sim::{Duration, Time};
 
 use crate::node::{SvmNode, SvmShared};
-use crate::SvmIo;
+use crate::Svm;
 
 /// The four bars of Figure 9, per process.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -43,8 +45,17 @@ impl TimeBreakdown {
     }
 }
 
-/// One process's program.
-pub type ProcBody = Box<dyn FnOnce(&mut SvmIo) + Send>;
+/// One process's program: called once with the process's [`Svm`] handle,
+/// it returns the future that runs the process.
+pub type ProcBody = Box<dyn FnOnce(Svm) -> Pin<Box<dyn Future<Output = ()>>>>;
+
+/// Box an `async` process program as a [`ProcBody`].
+pub fn proc_body<Fut>(body: impl FnOnce(Svm) -> Fut + 'static) -> ProcBody
+where
+    Fut: Future<Output = ()> + 'static,
+{
+    Box::new(|svm| Box::pin(body(svm)))
+}
 
 /// A host-uplink outage injected into the run: node `node`'s link to the
 /// switch goes down at `down` and comes back at `up`.
@@ -248,40 +259,33 @@ pub fn run_svm(cfg: SvmConfig, bodies: Vec<ProcBody>) -> SvmReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Svm;
+    use std::cell::Cell;
 
     /// Two procs increment a shared counter under a lock; barrier at the end.
     #[test]
     fn lock_protected_counter_is_exact() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let counter = Arc::new(AtomicU64::new(0));
+        let counter = Rc::new(Cell::new(0u64));
         let total = 8;
         let bodies: Vec<ProcBody> = (0..total)
             .map(|_| {
                 let c = counter.clone();
-                Box::new(move |io: &mut SvmIo| {
-                    let mut svm = Svm::new(io);
+                proc_body(move |mut svm| async move {
                     for _ in 0..10 {
-                        svm.acquire(0);
-                        svm.write(0);
+                        svm.acquire(0).await;
+                        svm.write(0).await;
                         // Critical section: read-modify-write on real data.
-                        let v = c.load(Ordering::Relaxed);
-                        svm.compute(Duration::from_micros(2));
-                        c.store(v + 1, Ordering::Relaxed);
-                        svm.release(0);
+                        let v = c.get();
+                        svm.compute(Duration::from_micros(2)).await;
+                        c.set(v + 1);
+                        svm.release(0).await;
                     }
-                    svm.barrier();
-                }) as ProcBody
+                    svm.barrier().await;
+                })
             })
             .collect();
         let report = run_svm(SvmConfig::default(), bodies);
         assert!(report.completed, "all processes must finish");
-        assert_eq!(
-            counter.load(std::sync::atomic::Ordering::Relaxed),
-            80,
-            "mutual exclusion"
-        );
+        assert_eq!(counter.get(), 80, "mutual exclusion");
         let agg = report.aggregate();
         assert!(
             agg.lock > Duration::ZERO,
@@ -294,30 +298,27 @@ mod tests {
     /// arrived.
     #[test]
     fn barrier_synchronizes_epochs() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let phase_counts: Arc<Vec<AtomicU64>> =
-            Arc::new((0..5).map(|_| AtomicU64::new(0)).collect());
+        let phase_counts: Rc<Vec<Cell<u64>>> = Rc::new((0..5).map(|_| Cell::new(0)).collect());
         let total = 8usize;
         let bodies: Vec<ProcBody> = (0..total)
             .map(|pid| {
                 let pc = phase_counts.clone();
-                Box::new(move |io: &mut SvmIo| {
-                    let mut svm = Svm::new(io);
+                proc_body(move |mut svm| async move {
                     for phase in 0..5 {
                         // Unequal compute so arrival order varies.
-                        svm.compute(Duration::from_micros(3 + (pid as u64 * 7) % 20));
-                        let before = pc[phase].fetch_add(1, Ordering::Relaxed);
+                        svm.compute(Duration::from_micros(3 + (pid as u64 * 7) % 20))
+                            .await;
+                        let before = pc[phase].replace(pc[phase].get() + 1);
                         assert!(before < total as u64, "phase overshoot");
-                        svm.barrier();
+                        svm.barrier().await;
                         // After the barrier, everyone must have counted.
                         assert_eq!(
-                            pc[phase].load(Ordering::Relaxed),
+                            pc[phase].get(),
                             total as u64,
                             "crossed barrier before all arrived"
                         );
                     }
-                }) as ProcBody
+                })
             })
             .collect();
         let report = run_svm(SvmConfig::default(), bodies);
@@ -332,29 +333,28 @@ mod tests {
     fn page_fetch_accounting() {
         let bodies: Vec<ProcBody> = (0..8)
             .map(|pid| {
-                Box::new(move |io: &mut SvmIo| {
-                    let mut svm = Svm::new(io);
+                proc_body(move |mut svm| async move {
                     // Pages 0,4,8,... are homed on node 0 (page % nodes).
                     if pid == 0 {
                         // Writer dirties 16 locally-homed pages: no fetches.
                         for p in 0..16 {
-                            svm.write(p * 4);
+                            svm.write(p * 4).await;
                         }
-                        svm.barrier();
-                        svm.barrier();
+                        svm.barrier().await;
+                        svm.barrier().await;
                     } else {
-                        svm.barrier();
+                        svm.barrier().await;
                         // Everyone reads the writer's pages.
                         for p in 0..16 {
-                            svm.read(p * 4);
+                            svm.read(p * 4).await;
                         }
                         // Re-reads are free (still valid).
                         for p in 0..16 {
-                            svm.read(p * 4);
+                            svm.read(p * 4).await;
                         }
-                        svm.barrier();
+                        svm.barrier().await;
                     }
-                }) as ProcBody
+                })
             })
             .collect();
         let report = run_svm(SvmConfig::default(), bodies);
@@ -376,25 +376,22 @@ mod tests {
     /// results, only slower — the fault-tolerance guarantee end to end.
     #[test]
     fn svm_survives_injected_errors() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
         let run = |error_rate: f64| -> (bool, u64, Duration) {
-            let counter = Arc::new(AtomicU64::new(0));
+            let counter = Rc::new(Cell::new(0u64));
             let bodies: Vec<ProcBody> = (0..8)
                 .map(|_| {
                     let c = counter.clone();
-                    Box::new(move |io: &mut SvmIo| {
-                        let mut svm = Svm::new(io);
+                    proc_body(move |mut svm| async move {
                         for i in 0..6 {
-                            svm.acquire(1);
-                            svm.write(i % 8);
-                            let v = c.load(Ordering::Relaxed);
-                            svm.compute(Duration::from_micros(1));
-                            c.store(v + 1, Ordering::Relaxed);
-                            svm.release(1);
-                            svm.barrier();
+                            svm.acquire(1).await;
+                            svm.write(i % 8).await;
+                            let v = c.get();
+                            svm.compute(Duration::from_micros(1)).await;
+                            c.set(v + 1);
+                            svm.release(1).await;
+                            svm.barrier().await;
                         }
-                    }) as ProcBody
+                    })
                 })
                 .collect();
             let cfg = SvmConfig {
@@ -402,11 +399,7 @@ mod tests {
                 ..SvmConfig::default()
             };
             let report = run_svm(cfg, bodies);
-            (
-                report.completed,
-                counter.load(Ordering::Relaxed),
-                report.wall,
-            )
+            (report.completed, counter.get(), report.wall)
         };
         let (ok0, count0, wall0) = run(0.0);
         let (ok1, count1, wall1) = run(1.0 / 50.0);
@@ -415,69 +408,87 @@ mod tests {
         assert_eq!(count1, 48, "errors must not change results");
         assert!(wall1 > wall0, "errors cost time: {wall1} vs {wall0}");
     }
+
+    /// A process body that panics panics the run: the panic unwinds out of
+    /// the resume that polled it, so a failed process cannot pass for an
+    /// unfinished one.
+    #[test]
+    #[should_panic(expected = "process 3 failed after the first barrier")]
+    fn panicking_body_panics_the_run() {
+        let bodies: Vec<ProcBody> = (0..8)
+            .map(|pid| {
+                proc_body(move |mut svm| async move {
+                    svm.barrier().await;
+                    assert_ne!(pid, 3, "process 3 failed after the first barrier");
+                    svm.barrier().await;
+                })
+            })
+            .collect();
+        run_svm(SvmConfig::default(), bodies);
+    }
 }
 
 #[cfg(test)]
 mod fairness_tests {
     use super::*;
-    use crate::Svm;
-    use std::sync::{Arc, Mutex as StdMutex};
+    use std::cell::Cell;
 
     /// The home-based lock grants strictly in request-arrival order: with
     /// well-separated staggered requests, the critical-section entry order
     /// equals the request order (FIFO, no starvation or barging).
     #[test]
     fn locks_grant_in_request_order() {
-        let order = Arc::new(StdMutex::new(Vec::<u32>::new()));
+        let order = Rc::new(RefCell::new(Vec::<u32>::new()));
         let total = 8u32;
         let bodies: Vec<ProcBody> = (0..total)
             .map(|pid| {
                 let ord = order.clone();
-                Box::new(move |io: &mut crate::SvmIo| {
-                    let mut svm = Svm::new(io);
+                proc_body(move |mut svm| async move {
                     // Stagger arrivals by well over the grant latency.
-                    svm.compute(Duration::from_micros(200 * (pid as u64 + 1)));
-                    svm.acquire(3);
-                    ord.lock().unwrap().push(pid);
+                    svm.compute(Duration::from_micros(200 * (pid as u64 + 1)))
+                        .await;
+                    svm.acquire(3).await;
+                    ord.borrow_mut().push(pid);
                     // Hold long enough that everyone queues behind.
-                    svm.compute(Duration::from_micros(400));
-                    svm.release(3);
-                }) as ProcBody
+                    svm.compute(Duration::from_micros(400)).await;
+                    svm.release(3).await;
+                })
             })
             .collect();
         let report = run_svm(SvmConfig::default(), bodies);
         assert!(report.completed);
-        let got = order.lock().unwrap().clone();
-        assert_eq!(got, (0..total).collect::<Vec<_>>(), "FIFO grant order");
+        assert_eq!(
+            *order.borrow(),
+            (0..total).collect::<Vec<_>>(),
+            "FIFO grant order"
+        );
     }
 
     /// Two independent locks on different home nodes do not serialize each
     /// other: disjoint critical sections overlap in virtual time.
     #[test]
     fn independent_locks_run_concurrently() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let span0 = Arc::new((AtomicU64::new(u64::MAX), AtomicU64::new(0)));
-        let span1 = Arc::new((AtomicU64::new(u64::MAX), AtomicU64::new(0)));
+        let span0 = Rc::new((Cell::new(u64::MAX), Cell::new(0)));
+        let span1 = Rc::new((Cell::new(u64::MAX), Cell::new(0)));
         let bodies: Vec<ProcBody> = (0..8)
             .map(|pid| {
                 let (s0, s1) = (span0.clone(), span1.clone());
-                Box::new(move |io: &mut crate::SvmIo| {
-                    let mut svm = Svm::new(io);
+                proc_body(move |mut svm| async move {
                     let (lock, span) = if pid % 2 == 0 {
                         (10u32, s0)
                     } else {
                         (11u32, s1)
                     };
                     for _ in 0..5 {
-                        svm.acquire(lock);
+                        svm.acquire(lock).await;
                         let t0 = svm.now().nanos();
-                        svm.compute(Duration::from_micros(50));
+                        svm.compute(Duration::from_micros(50)).await;
                         let t1 = svm.now().nanos();
-                        span.0.fetch_min(t0, Ordering::Relaxed);
-                        span.1.fetch_max(t1, Ordering::Relaxed);
-                        svm.release(lock);
+                        span.0.set(span.0.get().min(t0));
+                        span.1.set(span.1.get().max(t1));
+                        svm.release(lock).await;
                     }
-                }) as ProcBody
+                })
             })
             .collect();
         let report = run_svm(SvmConfig::default(), bodies);
@@ -485,14 +496,8 @@ mod fairness_tests {
         // The two lock groups each spent 4 procs × 5 × 50 µs = 1 ms of
         // critical-section time. If they serialized against each other the
         // spans would not overlap; concurrent groups must overlap heavily.
-        let (a0, a1) = (
-            span0.0.load(std::sync::atomic::Ordering::Relaxed),
-            span0.1.load(std::sync::atomic::Ordering::Relaxed),
-        );
-        let (b0, b1) = (
-            span1.0.load(std::sync::atomic::Ordering::Relaxed),
-            span1.1.load(std::sync::atomic::Ordering::Relaxed),
-        );
+        let (a0, a1) = (span0.0.get(), span0.1.get());
+        let (b0, b1) = (span1.0.get(), span1.1.get());
         let overlap = a1.min(b1).saturating_sub(a0.max(b0));
         assert!(
             overlap > 500_000,
@@ -507,26 +512,22 @@ mod fairness_tests {
     /// failed message after the repair and the run completes exactly.
     #[test]
     fn host_recovery_survives_remap_budget_exhaustion() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
         let run = |recovery: Option<san_vmmc::RecoveryConfig>| {
-            let counter = Arc::new(AtomicU64::new(0));
+            let counter = Rc::new(Cell::new(0u64));
             let bodies: Vec<ProcBody> = (0..2)
                 .map(|_| {
                     let c = counter.clone();
-                    Box::new(move |io: &mut SvmIo| {
-                        let mut svm = Svm::new(io);
+                    proc_body(move |mut svm| async move {
                         for _ in 0..20 {
-                            svm.acquire(0);
-                            svm.write(0);
-                            let v = c.load(Ordering::Relaxed);
-                            svm.compute(Duration::from_millis(10));
-                            c.store(v + 1, Ordering::Relaxed);
-                            svm.release(0);
+                            svm.acquire(0).await;
+                            svm.write(0).await;
+                            let v = c.get();
+                            svm.compute(Duration::from_millis(10)).await;
+                            c.set(v + 1);
+                            svm.release(0).await;
                         }
-                        svm.barrier();
-                    }) as ProcBody
+                        svm.barrier().await;
+                    })
                 })
                 .collect();
             let cfg = SvmConfig {
@@ -550,7 +551,7 @@ mod fairness_tests {
                 ..SvmConfig::default()
             };
             let report = run_svm(cfg, bodies);
-            (report.completed, counter.load(Ordering::Relaxed))
+            (report.completed, counter.get())
         };
 
         let (completed, _) = run(None);

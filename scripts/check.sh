@@ -84,8 +84,10 @@ for pin in remap2=18424/72396/21/53973/2685 bidir2=260276/1690062/26/1429787/337
     fi
 done
 
-echo "== paper regeneration (table3 and ablate print the #tsv lines of results/table3.txt and results/ablate.txt)"
-for bin in table3 ablate; do
+echo "== paper regeneration (table3, ablate, fig3, fig4, fig5, fig7, fig9 and table1 print the #tsv lines of their results/*.txt)"
+# Every figure binary that finishes in seconds. fig6 (~21 s) and fig8
+# (~11 s on 2 cores) stay out to keep the gate's time down.
+for bin in table3 ablate fig3 fig4 fig5 fig7 fig9 table1; do
     out=$(cargo run --release -q -p san-bench --bin "$bin")
     if ! diff <(grep '^#tsv' <<< "$out") <(grep '^#tsv' "results/$bin.txt"); then
         echo "ERROR: $bin's #tsv lines (<) differ from results/$bin.txt (>)" >&2
