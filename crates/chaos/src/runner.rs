@@ -11,8 +11,6 @@
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use san_fabric::NodeId;
 use san_ft::{MapperConfig, ReliableFirmware};
@@ -20,6 +18,7 @@ use san_nic::testkit::make_desc;
 use san_nic::{
     Cluster, ClusterConfig, Firmware, HostAgent, HostCtx, NicTiming, UnreliableFirmware,
 };
+use san_sim::fanout::map_indexed;
 use san_sim::{Duration, Time};
 use san_telemetry::{Telemetry, TraceKind};
 
@@ -557,41 +556,14 @@ impl CampaignOutcome {
 
 /// Run `trials` sampled trials of `campaign` on `jobs` worker threads.
 ///
-/// Work is handed out by atomic index; results land in an index-addressed
-/// slot vector, so the outcome vector — and therefore the report — is
+/// Each trial is one independent simulation and outcomes come back in
+/// trial order, so the outcome vector — and therefore the report — is
 /// byte-identical for any `jobs >= 1`.
 pub fn run_campaign(campaign: &Campaign, trials: u32, jobs: usize) -> CampaignOutcome {
-    let trials = trials.max(1);
-    let jobs = jobs.clamp(1, 64);
-    let mut slots: Vec<Option<TrialOutcome>> = (0..trials).map(|_| None).collect();
-
-    if jobs == 1 {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_trial(&campaign.sample(i as u32)));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let results = Mutex::new(&mut slots);
-        // A worker's panic propagates out of the scope once all have joined.
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(trials as usize) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= trials as usize {
-                        break;
-                    }
-                    let outcome = run_trial(&campaign.sample(i as u32));
-                    results.lock().expect("a chaos worker panicked")[i] = Some(outcome);
-                });
-            }
-        });
-    }
-
     CampaignOutcome {
         name: campaign.name.clone(),
-        trials: slots
-            .into_iter()
-            .map(|s| s.expect("every trial slot filled"))
-            .collect(),
+        trials: map_indexed(trials.max(1) as usize, jobs.clamp(1, 64), |i| {
+            run_trial(&campaign.sample(i as u32))
+        }),
     }
 }

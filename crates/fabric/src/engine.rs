@@ -361,12 +361,6 @@ pub struct Engine {
     /// `(at, seq)` order. The head, and only the head, is armed in the
     /// event queue as a [`FabricEvent::ResetCheck`].
     reset_checks: VecDeque<ResetDeadline>,
-    /// Trace events buffered within a dispatch, flushed to the ring in one
-    /// head claim at every public-method exit (so records from other layers
-    /// interleave exactly as they did with per-event recording).
-    tbatch: Vec<TraceEvent>,
-    /// Cached `tel.tracing_enabled()` (fixed at telemetry construction).
-    trace_on: bool,
     faults: TransientFaults,
     fault_rng: SimRng,
     /// Gilbert–Elliott channel state (true = bad) when `faults.burst` is set.
@@ -415,8 +409,6 @@ impl Engine {
             switch_alive,
             flights: Slab::new(),
             reset_checks: VecDeque::new(),
-            tbatch: Vec::new(),
-            trace_on: tel.tracing_enabled(),
             faults: TransientFaults::none(),
             fault_rng: SimRng::seed_from(0x00FA_B017),
             burst_bad: false,
@@ -449,28 +441,6 @@ impl Engine {
         }
     }
 
-    /// Buffer one trace event. Events batch up within a dispatch and flush
-    /// at public-method exits ([`Engine::flush_trace`]); order is preserved,
-    /// so the ring contents stay byte-identical to per-event recording.
-    #[inline]
-    fn trace(&mut self, ev: TraceEvent) {
-        if self.trace_on {
-            self.tbatch.push(ev);
-            if self.tbatch.len() >= 32 {
-                self.flush_trace();
-            }
-        }
-    }
-
-    /// Flush buffered trace events to the ring in a single head claim.
-    #[inline]
-    fn flush_trace(&mut self) {
-        if !self.tbatch.is_empty() {
-            self.tel.record_batch(&self.tbatch);
-            self.tbatch.clear();
-        }
-    }
-
     /// Count + trace + report a drop (every loss funnels through here).
     fn report_drop(
         &mut self,
@@ -480,7 +450,7 @@ impl Engine {
         out: &mut Vec<FabricOut>,
     ) {
         self.metrics.count_drop(reason);
-        self.trace(Self::pkt_event(
+        self.tel.record(Self::pkt_event(
             now,
             TraceKind::PacketDropped,
             pkt.src,
@@ -593,7 +563,7 @@ impl Engine {
     ) {
         self.metrics.injected.hit();
         pkt.stamps.injected = sim.now();
-        self.trace(Self::pkt_event(
+        self.tel.record(Self::pkt_event(
             sim.now(),
             TraceKind::PacketInjected,
             pkt.src,
@@ -616,7 +586,7 @@ impl Engine {
             }
             if self.faults.corrupt_prob > 0.0 && self.fault_rng.chance(self.faults.corrupt_prob) {
                 pkt.corrupted = true;
-                self.trace(Self::pkt_event(
+                self.tel.record(Self::pkt_event(
                     sim.now(),
                     TraceKind::PacketCorrupted,
                     pkt.src,
@@ -629,7 +599,6 @@ impl Engine {
         let src = pkt.src;
         let Some(first_link) = self.topo.link_at(Endpoint::Host(src)) else {
             self.report_drop(sim.now(), pkt, DropReason::InvalidRoute, out);
-            self.flush_trace();
             return;
         };
         let (slot, epoch) = self.flights.insert(Flight::new(pkt, src, will_drop));
@@ -647,7 +616,6 @@ impl Engine {
         self.reset_checks.push_back(check);
         let ch = self.channel_from(first_link, Endpoint::Host(src));
         self.try_acquire(sim, slot, ch, out);
-        self.flush_trace();
     }
 
     /// Unreachable: [`PortalCrossing`] is uninhabited. Kept only for
@@ -692,7 +660,7 @@ impl Engine {
                 if self.live(flight, epoch) {
                     self.metrics.path_resets.hit();
                     let f = self.kill_flight(sim, flight);
-                    self.trace(Self::pkt_event(
+                    self.tel.record(Self::pkt_event(
                         sim.now(),
                         TraceKind::PathReset,
                         f.src,
@@ -723,7 +691,6 @@ impl Engine {
             // Pure notification: the mutation that produced it already ran.
             FabricEvent::Reconfigured { .. } => {}
         }
-        self.flush_trace();
     }
 
     fn live(&self, flight: u32, epoch: u32) -> bool {
@@ -839,7 +806,7 @@ impl Engine {
                         port as u64,
                     )
                 };
-                self.trace(ev);
+                self.tel.record(ev);
                 let ch = self.channel_from(link, Endpoint::Switch(s, PortId(port)));
                 self.try_acquire(sim, flight, ch, out);
             }
@@ -870,7 +837,7 @@ impl Engine {
         } else {
             self.metrics.delivered.hit();
             self.metrics.bytes_delivered.add(f.pkt.payload_len as u64);
-            self.trace(Self::pkt_event(
+            self.tel.record(Self::pkt_event(
                 sim.now(),
                 TraceKind::PacketDelivered,
                 node,
@@ -932,7 +899,6 @@ impl Engine {
         if !alive {
             self.kill_flights_on(sim, |held_ch| LinkId(held_ch / 2) == link, out);
         }
-        self.flush_trace();
     }
 
     /// Kill a switch: all its links' channels die with it.
@@ -959,7 +925,6 @@ impl Engine {
             }
         }
         self.kill_flights_on(sim, |ch| dead_links.contains(&LinkId(ch / 2)), out);
-        self.flush_trace();
     }
 
     fn kill_flights_on<E: From<FabricEvent>>(
@@ -1028,7 +993,7 @@ impl Engine {
         let new_fp = fingerprint_topology(&self.topo);
         let epoch = self.reconfig_log.len() as u64 + 1;
         self.rmetrics.epochs.hit();
-        self.trace(TraceEvent {
+        self.tel.record(TraceEvent {
             at_ns: sim.now().nanos(),
             layer: Layer::Fabric,
             kind: TraceKind::Reconfig,
@@ -1118,7 +1083,6 @@ impl Engine {
         self.provision_link_state(id);
         self.rmetrics.links_added.hit();
         self.finish_reconfig(sim, old_fp, vec![id], Self::switches_of(&[a, b]));
-        self.flush_trace();
         Ok(id)
     }
 
@@ -1163,7 +1127,6 @@ impl Engine {
             vec![link],
             Self::switches_of(&[gone.a, gone.b]),
         );
-        self.flush_trace();
         Some(gone)
     }
 
@@ -1212,8 +1175,6 @@ impl Engine {
         if !switches.contains(&s) {
             switches.push(s);
         }
-        let epoch = self.finish_reconfig(sim, old_fp, incident, switches);
-        self.flush_trace();
-        epoch
+        self.finish_reconfig(sim, old_fp, incident, switches)
     }
 }

@@ -1,13 +1,11 @@
 //! Parameter-grid driver for Figures 5–8: every (timer, queue size, error
 //! rate, message size) combination is an independent deterministic
 //! simulation, so the grid fans out across threads with
-//! `std::thread::scope`.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! [`san_sim::fanout::map_indexed`].
 
 use san_ft::ProtocolConfig;
 use san_nic::ClusterConfig;
+use san_sim::fanout::map_indexed;
 use san_sim::{Duration, Time};
 
 use crate::bandwidth::{pingpong_bandwidth, unidirectional_bandwidth, BwPoint};
@@ -95,34 +93,15 @@ fn run_cell(p: &GridPoint, spec: &GridSpec) -> BwPoint {
     }
 }
 
-/// Run every cell, fanning out over `spec.workers` threads. Results come
-/// back in input order regardless of completion order.
+/// Run every cell, fanning out over `spec.workers` threads (one worker
+/// runs them on the calling thread). Results come back in input order
+/// regardless of completion order.
 pub fn run_grid(points: Vec<GridPoint>, spec: GridSpec) -> Vec<GridResult> {
-    let n = points.len();
-    let mut results: Vec<Option<GridResult>> = (0..n).map(|_| None).collect();
-    let next = AtomicUsize::new(0);
-    let points_ref = &points;
-    let spec_ref = &spec;
-    let results_mutex = Mutex::new(&mut results);
-    // A worker's panic propagates out of the scope once all have joined.
-    std::thread::scope(|s| {
-        for _ in 0..spec.workers.max(1) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let p = points_ref[i].clone();
-                let bw = run_cell(&p, spec_ref);
-                let mut guard = results_mutex.lock().expect("a sweep worker panicked");
-                guard[i] = Some(GridResult { point: p, bw });
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every cell ran"))
-        .collect()
+    map_indexed(points.len(), spec.workers, |i| {
+        let point = points[i].clone();
+        let bw = run_cell(&point, &spec);
+        GridResult { point, bw }
+    })
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ impl SendDesc {
 
 /// Per-NIC statistics.
 ///
-/// Counters are `Arc`-backed telemetry cells: a default-constructed value
+/// Counters are shared telemetry cells: a default-constructed value
 /// is private to the NIC, while [`NicStats::registered`] shares each cell
 /// with a [`Telemetry`] registry under `nic.node.<n>.*` (hardware
 /// mechanisms) and `ft.node.<n>.*` (reliability-protocol policy), so

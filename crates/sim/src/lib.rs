@@ -7,30 +7,33 @@
 //! simulation, and this crate provides the simulation kernel:
 //!
 //! * [`Time`] / [`Duration`] — virtual nanosecond clock arithmetic,
-//! * [`EventQueue`] — a total-order, deterministically tie-broken pending
-//!   event set,
-//! * [`Sim`] — clock + queue + seeded RNG bundle with a driver loop,
+//! * [`Sim`] — clock + pending-event set + seeded RNG bundle with a driver
+//!   loop; the pending events live in a [`san_des::wheel::TimingWheel`],
+//!   a total-order, deterministically tie-broken timing wheel,
 //! * [`Resource`] — busy-until modelling for serially shared hardware units
 //!   (NIC processor, DMA engines, PCI bus),
 //! * [`stats`] — streaming sample summaries (count, mean, min, max,
-//!   standard deviation).
+//!   standard deviation),
+//! * [`fanout::map_indexed`] — the one thread fan-out, across independent
+//!   simulations.
 //!
 //! Determinism is a hard requirement: two runs with the same seed and
 //! configuration must produce bit-identical results, because the paper's
 //! parameter sweeps (Figures 5–9) compare dozens of configurations and any
-//! run-to-run jitter would drown the effects being measured. The queue breaks
+//! run-to-run jitter would drown the effects being measured. The wheel breaks
 //! ties on `(time, insertion sequence)` and the RNG is an explicitly seeded
 //! [`rand::rngs::SmallRng`].
 
+pub mod fanout;
 pub mod histogram;
-pub mod queue;
 pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
+use san_des::wheel::TimingWheel;
+
 pub use histogram::Histogram;
-pub use queue::EventQueue;
 pub use resource::Resource;
 pub use rng::SimRng;
 pub use stats::Summary;
@@ -45,7 +48,7 @@ pub use time::{Duration, Time, MICROS, MILLIS, NANOS, SECS};
 #[derive(Debug)]
 pub struct Sim<E> {
     now: Time,
-    queue: EventQueue<E>,
+    wheel: TimingWheel<E>,
     rng: SimRng,
 }
 
@@ -54,7 +57,7 @@ impl<E> Sim<E> {
     pub fn new(seed: u64) -> Self {
         Self {
             now: Time::ZERO,
-            queue: EventQueue::new(),
+            wheel: TimingWheel::new(),
             rng: SimRng::seed_from(seed),
         }
     }
@@ -76,14 +79,14 @@ impl<E> Sim<E> {
             "scheduling into the past: {at} < {}",
             self.now
         );
-        self.queue.push(at, ev);
+        self.wheel.push(at.nanos(), ev);
     }
 
     /// Schedule `ev` to fire `after` from now.
     #[inline]
     pub fn schedule_in(&mut self, after: Duration, ev: E) {
         let at = self.now + after;
-        self.queue.push(at, ev);
+        self.wheel.push(at.nanos(), ev);
     }
 
     /// Reserve the sequence number the next `schedule` would take, for an
@@ -91,7 +94,7 @@ impl<E> Sim<E> {
     /// [`Sim::schedule_reserved`].
     #[inline]
     pub fn reserve_seq(&mut self) -> u64 {
-        self.queue.reserve_seq()
+        self.wheel.reserve_seq()
     }
 
     /// Schedule `ev` at absolute time `at` under a sequence number from
@@ -109,13 +112,14 @@ impl<E> Sim<E> {
             "scheduling into the past: {at} < {}",
             self.now
         );
-        self.queue.push_reserved(at, seq, ev);
+        self.wheel.push_reserved(at.nanos(), seq, ev);
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let (t, ev) = self.queue.pop()?;
+        let (t, ev) = self.wheel.pop()?;
+        let t = Time::from_nanos(t);
         debug_assert!(t >= self.now, "event queue went backwards");
         self.now = t;
         Some((t, ev))
@@ -124,20 +128,20 @@ impl<E> Sim<E> {
     /// Number of pending events.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.wheel.len()
     }
 
     /// Timestamp of the next pending event, if any. Takes `&mut self`
     /// because the timing wheel may sweep slots forward to find it.
     #[inline]
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.queue.peek_time()
+        self.wheel.peek_time().map(Time::from_nanos)
     }
 
     /// True when no events remain.
     #[inline]
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.wheel.is_empty()
     }
 
     /// Deterministic simulation RNG.

@@ -14,9 +14,9 @@
 //!   benches enumerate everything uniformly;
 //! * a **structured trace ring** ([`Telemetry::record`]) — a bounded,
 //!   zero-alloc-on-hot-path recorder of packet/protocol events with
-//!   virtual-ns timestamps, filterable by layer and node. A disabled
-//!   recorder is one enum branch (see `benches/telemetry.rs` in
-//!   `san-bench` for the overhead proof);
+//!   virtual-ns timestamps. A disabled recorder is one enum branch
+//!   (`san-bench engine`'s `trace_overhead` row measures the cost of
+//!   an enabled one);
 //! * a **packet-lifecycle reconstructor** ([`lifecycle::reconstruct`]) —
 //!   joins trace events by `(src, dst, generation, seq)` into per-packet
 //!   timelines, e.g. proving a Figure 5 retransmission was spurious
@@ -28,10 +28,11 @@
 //!   reads or writes: telemetry exports, `BENCH_*.json` artifacts, chaos
 //!   campaigns and repros, and the benchmark's saved runs.
 //!
-//! A [`Telemetry`] handle is cheap to clone (it is an `Arc`) and is
+//! A [`Telemetry`] handle is cheap to clone (it is an `Rc`) and is
 //! threaded through cluster construction via `ClusterConfig::telemetry`;
 //! the handle the caller keeps observes everything the simulation
-//! recorded.
+//! recorded. One simulation runs on one thread, so neither the handle nor
+//! the metric handles it gives out are `Send` or `Sync`.
 
 pub mod export;
 pub mod json;
@@ -39,13 +40,13 @@ pub mod lifecycle;
 pub mod metrics;
 pub mod trace;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 pub use metrics::{
     Counter, Gauge, HistogramHandle, MetricKind, MetricValue, RegistryError, Snapshot,
     SnapshotEntry, SummaryHandle,
 };
-pub use trace::{Layer, TraceEvent, TraceFilter, TraceKind, TraceScan};
+pub use trace::{Layer, TraceEvent, TraceKind, TraceScan};
 
 use trace::{Recorder, Ring};
 
@@ -55,7 +56,7 @@ use trace::{Recorder, Ring};
 /// disabled; metrics always work.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 #[derive(Debug)]
@@ -79,18 +80,14 @@ impl Telemetry {
         Self::default()
     }
 
-    /// Handle with tracing enabled: a pre-allocated ring of `capacity`
-    /// events that overwrites the oldest when full.
+    /// Handle with tracing enabled: a pre-allocated ring that holds
+    /// `capacity` events rounded up to the next power of two, and
+    /// overwrites the oldest when full.
     pub fn with_trace(capacity: usize) -> Self {
-        Self::with_trace_filter(capacity, TraceFilter::all())
-    }
-
-    /// Tracing with a record-time filter (layer bitmask and/or node).
-    pub fn with_trace_filter(capacity: usize, filter: TraceFilter) -> Self {
         Self {
-            inner: Arc::new(Inner {
+            inner: Rc::new(Inner {
                 registry: metrics::Registry::default(),
-                recorder: Recorder::On(Ring::new(capacity, filter)),
+                recorder: Recorder::On(Ring::new(capacity)),
             }),
         }
     }
@@ -168,14 +165,6 @@ impl Telemetry {
     #[inline]
     pub fn record(&self, ev: TraceEvent) {
         self.inner.recorder.record(ev);
-    }
-
-    /// Record a batch of events in order, claiming the ring head once for
-    /// the whole batch. Byte-identical trace output to recording each event
-    /// individually; cheaper when a dispatch emits several events.
-    #[inline]
-    pub fn record_batch(&self, evs: &[TraceEvent]) {
-        self.inner.recorder.record_batch(evs);
     }
 
     /// The recorded events, oldest first. Empty when disabled.
@@ -298,27 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_recording_is_byte_identical_to_singles() {
-        let singles = Telemetry::with_trace(8);
-        let batched = Telemetry::with_trace(8);
-        let evs: Vec<TraceEvent> = (0..11u64)
-            .map(|i| ev(i * 3, TraceKind::PacketInjected, (i % 4) as u16, i as u32))
-            .collect();
-        for e in &evs {
-            singles.record(*e);
-        }
-        // Flush in uneven chunks, including past the wrap point.
-        batched.record_batch(&evs[0..5]);
-        batched.record_batch(&evs[5..5]);
-        batched.record_batch(&evs[5..6]);
-        batched.record_batch(&evs[6..11]);
-        let a: Vec<String> = singles.events().iter().map(|e| e.to_line()).collect();
-        let b: Vec<String> = batched.events().iter().map(|e| e.to_line()).collect();
-        assert_eq!(a, b);
-        assert_eq!(singles.overwritten_events(), batched.overwritten_events());
-    }
-
-    #[test]
     fn disabled_recorder_drops_everything() {
         let tel = Telemetry::new();
         assert!(!tel.tracing_enabled());
@@ -344,17 +312,16 @@ mod tests {
     }
 
     #[test]
-    fn filters_select_layer_and_node() {
-        let filter = TraceFilter::layers(&[Layer::Ft]).at_node(1);
-        let tel = Telemetry::with_trace_filter(64, filter);
-        tel.record(ev(1, TraceKind::Retransmit, 1, 0)); // kept
-        tel.record(ev(2, TraceKind::Retransmit, 0, 0)); // wrong node
-        let mut fab = ev(3, TraceKind::PacketInjected, 1, 0);
-        fab.layer = Layer::Fabric; // wrong layer
-        tel.record(fab);
-        let evs = tel.events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].at_ns, 1);
+    fn ring_capacity_rounds_up_to_a_power_of_two() {
+        let tel = Telemetry::with_trace(5);
+        for i in 0..8u64 {
+            tel.record(ev(i, TraceKind::PacketInjected, 0, i as u32));
+        }
+        assert_eq!(tel.events().len(), 8);
+        assert_eq!(tel.overwritten_events(), 0);
+        tel.record(ev(8, TraceKind::PacketInjected, 0, 8));
+        assert_eq!(tel.overwritten_events(), 1);
+        assert_eq!(tel.events()[0].at_ns, 1);
     }
 
     #[test]

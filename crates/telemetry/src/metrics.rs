@@ -11,25 +11,26 @@
 //! Asking for an existing name with a *different* kind is a collision and
 //! fails.
 //!
-//! Handles are `Arc`-backed and atomic (counters/gauges) or mutex-guarded
-//! (histograms/summaries), so a simulation thread can update them while a
-//! harness thread snapshots. Snapshots iterate a `BTreeMap`, so ordering
-//! is lexicographic and stable across runs.
+//! Handles are `Rc`-shared `Cell`s (counters/gauges) or `RefCell`s
+//! (histograms/summaries): a simulation and everything that reads its
+//! metrics run on one thread, so the handles are neither `Send` nor
+//! `Sync`. Snapshots iterate a `BTreeMap`, so ordering is lexicographic
+//! and stable across runs.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use san_sim::{Duration, Histogram, Summary};
 
 /// A monotonically increasing, shareable event counter
 /// (`hit`/`add`/`get`/`reset`, `Display`).
 ///
-/// It is `Arc`-backed: clones observe the same value, which lets a
+/// It is `Rc`-shared: clones observe the same value, which lets a
 /// layer's private stats struct and the registry share one cell.
 #[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Rc<Cell<u64>>);
 
 impl Counter {
     /// Fresh unregistered counter at zero.
@@ -39,22 +40,22 @@ impl Counter {
     /// Increment by one.
     #[inline]
     pub fn hit(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
     /// Increment by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.set(self.0.get().wrapping_add(n));
     }
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
     /// Reset to zero (between measurement phases of one run).
     #[inline]
     pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
+        self.0.set(0);
     }
 }
 
@@ -66,7 +67,7 @@ impl fmt::Display for Counter {
 
 /// A signed level indicator (queue depth, window occupancy), shareable.
 #[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicI64>);
+pub struct Gauge(Rc<Cell<i64>>);
 
 impl Gauge {
     /// Fresh unregistered gauge at zero.
@@ -76,22 +77,22 @@ impl Gauge {
     /// Pin to an absolute level.
     #[inline]
     pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
+        self.0.set(v);
     }
     /// Move up by `n`.
     #[inline]
     pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.set(self.0.get().wrapping_add(n));
     }
     /// Move down by `n`.
     #[inline]
     pub fn sub(&self, n: i64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
+        self.0.set(self.0.get().wrapping_sub(n));
     }
     /// Current level.
     #[inline]
     pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 }
 
@@ -103,7 +104,7 @@ impl fmt::Display for Gauge {
 
 /// A shareable handle to a nanosecond-duration histogram.
 #[derive(Debug, Clone, Default)]
-pub struct HistogramHandle(Arc<Mutex<Histogram>>);
+pub struct HistogramHandle(Rc<RefCell<Histogram>>);
 
 impl HistogramHandle {
     /// Fresh unregistered histogram.
@@ -113,17 +114,17 @@ impl HistogramHandle {
     /// Record one duration sample.
     #[inline]
     pub fn record(&self, d: Duration) {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).record(d);
+        self.0.borrow_mut().record(d);
     }
     /// Copy out the current distribution.
     pub fn snapshot(&self) -> Histogram {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.0.borrow().clone()
     }
 }
 
 /// A shareable handle to a streaming scalar summary.
 #[derive(Debug, Clone, Default)]
-pub struct SummaryHandle(Arc<Mutex<Summary>>);
+pub struct SummaryHandle(Rc<RefCell<Summary>>);
 
 impl SummaryHandle {
     /// Fresh unregistered summary.
@@ -133,11 +134,11 @@ impl SummaryHandle {
     /// Record one sample.
     #[inline]
     pub fn record(&self, x: f64) {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).record(x);
+        self.0.borrow_mut().record(x);
     }
     /// Copy out the current summary.
     pub fn snapshot(&self) -> Summary {
-        *self.0.lock().unwrap_or_else(|e| e.into_inner())
+        *self.0.borrow()
     }
 }
 
@@ -215,13 +216,13 @@ impl Metric {
 /// Name → metric map behind the `Telemetry` handle.
 #[derive(Debug, Default)]
 pub(crate) struct Registry {
-    metrics: Mutex<BTreeMap<String, Metric>>,
+    metrics: RefCell<BTreeMap<String, Metric>>,
 }
 
 macro_rules! get_or_create {
     ($fn_name:ident, $variant:ident, $handle:ty, $kind:expr) => {
         pub(crate) fn $fn_name(&self, name: &str) -> Result<$handle, RegistryError> {
-            let mut map = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+            let mut map = self.metrics.borrow_mut();
             match map.get(name) {
                 Some(Metric::$variant(h)) => Ok(h.clone()),
                 Some(other) => Err(RegistryError::KindMismatch {
@@ -246,7 +247,7 @@ impl Registry {
     get_or_create!(summary, Summary, SummaryHandle, MetricKind::Summary);
 
     pub(crate) fn snapshot(&self) -> Snapshot {
-        let map = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        let map = self.metrics.borrow();
         let entries = map
             .iter()
             .map(|(name, m)| SnapshotEntry {

@@ -31,7 +31,7 @@
 //! hit/miss counters are registered in telemetry when a handle is given.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use san_fabric::route::MAX_HOPS;
 use san_fabric::updown::routes_deadlock_free;
@@ -486,7 +486,7 @@ pub struct ReplanStats {
 pub struct RouteCache {
     k: usize,
     planner: Box<dyn RoutePlanner>,
-    entries: HashMap<(u64, u64), Arc<PlanTable>>,
+    entries: HashMap<(u64, u64), Rc<PlanTable>>,
     epoch: u64,
     last_hit: bool,
     /// Cache hits (same degraded fabric re-planned).
@@ -603,7 +603,7 @@ impl RouteCache {
             evicted,
         };
         self.entries
-            .insert((delta.new_fp, afp), Arc::new(planned.table));
+            .insert((delta.new_fp, afp), Rc::new(planned.table));
         self.epoch = delta.epoch;
         self.evicted.add(stats.evicted as u64);
         self.kept_pairs.add(stats.kept_pairs as u64);
@@ -615,7 +615,7 @@ impl RouteCache {
     /// sight and shared (O(1)) afterwards. `hosts` must be the same for a
     /// given topology fingerprint (atlas fabrics guarantee this: hosts are
     /// part of the wiring, and the wiring is the fingerprint).
-    pub fn plan(&mut self, topo: &Topology, hosts: &[NodeId], dead: &[LinkId]) -> Arc<PlanTable> {
+    pub fn plan(&mut self, topo: &Topology, hosts: &[NodeId], dead: &[LinkId]) -> Rc<PlanTable> {
         let key = (fingerprint_topology(topo), alive_fingerprint(dead));
         if let Some(hit) = self.entries.get(&key) {
             self.hits.hit();
@@ -626,7 +626,7 @@ impl RouteCache {
         self.last_hit = false;
         let k = self.k;
         let alive = |l: LinkId| !dead.contains(&l);
-        let table = Arc::new(
+        let table = Rc::new(
             self.planner
                 .plan(&PlanRequest {
                     topo,
@@ -863,16 +863,13 @@ mod tests {
         let first = cache.plan(&f.topo, &f.hosts, &dead);
         assert!(!cache.last_was_hit());
         let second = cache.plan(&f.topo, &f.hosts, &dead);
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "second lookup is the hit path"
-        );
+        assert!(Rc::ptr_eq(&first, &second), "second lookup is the hit path");
         assert!(cache.last_was_hit());
         assert_eq!(cache.hits.get(), 1);
         assert_eq!(cache.misses.get(), 1);
         // A different alive set is a different entry.
         let other = cache.plan(&f.topo, &f.hosts, &[]);
-        assert!(!Arc::ptr_eq(&first, &other));
+        assert!(!Rc::ptr_eq(&first, &other));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.strategy(), "generic-diverse");
     }

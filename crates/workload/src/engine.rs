@@ -181,7 +181,7 @@ impl Ledger {
     }
 }
 
-/// Per-tenant telemetry cells (Arc-backed; cheap clones shared by all
+/// Per-tenant telemetry cells (cheap `Rc` clones shared by all
 /// hosts). Registered only when the driver asks — chaos trials skip this
 /// so their registries stay lean.
 #[derive(Debug, Clone)]

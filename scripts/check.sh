@@ -30,6 +30,12 @@ if grep -rn --include=*.rs '{{\\"' crates; then
     exit 1
 fi
 
+echo "== one simulation, one thread (only san_sim::fanout shares state across threads)"
+if grep -rnE 'Arc<|Arc::|Mutex|RwLock|Atomic[A-Z]' crates/*/src | grep -v '^crates/sim/src/fanout\.rs:'; then
+    echo "ERROR: the lines above share state across threads; a simulation runs on one thread, and independent simulations fan out through san_sim::fanout::map_indexed" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -63,6 +63,6 @@ pub mod prelude {
     pub use san_nic::testkit::{Collector, StreamSender};
     pub use san_nic::{Cluster, ClusterConfig, HostAgent, HostCtx, SendDesc, UnreliableFirmware};
     pub use san_sim::{Duration, Time};
-    pub use san_telemetry::{Telemetry, TraceFilter};
+    pub use san_telemetry::Telemetry;
     pub use san_vmmc::VmmcLib;
 }
