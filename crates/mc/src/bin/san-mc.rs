@@ -14,9 +14,10 @@
 //! leak-knob config, which must *fail* with a conservation
 //! counterexample (the checker proving it still catches the PR 2 bug).
 //! `trace` replays a serialized counterexample against the model (and,
-//! with `--sim`, its environment schedule against the real simulator).
-//! `stats` prints per-config state-space sizes, the peak BFS frontier and
-//! throughput.
+//! with `--sim`, its environment schedule against the real simulator); it
+//! exits 1 at the first event the model does not enable there.
+//! `stats` prints per-config state-space sizes, the peak BFS frontier, the
+//! visited set's bytes per state and throughput.
 
 use std::process::ExitCode;
 
@@ -84,7 +85,7 @@ fn cmd_list() -> ExitCode {
 }
 
 /// One line of verdict per config run: the counts, the peak frontier,
-/// the seconds and the verdict.
+/// the visited set's bytes per state, the seconds and the verdict.
 fn report_line(r: &san_mc::CheckReport, expect_violation: bool) -> (bool, String) {
     let verdict = match (&r.counterexample, r.truncated, expect_violation) {
         (Some(_), _, true) => (true, "FAIL-AS-EXPECTED"),
@@ -94,13 +95,14 @@ fn report_line(r: &san_mc::CheckReport, expect_violation: bool) -> (bool, String
         (None, false, false) => (true, "VERIFIED"),
     };
     let line = format!(
-        "{:<8} {:>9} states {:>10} transitions depth {:<3} dedup {:>9} frontier {:>7} {:>8.2}s  {}",
+        "{:<8} {:>9} states {:>10} transitions depth {:<3} dedup {:>9} frontier {:>7} {:>6.1} B/state {:>8.2}s  {}",
         r.config,
         r.states,
         r.transitions,
         r.max_depth_seen,
         r.dedup_hits,
         r.frontier_peak,
+        r.visited_bytes_per_state(),
         r.elapsed_secs,
         verdict.1
     );
@@ -213,7 +215,13 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let replay = san_mc::replay_model(&cfg, &trace);
+    let replay = match san_mc::replay_model(&cfg, &trace) {
+        Ok(r) => r,
+        Err(e) => {
+            println!("model replay: {e}; the trace is not a path of `{name}`");
+            return ExitCode::FAILURE;
+        }
+    };
     if replay.violations.is_empty() {
         println!("model replay: {} events, no violation", trace.len());
     } else {
@@ -263,20 +271,29 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         return code;
     }
     println!(
-        "{:<8} {:>10} {:>12} {:>7} {:>10} {:>9} {:>12} {:>9}",
-        "config", "states", "transitions", "depth", "dedup", "frontier", "states/sec", "seconds"
+        "{:<8} {:>10} {:>12} {:>7} {:>10} {:>9} {:>8} {:>12} {:>9}",
+        "config",
+        "states",
+        "transitions",
+        "depth",
+        "dedup",
+        "frontier",
+        "B/state",
+        "states/sec",
+        "seconds"
     );
     for cfg in &configs {
         let tel = Telemetry::new();
         let report = check(cfg, &CheckOpts::default(), &tel);
         println!(
-            "{:<8} {:>10} {:>12} {:>7} {:>10} {:>9} {:>12} {:>9.2}",
+            "{:<8} {:>10} {:>12} {:>7} {:>10} {:>9} {:>8.1} {:>12} {:>9.2}",
             report.config,
             report.states,
             report.transitions,
             report.max_depth_seen,
             report.dedup_hits,
             report.frontier_peak,
+            report.visited_bytes_per_state(),
             tel.gauge("mc.states_per_sec").get(),
             report.elapsed_secs
         );

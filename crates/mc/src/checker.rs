@@ -2,7 +2,10 @@
 //!
 //! The visited set keys on the exact canonical byte encoding
 //! ([`crate::model::encode_into`]) — no lossy hashing, so "visited" can
-//! never be a collision artifact. BFS order means the first
+//! never be a collision artifact. It stores each key collapsed, as SPIN's
+//! COLLAPSE mode does: every distinct key section once, and each state as
+//! its tuple of section ids, so a state costs tens of bytes, not a boxed
+//! key of over a hundred. BFS order means the first
 //! counterexample found is a *shortest* one; the parent map reconstructs
 //! its event list, which replays through [`crate::trace::replay_model`]
 //! and (for environment-level events) [`crate::simreplay`].
@@ -15,7 +18,7 @@
 //! fields the model does not read yet; counterexample events and
 //! violation details need all of them.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use san_ft::image::{pack_into, unpack_from};
@@ -25,6 +28,7 @@ use crate::invariant::check_state;
 use crate::model::{
     apply_in_place, enabled_into, encode_into, McConfig, McEvent, SysState, Violation,
 };
+use crate::visited::Visited;
 
 /// Search budgets and switches.
 #[derive(Debug, Clone)]
@@ -77,6 +81,9 @@ pub struct CheckReport {
     pub frontier_peak: usize,
     /// True when a budget stopped the search before exhaustion.
     pub truncated: bool,
+    /// Bytes the visited set holds at the end: its section and tuple
+    /// arenas and its two tables.
+    pub visited_bytes: usize,
     /// First (shortest) counterexample, if any.
     pub counterexample: Option<Counterexample>,
     /// Wall-clock seconds spent.
@@ -87,6 +94,11 @@ impl CheckReport {
     /// Did the search complete with no violation?
     pub fn verified(&self) -> bool {
         self.counterexample.is_none() && !self.truncated
+    }
+
+    /// Bytes the visited set holds per distinct state.
+    pub fn visited_bytes_per_state(&self) -> f64 {
+        self.visited_bytes as f64 / self.states.max(1) as f64
     }
 }
 
@@ -128,6 +140,7 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
         max_depth_seen: 0,
         frontier_peak: 0,
         truncated: false,
+        visited_bytes: 0,
         counterexample: None,
         elapsed_secs: 0.0,
     };
@@ -139,21 +152,23 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
     let mut st = SysState::initial(cfg);
     // Invariants must hold in the initial state too.
     let init_viols = check_state(cfg, &st);
-    let mut visited: HashSet<Box<[u8]>> = HashSet::new();
     let mut reached: Vec<Option<Reached>> = Vec::new();
     let mut frontier: VecDeque<(u32, Box<[u8]>)> = VecDeque::new();
     // Every transition is expanded into this one scratch successor and
-    // encoded into one reused key; only a state not seen before is copied
-    // out (an exact-size key and an exact-size image), so the ~84% of
-    // transitions that land on a visited state allocate neither.
+    // encoded into one reused key; the visited set copies only the
+    // sections it has not seen into its arenas, and only a state not seen
+    // before gets an exact-size frontier image, so the ~84% of
+    // transitions that land on a visited state allocate nothing.
     let mut succ = st.clone();
     let mut key: Vec<u8> = Vec::new();
+    let mut cuts: Vec<usize> = Vec::new();
     let mut image: Vec<u8> = Vec::new();
     let mut evs: Vec<McEvent> = Vec::new();
     let mut actions = Vec::new();
     let mut viols: Vec<Violation> = Vec::new();
-    encode_into(cfg, &st, &mut key);
-    visited.insert(key.as_slice().into());
+    encode_into(cfg, &st, &mut key, &mut cuts);
+    let mut visited = Visited::new(cuts.len());
+    visited.insert(&key, &cuts);
     reached.push(None);
     report.states = 1;
     c_states.hit();
@@ -162,6 +177,7 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
             violation: v,
             trace: Vec::new(),
         });
+        report.visited_bytes = visited.bytes();
         report.elapsed_secs = t0.elapsed().as_secs_f64();
         return report;
     }
@@ -205,14 +221,13 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
                 });
                 break 'search;
             }
-            encode_into(cfg, &succ, &mut key);
-            if visited.contains(key.as_slice()) {
+            encode_into(cfg, &succ, &mut key, &mut cuts);
+            if !visited.insert(&key, &cuts) {
                 report.dedup_hits += 1;
                 c_dedup.hit();
                 continue;
             }
             let succ_id = reached.len() as u32;
-            visited.insert(key.as_slice().into());
             reached.push(Some(Reached {
                 parent: id,
                 via: ev,
@@ -236,6 +251,8 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
         report.frontier_peak = report.frontier_peak.max(frontier.len());
     }
 
+    debug_assert_eq!(visited.len(), reached.len());
+    report.visited_bytes = visited.bytes();
     report.elapsed_secs = t0.elapsed().as_secs_f64();
     g_frontier.set(frontier.len() as i64);
     g_depth.set(report.max_depth_seen as i64);

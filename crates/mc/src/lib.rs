@@ -30,6 +30,7 @@ pub mod invariant;
 pub mod model;
 pub mod simreplay;
 pub mod trace;
+mod visited;
 
 pub use checker::{check, recovery_converges, CheckOpts, CheckReport, Counterexample};
 pub use invariant::check_state;
@@ -38,4 +39,4 @@ pub use model::{
     SysState, Violation,
 };
 pub use simreplay::{replay_on_sim, SimReplay};
-pub use trace::{from_lines, render, replay_model, to_lines, Replay};
+pub use trace::{from_lines, render, replay_model, to_lines, NotEnabled, Replay};

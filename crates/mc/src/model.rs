@@ -970,7 +970,7 @@ pub fn enabled_into(cfg: &McConfig, st: &SysState, evs: &mut Vec<McEvent>) {
 /// [`encode_into`].
 pub fn encode(cfg: &McConfig, st: &SysState) -> Vec<u8> {
     let mut out = Vec::with_capacity(128);
-    encode_into(cfg, st, &mut out);
+    encode_into(cfg, st, &mut out, &mut Vec::new());
     out
 }
 
@@ -1000,11 +1000,20 @@ const ACK_REC: usize = 6;
 ///   order, the pool contributes only its free count);
 /// * with reordering enabled, channel multisets are sorted.
 ///
+/// The key is a run of sections, and the end offset of each is pushed
+/// into `cuts` (cleared first): one section per ordered pair (sender,
+/// retransmission queue, receiver, channel, outcome digests), one per
+/// node residue after that node's pairs, and one for the adversary
+/// budget, so a state has `n(n-1) + n + 1` sections. Every field is
+/// fixed-width or a length-prefixed list, so equal keys are cut at the
+/// same places.
+///
 /// Channel records are built in stack arrays, so `cfg` must pass
 /// [`McConfig::validate`].
-pub fn encode_into(cfg: &McConfig, st: &SysState, out: &mut Vec<u8>) {
+pub fn encode_into(cfg: &McConfig, st: &SysState, out: &mut Vec<u8>, cuts: &mut Vec<usize>) {
     let n = cfg.n_nodes;
     out.clear();
+    cuts.clear();
     let push32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
     let push16 = |out: &mut Vec<u8>, v: u16| out.extend_from_slice(&v.to_le_bytes());
     // Per-pair bases.
@@ -1097,6 +1106,7 @@ pub fn encode_into(cfg: &McConfig, st: &SysState, out: &mut Vec<u8>) {
             push16(out, st.last_dep_gen[p].wrapping_sub(bg));
             push32(out, st.nodes[src].completed[dst] as u32);
             push32(out, st.nodes[src].failed[dst] as u32);
+            cuts.push(out.len());
         }
         // Node-level residue: pending descriptors, held descriptors, pool
         // free count, injector phase.
@@ -1117,6 +1127,7 @@ pub fn encode_into(cfg: &McConfig, st: &SysState, out: &mut Vec<u8>) {
             None => out.push(0),
             Some(k) => out.push((node.tx_counter % k) as u8),
         }
+        cuts.push(out.len());
     }
     // Remaining adversary budget.
     for (i, &cap) in [
@@ -1132,6 +1143,7 @@ pub fn encode_into(cfg: &McConfig, st: &SysState, out: &mut Vec<u8>) {
     {
         out.push((cap - st.used[i].min(cap)) as u8);
     }
+    cuts.push(out.len());
 }
 
 impl McEvent {
@@ -1300,6 +1312,29 @@ mod tests {
                 ..McConfig::tiny2()
             };
             assert!(rejection(cfg).contains("at least 2"));
+        }
+    }
+
+    /// `encode_into` cuts every key into `n(n-1) + n + 1` nonempty
+    /// sections, the last ending at the key's length, on 2- and 3-node
+    /// configs, and writes the same bytes as `encode`.
+    #[test]
+    fn encode_into_cuts_every_key_into_its_sections() {
+        for cfg in [McConfig::remap2(), McConfig::bidir2(), McConfig::incast3()] {
+            let n = cfg.n_nodes;
+            let (mut key, mut cuts) = (Vec::new(), Vec::new());
+            let mut queue = std::collections::VecDeque::from([SysState::initial(&cfg)]);
+            // The first 300 states breadth first, repeats included.
+            for _ in 0..300 {
+                let st = queue.pop_front().expect("the space has 300 states");
+                encode_into(&cfg, &st, &mut key, &mut cuts);
+                assert_eq!(cuts.len(), n * (n - 1) + n + 1, "{}", cfg.name);
+                assert!(cuts[0] > 0, "{}: {cuts:?}", cfg.name);
+                assert!(cuts.windows(2).all(|w| w[0] < w[1]), "{cuts:?}");
+                assert_eq!(cuts.last(), Some(&key.len()));
+                assert_eq!(key, encode(&cfg, &st));
+                queue.extend(enabled(&cfg, &st).iter().map(|ev| apply(&cfg, &st, ev).0));
+            }
         }
     }
 

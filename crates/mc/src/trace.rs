@@ -6,10 +6,13 @@
 //! list from the initial state reproduces the violation exactly, and the
 //! serialized form (one event per line) round-trips through
 //! [`McEvent::to_line`]/[`McEvent::from_line`] so a failure printed by
-//! CI can be re-run locally with `san-mc trace`.
+//! CI can be re-run locally with `san-mc trace`. A trace file is outside
+//! input, so the replay takes an event only when the model enables it.
+
+use std::fmt;
 
 use crate::invariant::check_state;
-use crate::model::{apply, McConfig, McEvent, SysState, Violation};
+use crate::model::{apply, enabled, McConfig, McEvent, SysState, Violation};
 
 /// Serialize a trace, one event per line.
 pub fn to_lines(trace: &[McEvent]) -> String {
@@ -49,15 +52,45 @@ pub struct Replay {
     pub violations: Vec<(Option<usize>, Violation)>,
 }
 
+/// The first event of a trace that the model does not enable in the
+/// state the events before it reach: the trace is not a path of the
+/// model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NotEnabled {
+    /// 0-based index of the event in the trace.
+    pub index: usize,
+    /// The event.
+    pub event: McEvent,
+}
+
+impl fmt::Display for NotEnabled {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "event {} `{}` is not enabled",
+            self.index,
+            self.event.to_line()
+        )
+    }
+}
+
 /// Replay `trace` from the initial state of `cfg`, collecting every
-/// transition- and state-level violation along the way.
-pub fn replay_model(cfg: &McConfig, trace: &[McEvent]) -> Replay {
+/// transition- and state-level violation along the way. Each event must
+/// be one that [`enabled`] lists in the state reached so far; the replay
+/// stops at the first that is not.
+pub fn replay_model(cfg: &McConfig, trace: &[McEvent]) -> Result<Replay, NotEnabled> {
     let mut st = SysState::initial(cfg);
     let mut violations: Vec<(Option<usize>, Violation)> = check_state(cfg, &st)
         .into_iter()
         .map(|v| (None, v))
         .collect();
     for (i, ev) in trace.iter().enumerate() {
+        if !enabled(cfg, &st).contains(ev) {
+            return Err(NotEnabled {
+                index: i,
+                event: *ev,
+            });
+        }
         let (next, viols) = apply(cfg, &st, ev);
         for v in viols {
             violations.push((Some(i), v));
@@ -67,10 +100,10 @@ pub fn replay_model(cfg: &McConfig, trace: &[McEvent]) -> Replay {
         }
         st = next;
     }
-    Replay {
+    Ok(Replay {
         end: st,
         violations,
-    }
+    })
 }
 
 /// Human-readable rendering of a counterexample: numbered events, then

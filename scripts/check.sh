@@ -70,7 +70,7 @@ echo "== san-mc smoke (exhaustive 2-node model check + leak-knob canary)"
 # re-introduced PR 2 leak, this gate trips.
 cargo run --release -q -p san-mc -- check --smoke
 
-echo "== san-mc benchmark configs (2-node failure model, two-way traffic, 3-node incast: exact counts and frontier peaks)"
+echo "== san-mc benchmark configs (2-node failure model, two-way traffic, 3-node incast: exact counts, frontier peaks and visited-set bytes per state)"
 # The perf digest pins every count here but the frontier peak, which
 # bounds the checker's memory; each config must verify with exactly
 # these states/transitions/depth/dedup/frontier.
@@ -86,6 +86,16 @@ for pin in remap2=18424/72396/21/53973/2685 bidir2=260276/1690062/26/1429787/337
     IFS=/ read -r states transitions depth dedup frontier <<< "${pin#*=}"
     if ! grep -Eq "^${cfg} +${states} states +${transitions} transitions depth ${depth} +dedup +${dedup} frontier +${frontier} .*VERIFIED\$" <<< "$mc_out"; then
         echo "ERROR: ${cfg} must verify with ${states} states, ${transitions} transitions, depth ${depth}, dedup ${dedup}, frontier ${frontier}" >&2
+        exit 1
+    fi
+done
+# The visited set holds each state as a tuple of interned key sections:
+# at most 64 B per state, where the keys alone average 131.9 (remap2),
+# 164.6 (bidir2) and 348.1 (incast3) bytes.
+for cfg in remap2 bidir2 incast3; do
+    per_state=$(grep -E "^${cfg} " <<< "$mc_out" | grep -Eo '[0-9.]+ B/state' | cut -d' ' -f1)
+    if [ -z "$per_state" ] || ! awk -v b="$per_state" 'BEGIN { exit !(b <= 64) }'; then
+        echo "ERROR: ${cfg}'s visited set must hold at most 64 B per state, not ${per_state:-none}" >&2
         exit 1
     fi
 done

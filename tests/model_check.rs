@@ -4,7 +4,7 @@
 //! counterexample. A change to the protocol kernel, the adversary, the
 //! canonical encoding or the search order moves one of them.
 
-use san_mc::{check, to_lines, CheckOpts, McConfig};
+use san_mc::{check, from_lines, replay_model, to_lines, CheckOpts, McConfig};
 use san_telemetry::Telemetry;
 
 /// The shortest event path to the re-introduced stale-retry leak, in
@@ -47,6 +47,10 @@ fn remap2_state_space_is_pinned() {
     assert_eq!(r.dedup_hits, 53_973, "dedup hits");
     assert_eq!(r.max_depth_seen, 21, "depth");
     assert_eq!(r.frontier_peak, 2_685, "frontier peak");
+    // The visited set holds each state as a tuple of interned key
+    // sections; remap2's keys alone average 131.9 bytes.
+    let per_state = r.visited_bytes_per_state();
+    assert!(per_state <= 64.0, "visited set: {per_state:.1} B/state");
 }
 
 #[test]
@@ -61,4 +65,16 @@ fn leak2_counterexample_is_pinned() {
         "pair 0->1: posted 2 but accounted 1 (pending 0, held 0, queued 0, completed 1, failed 0)"
     );
     assert_eq!(to_lines(&cex.trace), LEAK2_TRACE);
+    // The pinned text is a path of leak2 and replays to the same
+    // violation at its last event.
+    let trace = from_lines(LEAK2_TRACE).expect("the pinned trace parses");
+    let replay = replay_model(&McConfig::leak2(), &trace).expect("a path of leak2");
+    assert!(
+        replay
+            .violations
+            .iter()
+            .any(|(i, v)| *i == Some(8) && v.invariant == "descriptor-conservation"),
+        "{:?}",
+        replay.violations
+    );
 }
