@@ -1002,71 +1002,69 @@ impl Trial {
                 p_leave: b[1].as_f64().ok_or("bad burst p_leave")?,
             });
         }
+        let topology_v = v.get("topology").ok_or("trial.topology missing")?;
+        let topology = TopologySpec::from_json(topology_v)?;
+        let fabric = topology_v.as_str().unwrap_or_default();
+        // A repro file comes from outside the program: every id a plan
+        // action names must fit its type and exist in the trial's fabric
+        // before anything runs.
+        let topo = topology.build().topo;
         let mut plan = FaultPlan::new();
-        for a in v
+        for (i, a) in v
             .get("plan")
             .and_then(Json::as_arr)
             .ok_or("trial.plan missing")?
+            .iter()
+            .enumerate()
         {
-            let at = Time::from_nanos(a.get("at_ns").and_then(Json::as_u64).ok_or("plan.at_ns")?);
-            match a.get("kind").and_then(Json::as_str) {
-                Some("link_down") => {
-                    plan = plan.link_down(
-                        at,
-                        LinkId(a.get("link").and_then(Json::as_u64).ok_or("plan.link")? as u32),
-                    );
+            let kind = a.get("kind").and_then(Json::as_str).unwrap_or("");
+            let what = format!("plan[{i}] {kind}");
+            let id = |key: &str| -> Result<u64, String> {
+                a.get(key)
+                    .and_then(Json::as_u64)
+                    .ok_or(format!("{what}: `{key}` missing"))
+            };
+            let link = || -> Result<LinkId, String> {
+                let n = id("link")?;
+                match u32::try_from(n).map(LinkId) {
+                    Ok(l) if topo.try_link(l).is_some() => Ok(l),
+                    _ => Err(format!("{what}: link {n} is not in topology {fabric}")),
                 }
-                Some("link_up") => {
-                    plan = plan.link_up(
-                        at,
-                        LinkId(a.get("link").and_then(Json::as_u64).ok_or("plan.link")? as u32),
-                    );
+            };
+            let switch = || -> Result<SwitchId, String> {
+                let n = id("switch")?;
+                match u16::try_from(n).map(SwitchId) {
+                    Ok(s) if s.idx() < topo.num_switches() => Ok(s),
+                    _ => Err(format!("{what}: switch {n} is not in topology {fabric}")),
                 }
-                Some("switch_down") => {
-                    plan = plan.switch_down(
-                        at,
-                        SwitchId(
-                            a.get("switch")
-                                .and_then(Json::as_u64)
-                                .ok_or("plan.switch")? as u16,
-                        ),
-                    );
+            };
+            let endpoint = |key: &str| -> Result<Endpoint, String> {
+                let raw = a.get(key).ok_or(format!("{what}: `{key}` missing"))?;
+                match endpoint_from_json(raw) {
+                    Ok(ep) if topo.endpoint_in_range(ep) => Ok(ep),
+                    Ok(_) => Err(format!(
+                        "{what}: endpoint {} is not in topology {fabric}",
+                        raw.as_str().unwrap_or_default()
+                    )),
+                    Err(e) => Err(format!("{what}: {e}")),
                 }
-                Some("grow_link") => {
-                    plan = plan.grow_link(
-                        at,
-                        endpoint_from_json(a.get("a").ok_or("plan.a missing")?)?,
-                        endpoint_from_json(a.get("b").ok_or("plan.b missing")?)?,
-                    );
-                }
-                Some("drain_link") => {
-                    plan = plan.drain_link(
-                        at,
-                        LinkId(a.get("link").and_then(Json::as_u64).ok_or("plan.link")? as u32),
-                    );
-                }
-                Some("remove_link") => {
-                    plan = plan.remove_link(
-                        at,
-                        LinkId(a.get("link").and_then(Json::as_u64).ok_or("plan.link")? as u32),
-                    );
-                }
-                Some("remove_switch") => {
-                    plan = plan.remove_switch(
-                        at,
-                        SwitchId(
-                            a.get("switch")
-                                .and_then(Json::as_u64)
-                                .ok_or("plan.switch")? as u16,
-                        ),
-                    );
-                }
+            };
+            let at = Time::from_nanos(id("at_ns")?);
+            plan = match kind {
+                "link_down" => plan.link_down(at, link()?),
+                "link_up" => plan.link_up(at, link()?),
+                "switch_down" => plan.switch_down(at, switch()?),
+                "grow_link" => plan.grow_link(at, endpoint("a")?, endpoint("b")?),
+                "drain_link" => plan.drain_link(at, link()?),
+                "remove_link" => plan.remove_link(at, link()?),
+                "remove_switch" => plan.remove_switch(at, switch()?),
                 _ => {
-                    return Err("plan action kind must be link_down/link_up/switch_down/\
+                    return Err(format!(
+                        "{what}: kind must be link_down/link_up/switch_down/\
                          grow_link/drain_link/remove_link/remove_switch"
-                        .into())
+                    ))
                 }
-            }
+            };
         }
         Ok(Trial {
             campaign: v
@@ -1074,12 +1072,13 @@ impl Trial {
                 .and_then(Json::as_str)
                 .unwrap_or("adhoc")
                 .to_string(),
-            index: v.get("index").and_then(Json::as_u64).unwrap_or(0) as u32,
+            index: u32::try_from(v.get("index").and_then(Json::as_u64).unwrap_or(0))
+                .map_err(|_| "trial.index does not fit a u32")?,
             seed: v
                 .get("seed")
                 .and_then(Json::as_u64)
                 .ok_or("trial.seed missing")?,
-            topology: TopologySpec::from_json(v.get("topology").ok_or("trial.topology missing")?)?,
+            topology,
             traffic: TrafficSpec::from_json(v.get("traffic").ok_or("trial.traffic missing")?)?,
             protocol: match v.get("protocol") {
                 Some(p) => ProtoSpec::from_json(p)?,
@@ -1090,7 +1089,8 @@ impl Trial {
             duration_ms: v
                 .get("duration_ms")
                 .and_then(Json::as_u64)
-                .ok_or("trial.duration_ms missing")?,
+                .ok_or("trial.duration_ms missing")?
+                .clamp(2, 60_000),
             workload: match v.get("workload") {
                 Some(w) => Some(workload_from_json(w)?),
                 None => None,
@@ -1167,6 +1167,79 @@ mod tests {
         let back = Trial::parse(&t.to_text()).unwrap();
         // Equality via the canonical text form (f64 fields).
         assert_eq!(t.to_text(), back.to_text());
+    }
+
+    /// `t`'s repro JSON with field `key` replaced by `value`.
+    fn with_field(t: &Trial, key: &str, value: Json) -> Json {
+        let Json::Obj(mut kv) = t.to_json() else {
+            unreachable!("a trial serializes to an object")
+        };
+        for (k, v) in &mut kv {
+            if k == key {
+                *v = value.clone();
+            }
+        }
+        Json::Obj(kv)
+    }
+
+    fn action(kind: &str, key: &str, id: Json) -> Json {
+        Json::obj(vec![
+            ("kind", kind.into()),
+            ("at_ns", Json::Int(1_000_000)),
+            (key, id),
+        ])
+    }
+
+    /// A repro file is input from outside the program: a plan action whose
+    /// id overflows its type or is missing from the trial's fabric is
+    /// refused before anything runs, and the error names the action.
+    #[test]
+    fn repro_plan_ids_must_exist_in_the_trial_fabric() {
+        let t = demo_campaign().sample(1);
+        let parse = |actions| Trial::from_json(&with_field(&t, "plan", Json::Arr(actions)));
+        let links = TopologySpec::Star(4).build().topo.num_links() as u64;
+        assert!(parse(vec![action("link_down", "link", Json::Int(links - 1))]).is_ok());
+        for (a, err) in [
+            (
+                action("link_down", "link", Json::Int(links)),
+                format!("plan[1] link_down: link {links} is not in topology star:4"),
+            ),
+            (
+                action("drain_link", "link", Json::Int(1 << 32)),
+                "plan[1] drain_link: link 4294967296 is not in topology star:4".into(),
+            ),
+            (
+                action("switch_down", "switch", Json::Int(1)),
+                "plan[1] switch_down: switch 1 is not in topology star:4".into(),
+            ),
+            (
+                action("remove_switch", "switch", Json::Int(1 << 16)),
+                "plan[1] remove_switch: switch 65536 is not in topology star:4".into(),
+            ),
+            (
+                Json::obj(vec![
+                    ("kind", "grow_link".into()),
+                    ("at_ns", Json::Int(1_000_000)),
+                    ("a", "host:0".into()),
+                    ("b", "switch:0:200".into()),
+                ]),
+                "plan[1] grow_link: endpoint switch:0:200 is not in topology star:4".into(),
+            ),
+        ] {
+            let ok = action("link_up", "link", Json::Int(0));
+            assert_eq!(parse(vec![ok, a]).err(), Some(err));
+        }
+    }
+
+    /// A repro's duration is clamped like a campaign's, and an index too
+    /// large for a trial index is refused rather than truncated.
+    #[test]
+    fn repro_duration_and_index_are_bounded() {
+        let t = demo_campaign().sample(1);
+        let back = Trial::from_json(&with_field(&t, "duration_ms", Json::Int(u64::MAX))).unwrap();
+        assert_eq!(back.duration_ms, 60_000);
+        let err = Trial::from_json(&with_field(&t, "index", Json::Int(1 << 32))).err();
+        assert_eq!(err.as_deref(), Some("trial.index does not fit a u32"));
     }
 
     #[test]

@@ -15,8 +15,9 @@ use std::rc::Rc;
 use san_fabric::NodeId;
 use san_ft::{MapperConfig, ReliableFirmware};
 use san_nic::testkit::make_desc;
+use san_nic::timing::host_send;
 use san_nic::{
-    Cluster, ClusterConfig, Firmware, HostAgent, HostCtx, NicTiming, UnreliableFirmware,
+    Cluster, ClusterConfig, Firmware, HostAgent, HostCtx, Repost, RepostBudget, UnreliableFirmware,
 };
 use san_sim::fanout::map_indexed;
 use san_sim::{Duration, Time};
@@ -24,7 +25,6 @@ use san_telemetry::{Telemetry, TraceKind};
 
 use san_fabric::RouteHints;
 use san_topo::planner_for;
-use san_workload::RepostBudget;
 
 use crate::campaign::{mix_seed, Campaign, TopologySpec, Trial};
 use crate::oracle::{self, Delivery, NodeEnd, Observation, PairExpect, Violation};
@@ -85,13 +85,7 @@ const WAKE_REPOST: u64 = 1;
 impl HostAgent for ChaosHost {
     fn on_start(&mut self, ctx: &mut HostCtx) {
         if self.send.is_some() {
-            let timing = NicTiming::default();
-            let cost = if self.bytes <= 32 {
-                timing.host_send_pio
-            } else {
-                timing.host_send_dma
-            };
-            ctx.wake_in(cost, WAKE_POST);
+            ctx.wake_in(host_send(self.bytes), WAKE_POST);
         }
     }
 
@@ -116,8 +110,11 @@ impl HostAgent for ChaosHost {
 
     fn on_send_failed(&mut self, ctx: &mut HostCtx, msg_id: u64, dst: NodeId) {
         self.failures.borrow_mut().push((self.me.0, dst.0, msg_id));
-        if self.recover {
-            self.reposts.failed(ctx, dst, msg_id, WAKE_REPOST);
+        if !self.recover {
+            return;
+        }
+        if let Repost::Arm(delay) = self.reposts.failed(dst, msg_id) {
+            ctx.wake_in(delay, WAKE_REPOST);
         }
     }
 

@@ -21,7 +21,7 @@
 //! recovers.
 
 use san_fabric::{NodeId, Packet, PacketFlags, PacketKind, Route};
-use san_nic::{BufId, Firmware, NicCore, NicCtx, SendDesc};
+use san_nic::{timing, BufId, Firmware, NicCore, NicCtx, SendDesc};
 use san_sim::{Duration, Time};
 use san_telemetry::TraceKind;
 
@@ -236,7 +236,7 @@ impl ReliableFirmware {
         ack_gen: u16,
     ) {
         core.stats.acks_rx.hit();
-        core.cpu.acquire(ctx.now(), core.timing.ack_proc);
+        core.cpu.acquire(ctx.now(), timing::ACK_PROC);
         let s = &mut self.senders[peer.idx()];
         let n_freed = s.acked_prefix(ack_seq, ack_gen, |b| {
             let p = core.pool.pkt(b);
@@ -313,10 +313,7 @@ impl ReliableFirmware {
         ack.ack_seq = ack_seq;
         ack.ack_gen = ack_gen;
         ack.flags.set(PacketFlags::PIGGY_ACK);
-        let t = core
-            .cpu
-            .acquire(ctx.now(), core.timing.ack_build)
-            .max(earliest);
+        let t = core.cpu.acquire(ctx.now(), timing::ACK_BUILD).max(earliest);
         core.stats.acks_tx.hit();
         ft_trace(
             core,
@@ -368,7 +365,7 @@ impl ReliableFirmware {
             .collect();
         let n = aged.len();
         for (i, b) in aged.iter().enumerate() {
-            let t = core.cpu.acquire(now, core.timing.retx_per_pkt);
+            let t = core.cpu.acquire(now, timing::RETX_PER_PKT);
             if i + 1 == n {
                 core.pool.pkt_mut(*b).flags.set(PacketFlags::ACK_REQUEST);
             }
@@ -429,7 +426,7 @@ impl ReliableFirmware {
         let n = plan_replay(s, self.cfg.adaptive_rto, self.cfg.window_damping, timeout);
         let bufs: Vec<BufId> = s.retrans_q.iter().take(n).copied().collect();
         for (i, b) in bufs.iter().enumerate() {
-            let t = core.cpu.acquire(now, core.timing.retx_per_pkt);
+            let t = core.cpu.acquire(now, timing::RETX_PER_PKT);
             if i + 1 == n {
                 core.pool.pkt_mut(*b).flags.set(PacketFlags::ACK_REQUEST);
             }
@@ -472,7 +469,7 @@ impl ReliableFirmware {
             // if the window fills right here, reopening depends on it.
             let window_edge = s.unsent_tail == 0 || (s.in_flight() as u32) >= s.cwnd;
             let first_time = core.pool.last_tx(b) == Time::ZERO;
-            let t = core.cpu.acquire(now, core.timing.retx_per_pkt);
+            let t = core.cpu.acquire(now, timing::RETX_PER_PKT);
             if window_edge {
                 core.pool.pkt_mut(b).flags.set(PacketFlags::ACK_REQUEST);
             }
@@ -654,7 +651,7 @@ impl ReliableFirmware {
 fn notify_send_failed(core: &NicCore, ctx: &mut NicCtx, dst: NodeId, mut msg_ids: Vec<u64>) {
     msg_ids.sort_unstable();
     msg_ids.dedup();
-    let seen = ctx.now() + core.timing.host_notify;
+    let seen = ctx.now() + timing::HOST_NOTIFY;
     let node = core.node;
     for msg_id in msg_ids {
         ctx.sim.schedule(
@@ -679,7 +676,7 @@ impl Firmware for ReliableFirmware {
 
     fn on_tx_ready(&mut self, core: &mut NicCore, ctx: &mut NicCtx, buf: BufId) {
         let now = ctx.now();
-        let fw_done = core.cpu.acquire(now, core.timing.ft_send_overhead);
+        let fw_done = core.cpu.acquire(now, timing::FT_SEND_OVERHEAD);
         let dst = core.pool.pkt(buf).dst;
         let free_frac = core.pool.free_fraction();
         let capacity = core.pool.capacity();
@@ -751,7 +748,7 @@ impl Firmware for ReliableFirmware {
     }
 
     fn on_rx(&mut self, core: &mut NicCore, ctx: &mut NicCtx, pkt: Packet) {
-        let fw_done = core.cpu.acquire(ctx.now(), core.timing.ft_rx_overhead);
+        let fw_done = core.cpu.acquire(ctx.now(), timing::FT_RX_OVERHEAD);
         match pkt.kind {
             PacketKind::Ack => {
                 self.process_ack(core, ctx, pkt.src, pkt.ack_seq, pkt.ack_gen);
@@ -859,7 +856,7 @@ impl Firmware for ReliableFirmware {
                 0,
                 token,
             );
-            core.cpu.acquire(ctx.now(), core.timing.timer_scan_base);
+            core.cpu.acquire(ctx.now(), timing::TIMER_SCAN_BASE);
             let dst = NodeId(((token >> 32) & 0xFFFF) as u16);
             let seq = (token & 0xFFFF_FFFF) as u32;
             let s = &self.senders[dst.idx()];
@@ -906,7 +903,7 @@ impl Firmware for ReliableFirmware {
         let mut active = std::mem::take(&mut self.active);
         self.collect_queued(&mut active);
         let scan_cost =
-            core.timing.timer_scan_base + core.timing.timer_scan_per_queue * active.len() as u64;
+            timing::TIMER_SCAN_BASE + timing::TIMER_SCAN_PER_QUEUE * active.len() as u64;
         core.cpu.acquire(now, scan_cost);
         for &dst in &active {
             // Adaptive mode ages each queue against its own estimate; fixed
@@ -959,7 +956,7 @@ impl Firmware for ReliableFirmware {
             // One of our probe replies died; the prober would misread the
             // silence. Replay it as-is (route and identity are unchanged).
             PacketKind::ProbeReply => {
-                let t = core.cpu.acquire(ctx.now(), core.timing.probe_proc);
+                let t = core.cpu.acquire(ctx.now(), timing::PROBE_PROC);
                 core.stats.probe_replies_tx.hit();
                 core.transmit_unpooled_from(ctx, pkt, t);
             }

@@ -30,7 +30,7 @@ use std::collections::{HashMap, VecDeque};
 
 use san_fabric::route::MAX_HOPS;
 use san_fabric::{NodeId, Packet, PacketKind, Route, RouteHints};
-use san_nic::{ClusterEvent, NicCore, NicCtx, NicEvent, SendDesc};
+use san_nic::{timing, ClusterEvent, NicCore, NicCtx, NicEvent, SendDesc};
 use san_sim::{Duration, Time};
 use san_telemetry::{Counter, SummaryHandle, Telemetry, TraceKind};
 
@@ -428,7 +428,7 @@ impl Mapper {
         p.route = route;
         p.msg_id = token;
         p.payload_len = 8;
-        let t = core.cpu.acquire(ctx.now(), core.timing.probe_proc);
+        let t = core.cpu.acquire(ctx.now(), timing::PROBE_PROC);
         core.stats.probes_tx.hit();
         let target = self.run.as_ref().map(|r| r.target).unwrap_or(core.node);
         ft_trace(core, ctx.now(), TraceKind::ProbeSent, target, 0, 0, token);
@@ -741,7 +741,7 @@ impl Mapper {
         p.route = pkt.route;
         p.msg_id = pkt.msg_id;
         p.payload_len = 8;
-        let t = core.cpu.acquire(ctx.now(), core.timing.probe_proc);
+        let t = core.cpu.acquire(ctx.now(), timing::PROBE_PROC);
         core.stats.probes_tx.hit();
         ft_trace(
             core,

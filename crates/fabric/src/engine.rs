@@ -8,7 +8,7 @@
 //! deadlock, which the paper's design intentionally permits and recovers from
 //! via the Myrinet path-reset timer plus retransmission (§4.2).
 //!
-//! Timing: the head moves one hop per `hop_latency`; serialization of the
+//! Timing: the head moves one hop per [`HOP_LATENCY`]; serialization of the
 //! packet body is paid once, starting when the first channel is acquired;
 //! delivery (tail arrival) happens at
 //! `max(last_hop_head_arrival, first_acquire + serialization)`; all held
@@ -41,13 +41,15 @@ use crate::packet::Packet;
 use crate::route::{Route, MAX_HOPS};
 use crate::topology::{Link, Topology, WireError};
 
-/// Physical constants of the fabric.
+/// Link bandwidth in bytes/second. Myrinet: 1.28 Gb/s = 160 MB/s.
+pub const LINK_BANDWIDTH: u64 = 160_000_000;
+
+/// Per-hop head latency (propagation + crossbar fall-through).
+pub const HOP_LATENCY: Duration = Duration::from_nanos(300);
+
+/// The fabric's one setting.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Link bandwidth in bytes/second. Myrinet: 1.28 Gb/s = 160 MB/s.
-    pub link_bandwidth: u64,
-    /// Per-hop head latency (propagation + crossbar fall-through).
-    pub hop_latency: Duration,
     /// Send-path reset (deadlock detection) timeout. Myrinet allows 62.5 ms
     /// to 4 s; the paper's testbed uses the hardware default.
     pub path_reset_timeout: Duration,
@@ -56,8 +58,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            link_bandwidth: 160_000_000,
-            hop_latency: Duration::from_nanos(300),
             path_reset_timeout: Duration::from_millis(62), // ≈ Myrinet minimum 62.5ms
         }
     }
@@ -498,7 +498,7 @@ impl Engine {
     /// Serialization time of `bytes` on a link.
     #[inline]
     pub fn serialization(&self, bytes: u32) -> Duration {
-        Duration::for_bytes(bytes as u64, self.cfg.link_bandwidth)
+        Duration::for_bytes(bytes as u64, LINK_BANDWIDTH)
     }
 
     /// Is the given link currently alive?
@@ -724,8 +724,6 @@ impl Engine {
     /// `flight` now owns `ch`: start the head across it.
     fn grant<E: From<FabricEvent>>(&mut self, sim: &mut Sim<E>, flight: u32, ch: u32) {
         let epoch = self.flights.generation(flight);
-        let hop = self.cfg.hop_latency;
-        let bw = self.cfg.link_bandwidth;
         let now = sim.now();
         self.channels[ch as usize].acquired_at = now;
         let f = self.flights.get_mut(flight).unwrap();
@@ -734,9 +732,12 @@ impl Engine {
         f.n_held += 1;
         if f.n_held == 1 {
             // First channel: the body starts streaming now.
-            f.ser_done = now + Duration::for_bytes(f.pkt.wire_bytes() as u64, bw);
+            f.ser_done = now + Duration::for_bytes(f.pkt.wire_bytes() as u64, LINK_BANDWIDTH);
         }
-        sim.schedule_in(hop, FabricEvent::HeadAdvance { flight, epoch }.into());
+        sim.schedule_in(
+            HOP_LATENCY,
+            FabricEvent::HeadAdvance { flight, epoch }.into(),
+        );
     }
 
     /// The head arrived at the far end of its last-acquired channel.

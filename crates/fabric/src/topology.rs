@@ -183,7 +183,8 @@ impl Topology {
             .collect()
     }
 
-    fn endpoint_in_range(&self, ep: Endpoint) -> bool {
+    /// Does `ep` name a host or a switch port of this fabric?
+    pub fn endpoint_in_range(&self, ep: Endpoint) -> bool {
         match ep {
             Endpoint::Host(h) => h.idx() < self.hosts.len(),
             Endpoint::Switch(s, p) => self

@@ -1,7 +1,9 @@
 //! Behavioural tests of the fabric traversal engine: timing, contention,
 //! fault injection, deadlock and path reset.
 
-use san_fabric::engine::{DropReason, Engine, EngineConfig, FabricEvent, FabricOut};
+use san_fabric::engine::{
+    DropReason, Engine, EngineConfig, FabricEvent, FabricOut, HOP_LATENCY, LINK_BANDWIDTH,
+};
 use san_fabric::ids::{Endpoint, NodeId, PortId, SwitchId};
 use san_fabric::packet::{Packet, PacketKind};
 use san_fabric::route::{Route, MAX_HOPS};
@@ -62,7 +64,7 @@ fn large_packet_pays_serialization() {
     let mut o = Vec::new();
     engine.inject(&mut sim, pkt, &mut o);
     let outs = drain(&mut engine, &mut sim);
-    let expect = Duration::for_bytes(wire, 160_000_000);
+    let expect = Duration::for_bytes(wire, LINK_BANDWIDTH);
     match &outs[0] {
         (t_del, FabricOut::Delivered { .. }) => {
             assert_eq!(
@@ -102,7 +104,7 @@ fn contention_serializes_on_shared_channel() {
     );
     // ...and spaced by at least a serialization time each (they share the
     // source's outgoing channel).
-    let ser = Duration::for_bytes(4096, 160_000_000);
+    let ser = Duration::for_bytes(4096, LINK_BANDWIDTH);
     assert!(deliveries[1].0.since(deliveries[0].0) >= ser);
     assert!(deliveries[2].0.since(deliveries[1].0) >= ser);
 }
@@ -309,7 +311,6 @@ fn reset_checks_keep_injection_order_among_ties() {
     }
     let cfg = EngineConfig {
         path_reset_timeout: Duration::from_millis(1),
-        ..Default::default()
     };
     let mut engine = Engine::new(t, cfg);
     let mut sim = TSim::new(1);
@@ -354,7 +355,6 @@ fn ring_deadlock_recovers_via_path_reset() {
     }
     let cfg = EngineConfig {
         path_reset_timeout: Duration::from_millis(1),
-        ..Default::default()
     };
     let mut engine = Engine::new(t, cfg);
     let mut sim = TSim::new(1);
@@ -451,9 +451,7 @@ fn max_hop_route_delivers_with_a_full_reverse_route() {
 #[test]
 fn route_exhausted_at_the_17th_switch_is_absorbed() {
     let (t, a, b) = topology::chain(MAX_HOPS + 1);
-    let cfg = EngineConfig::default();
-    let hop = cfg.hop_latency;
-    let mut engine = Engine::new(t, cfg);
+    let mut engine = Engine::new(t, EngineConfig::default());
     let mut sim = TSim::new(1);
     let mut o = Vec::new();
     let route = Route::from_ports(&[1; MAX_HOPS]);
@@ -466,7 +464,7 @@ fn route_exhausted_at_the_17th_switch_is_absorbed() {
                 reason: DropReason::Absorbed,
                 ..
             },
-        )] => assert_eq!(*at, Time::ZERO + hop * (MAX_HOPS as u64 + 1)),
+        )] => assert_eq!(*at, Time::ZERO + HOP_LATENCY * (MAX_HOPS as u64 + 1)),
         other => panic!("{other:?}"),
     }
     assert_eq!(engine.in_flight(), 0);

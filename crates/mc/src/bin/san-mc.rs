@@ -11,7 +11,7 @@
 //! `check` explores the named configurations (default: every preset)
 //! and exits 0 iff each one verifies — exhaustively, with no violation.
 //! `--smoke` is the CI gate: the 2-node exhaustive configs plus the
-//! leak-knob config, which must *fail* with a conservation
+//! leak-knob config, which must *fail* with a `descriptor-conservation`
 //! counterexample (the checker proving it still catches the PR 2 bug).
 //! `trace` replays a serialized counterexample against the model (and,
 //! with `--sim`, its environment schedule against the real simulator); it
@@ -84,10 +84,21 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The invariant the smoke gate's leak canary must break.
+const LEAK_INVARIANT: &str = "descriptor-conservation";
+
 /// One line of verdict per config run: the counts, the peak frontier,
-/// the visited set's bytes per state, the seconds and the verdict.
-fn report_line(r: &san_mc::CheckReport, expect_violation: bool) -> (bool, String) {
+/// the visited set's bytes per state, the seconds and the verdict. With
+/// `invariant` set, an expected counterexample must break that invariant.
+fn report_line(
+    r: &san_mc::CheckReport,
+    expect_violation: bool,
+    invariant: Option<&str>,
+) -> (bool, String) {
     let verdict = match (&r.counterexample, r.truncated, expect_violation) {
+        (Some(c), _, true) if invariant.is_some_and(|i| i != c.violation.invariant) => {
+            (false, "WRONG-VIOLATION")
+        }
         (Some(_), _, true) => (true, "FAIL-AS-EXPECTED"),
         (Some(_), _, false) => (false, "VIOLATION"),
         (None, true, _) => (false, "TRUNCATED"),
@@ -135,7 +146,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         }
     }
     // The smoke gate: the exhaustive 2-node configs with liveness, plus
-    // the leak config, which must produce a counterexample.
+    // the leak config, which must break `descriptor-conservation`.
     let configs: Vec<McConfig> = if smoke {
         opts.liveness = true;
         ["tiny2", "wrap2", "leak2"]
@@ -157,12 +168,20 @@ fn cmd_check(args: &[String]) -> ExitCode {
     let mut all_ok = true;
     for cfg in &configs {
         let tel = Telemetry::new();
-        let report = check(cfg, &opts, &tel);
         let expect_violation = cfg.knobs.leak_stale_retry_descs;
-        let (ok, line) = report_line(&report, expect_violation);
+        // The smoke gate's leak canary runs without liveness: liveness
+        // fails first on a shorter path, and would pass the canary even if
+        // the leak stopped breaking conservation.
+        let canary = smoke && expect_violation;
+        let run_opts = CheckOpts {
+            liveness: opts.liveness && !canary,
+            ..opts.clone()
+        };
+        let report = check(cfg, &run_opts, &tel);
+        let (ok, line) = report_line(&report, expect_violation, canary.then_some(LEAK_INVARIANT));
         println!("{line}");
         if let Some(cex) = &report.counterexample {
-            if expect_violation {
+            if ok {
                 println!(
                     "  (expected) `{}` via {} events",
                     cex.violation.invariant,

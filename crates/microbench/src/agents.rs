@@ -5,8 +5,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use san_fabric::{NodeId, Packet};
-use san_nic::{HostAgent, HostCtx, NicTiming};
-use san_sim::{Duration, Time};
+use san_nic::timing::host_send;
+use san_nic::{HostAgent, HostCtx};
+use san_sim::Time;
 use san_vmmc::{DeliveredMsg, ExportId, VmmcLib};
 
 /// Results shared with the driver.
@@ -31,15 +32,6 @@ pub fn state() -> StateRef {
 }
 
 const EXPORT_SIZE: u32 = 2 * 1024 * 1024;
-
-fn host_cost(bytes: u32) -> Duration {
-    let t = NicTiming::default();
-    if bytes <= 32 {
-        t.host_send_pio
-    } else {
-        t.host_send_dma
-    }
-}
 
 /// Ping-pong initiator: sends a message of `bytes`, waits for the echo,
 /// repeats `rounds` times, recording per-round (start, end).
@@ -80,7 +72,7 @@ impl Pinger {
 impl HostAgent for Pinger {
     fn on_start(&mut self, ctx: &mut HostCtx) {
         self.vmmc.export(EXPORT_SIZE, None);
-        ctx.wake_in(host_cost(self.bytes), 0);
+        ctx.wake_in(host_send(self.bytes), 0);
     }
     fn on_wake(&mut self, ctx: &mut HostCtx, _token: u64) {
         self.fire(ctx);
@@ -94,7 +86,7 @@ impl HostAgent for Pinger {
                 .push((self.started, ctx.now()));
             self.round += 1;
             if self.round < self.rounds {
-                ctx.wake_in(host_cost(self.bytes), 0);
+                ctx.wake_in(host_send(self.bytes), 0);
             } else {
                 self.state.borrow_mut().done = true;
             }
@@ -163,7 +155,7 @@ impl UniSource {
 impl HostAgent for UniSource {
     fn on_start(&mut self, ctx: &mut HostCtx) {
         self.vmmc.export(EXPORT_SIZE, None);
-        ctx.wake_in(host_cost(self.bytes), 0);
+        ctx.wake_in(host_send(self.bytes), 0);
     }
     fn on_wake(&mut self, ctx: &mut HostCtx, _token: u64) {
         let to = VmmcLib::import(self.peer, ExportId(0), EXPORT_SIZE);

@@ -6,12 +6,10 @@
 //! (descriptor → wire), wire, NIC receive (tail arrival → deposited in host
 //! memory), host receive (deposit → process sees it).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use san_fabric::{NodeId, Packet};
-use san_nic::testkit::make_desc;
-use san_nic::{ClusterConfig, HostAgent, HostCtx, NicTiming};
+use san_nic::testkit::{inbox, make_desc, Collector};
+use san_nic::timing::host_send;
+use san_nic::{ClusterConfig, HostAgent, HostCtx};
 use san_sim::{Duration, Time};
 
 use crate::{pair_cluster, FwKind};
@@ -48,24 +46,13 @@ struct OneShotSender {
 
 impl HostAgent for OneShotSender {
     fn on_start(&mut self, ctx: &mut HostCtx) {
-        let t = NicTiming::default();
-        let cost = if self.bytes <= 32 {
-            t.host_send_pio
-        } else {
-            t.host_send_dma
-        };
-        ctx.wake_in(cost, 0);
+        ctx.wake_in(host_send(self.bytes), 0);
     }
     fn on_wake(&mut self, ctx: &mut HostCtx, _token: u64) {
         if self.sent >= self.reps {
             return;
         }
-        let t = NicTiming::default();
-        let cost = if self.bytes <= 32 {
-            t.host_send_pio
-        } else {
-            t.host_send_dma
-        };
+        let cost = host_send(self.bytes);
         // `posted_at` marks the user call, one host-send cost before now.
         let user_start = ctx.now() - cost;
         ctx.post_send(make_desc(
@@ -84,20 +71,9 @@ impl HostAgent for OneShotSender {
     fn on_send_done(&mut self, _ctx: &mut HostCtx, _msg_id: u64) {}
 }
 
-struct StampCollector(Rc<RefCell<Vec<Packet>>>);
-
-impl HostAgent for StampCollector {
-    fn on_start(&mut self, _ctx: &mut HostCtx) {}
-    fn on_wake(&mut self, _ctx: &mut HostCtx, _token: u64) {}
-    fn on_message(&mut self, _ctx: &mut HostCtx, pkt: Packet) {
-        self.0.borrow_mut().push(pkt);
-    }
-    fn on_send_done(&mut self, _ctx: &mut HostCtx, _msg_id: u64) {}
-}
-
 /// Measure the one-way latency of `bytes`-sized messages under `fw`.
 pub fn one_way_latency(fw: &FwKind, bytes: u32, reps: u32, cfg: ClusterConfig) -> LatencyBreakdown {
-    let inbox: Rc<RefCell<Vec<Packet>>> = Rc::new(RefCell::new(Vec::new()));
+    let inbox = inbox();
     let hosts: Vec<Box<dyn HostAgent>> = vec![
         Box::new(OneShotSender {
             peer: NodeId(1),
@@ -106,7 +82,7 @@ pub fn one_way_latency(fw: &FwKind, bytes: u32, reps: u32, cfg: ClusterConfig) -
             sent: 0,
             gap: Duration::from_micros(100),
         }),
-        Box::new(StampCollector(inbox.clone())),
+        Box::new(Collector(inbox.clone())),
     ];
     let mut cluster = pair_cluster(fw, cfg, hosts);
     // Generously long deadline; latency runs are tiny.

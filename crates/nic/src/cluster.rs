@@ -6,6 +6,8 @@
 //! event queue or the explicit contexts ([`NicCtx`], [`HostCtx`]) — there is
 //! no shared mutable state, which is what keeps runs deterministic.
 
+use std::collections::HashMap;
+
 use san_fabric::engine::{Engine, EngineConfig, FabricEvent, FabricOut, PortalCrossing};
 use san_fabric::route::MAX_HOPS;
 use san_fabric::updown::UpDownMap;
@@ -15,7 +17,6 @@ use san_telemetry::Telemetry;
 
 use crate::buffer::BufId;
 use crate::nic::{Firmware, Nic, NicCore, NicCtx, SendDesc};
-use crate::timing::NicTiming;
 
 /// Events addressed to a NIC.
 #[derive(Debug)]
@@ -170,12 +171,72 @@ impl HostAgent for IdleHost {
     fn on_send_done(&mut self, _ctx: &mut HostCtx, _msg_id: u64) {}
 }
 
+/// Host-level re-post pacing after a `SendFailed`: long enough not to
+/// hammer the NIC with back-to-back mapping episodes, short compared to a
+/// drain grace. Doubles per re-post of the same message, up to
+/// `REPOST_DELAY << 5`.
+const REPOST_DELAY: Duration = Duration::from_millis(1);
+
+/// Re-post budget per message: with the NIC's own remap-retry budget in
+/// front of every attempt this outlives any outage a survivable chaos
+/// campaign can schedule, while still bounding a truly partitioned stream.
+const MAX_REPOSTS: u32 = 16;
+
+/// What [`RepostBudget::failed`] did with a failed send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Repost {
+    /// Queued first: the caller arms the flush wake this far ahead.
+    Arm(Duration),
+    /// Queued behind the flush wake already armed.
+    Queued,
+    /// The message's budget is spent: not queued, abandoned.
+    Spent,
+}
+
+/// A host's end-to-end recovery of sends the NIC fails as unreachable:
+/// the transport gives up after its remap-retry budget, and outliving a
+/// long outage is the host's job. Each message may be re-posted
+/// [`MAX_REPOSTS`] times with [`REPOST_DELAY`] backoff, and one flush wake
+/// carries every failure that arrives before it fires. Re-posts reuse the
+/// original message id, so the receiver's dedup makes them idempotent.
+#[derive(Debug, Default)]
+pub struct RepostBudget {
+    /// Re-posts already spent per (dst, msg_id).
+    attempts: HashMap<(u16, u64), u32>,
+    /// Failed sends waiting for the flush wake.
+    queue: Vec<(NodeId, u64)>,
+}
+
+impl RepostBudget {
+    /// Note that the send of `msg_id` to `dst` failed. Unless the
+    /// message's budget is spent, queue it for the flush wake; when the
+    /// queue was empty, the caller arms that wake after the returned delay.
+    pub fn failed(&mut self, dst: NodeId, msg_id: u64) -> Repost {
+        let a = self.attempts.entry((dst.0, msg_id)).or_insert(0);
+        if *a >= MAX_REPOSTS {
+            return Repost::Spent;
+        }
+        *a += 1;
+        let delay = REPOST_DELAY * (1u64 << (*a - 1).min(5));
+        let first = self.queue.is_empty();
+        self.queue.push((dst, msg_id));
+        if first {
+            Repost::Arm(delay)
+        } else {
+            Repost::Queued
+        }
+    }
+
+    /// The sends to re-post now, at the flush wake.
+    pub fn take(&mut self) -> Vec<(NodeId, u64)> {
+        std::mem::take(&mut self.queue)
+    }
+}
+
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// NIC/host cost model.
-    pub timing: NicTiming,
-    /// Fabric constants.
+    /// Fabric settings.
     pub engine: EngineConfig,
     /// Send buffers per NIC (the paper's queue-size parameter, 2–128).
     pub send_bufs: u16,
@@ -189,7 +250,6 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
-            timing: NicTiming::default(),
             engine: EngineConfig::default(),
             send_bufs: 32,
             seed: 1,
@@ -237,13 +297,7 @@ impl Cluster {
         let nics = (0..n)
             .map(|i| {
                 let id = NodeId(i as u16);
-                let core = NicCore::with_telemetry(
-                    id,
-                    cfg.timing.clone(),
-                    cfg.send_bufs,
-                    n,
-                    telemetry.clone(),
-                );
+                let core = NicCore::with_telemetry(id, cfg.send_bufs, n, telemetry.clone());
                 Nic::new(core, make_fw(id))
             })
             .collect();
@@ -477,5 +531,50 @@ mod tests {
             hosts,
         );
         c.install_shortest_routes();
+    }
+
+    /// Each failure of one message arms the flush wake at a doubling delay
+    /// (1 ms up to 32 ms); after its 16th re-post the message is spent.
+    #[test]
+    fn repost_delay_doubles_until_the_budget_is_spent() {
+        let mut b = RepostBudget::default();
+        let ms: Vec<u64> = (0..MAX_REPOSTS)
+            .map(|_| {
+                let Repost::Arm(d) = b.failed(NodeId(1), 7) else {
+                    panic!("an empty queue arms the flush wake");
+                };
+                assert_eq!(b.take(), [(NodeId(1), 7)]);
+                d.nanos() / 1_000_000
+            })
+            .collect();
+        assert_eq!(
+            ms,
+            [1, 2, 4, 8, 16, 32, 32, 32, 32, 32, 32, 32, 32, 32, 32, 32]
+        );
+        assert_eq!(b.failed(NodeId(1), 7), Repost::Spent);
+        assert!(b.take().is_empty(), "a spent message is not queued");
+    }
+
+    /// Failures that arrive before the flush wake ride on it: only the
+    /// first of a batch arms a wake, and each (dst, msg_id) keeps its own
+    /// budget.
+    #[test]
+    fn one_wake_per_batch_and_one_budget_per_message() {
+        let mut b = RepostBudget::default();
+        assert_eq!(b.failed(NodeId(1), 7), Repost::Arm(REPOST_DELAY));
+        assert_eq!(b.failed(NodeId(2), 7), Repost::Queued);
+        assert_eq!(b.failed(NodeId(1), 8), Repost::Queued);
+        assert_eq!(b.take(), [(NodeId(1), 7), (NodeId(2), 7), (NodeId(1), 8)]);
+        assert_eq!(b.failed(NodeId(1), 7), Repost::Arm(REPOST_DELAY * 2));
+        assert_eq!(b.failed(NodeId(2), 7), Repost::Queued);
+        assert_eq!(b.take().len(), 2);
+        for _ in 2..MAX_REPOSTS {
+            b.failed(NodeId(1), 7);
+        }
+        b.take();
+        assert_eq!(b.failed(NodeId(1), 7), Repost::Spent);
+        assert_eq!(b.failed(NodeId(2), 7), Repost::Arm(REPOST_DELAY * 4));
+        assert_eq!(b.failed(NodeId(1), 8), Repost::Queued);
+        assert_eq!(b.take(), [(NodeId(2), 7), (NodeId(1), 8)]);
     }
 }

@@ -24,6 +24,7 @@ pub mod timing;
 pub use buffer::{BufId, SendPool};
 pub use cluster::{
     Cluster, ClusterConfig, ClusterEvent, HostAgent, HostCtx, HostEvent, IdleHost, NicEvent,
+    Repost, RepostBudget,
 };
 pub use nic::{Firmware, Nic, NicCore, NicCtx, NicStats, RouteTable, SendDesc, UnreliableFirmware};
-pub use timing::{vmmc_consts, NicTiming};
+pub use timing::vmmc_consts;

@@ -19,7 +19,7 @@ use san_telemetry::{Counter, Layer, Telemetry, TraceEvent, TraceKind};
 
 use crate::buffer::{BufId, SendPool};
 use crate::cluster::{ClusterEvent, HostEvent, NicEvent};
-use crate::timing::NicTiming;
+use crate::timing;
 
 /// A send request as posted by the host library (one packet's worth; VMMC
 /// segments larger messages before posting, §3.2).
@@ -212,8 +212,6 @@ impl RouteTable {
 pub struct NicCore {
     /// This NIC's host id.
     pub node: NodeId,
-    /// Cost model.
-    pub timing: NicTiming,
     /// The LANai control processor.
     pub cpu: Resource,
     /// Host↔SRAM DMA engine (PCI bus).
@@ -275,20 +273,14 @@ impl NicCtx<'_> {
 
 impl NicCore {
     /// Build a NIC core with a private (unexported) telemetry handle.
-    pub fn new(node: NodeId, timing: NicTiming, send_bufs: u16, n_nodes: usize) -> Self {
-        Self::with_telemetry(node, timing, send_bufs, n_nodes, Telemetry::new())
+    pub fn new(node: NodeId, send_bufs: u16, n_nodes: usize) -> Self {
+        Self::with_telemetry(node, send_bufs, n_nodes, Telemetry::new())
     }
 
     /// Build a NIC core whose stats counters are registered in `tel`
     /// (`nic.node.<n>.*` / `ft.node.<n>.*`) and whose DMA/descriptor
     /// activity is traced through it.
-    pub fn with_telemetry(
-        node: NodeId,
-        timing: NicTiming,
-        send_bufs: u16,
-        n_nodes: usize,
-        tel: Telemetry,
-    ) -> Self {
+    pub fn with_telemetry(node: NodeId, send_bufs: u16, n_nodes: usize, tel: Telemetry) -> Self {
         // Receive buffering is a bounded ring: the control program recycles
         // a fixed buffer set no matter how many peers exist (a per-peer
         // reservation would overflow the 2 MB SRAM past ~400 nodes).
@@ -296,7 +288,6 @@ impl NicCore {
         let pool = SendPool::new(send_bufs, recv_ring).expect("NIC configuration exceeds SRAM");
         Self {
             node,
-            timing,
             cpu: Resource::new("lanai"),
             host_dma: Resource::new("pci-dma"),
             net_tx: Resource::new("net-tx"),
@@ -404,7 +395,7 @@ impl NicCore {
     /// [`NicCore::deposit`] with an earliest host-DMA start (receive-side
     /// firmware processing must finish first). Returns the completion time.
     pub fn deposit_from(&mut self, ctx: &mut NicCtx, mut pkt: Packet, earliest: Time) -> Time {
-        let cost = self.timing.host_dma(pkt.payload_len);
+        let cost = timing::host_dma(pkt.payload_len);
         let (start, done) = self.host_dma.acquire_window(ctx.now().max(earliest), cost);
         let bytes = pkt.payload_len as u64;
         self.telemetry
@@ -414,7 +405,7 @@ impl NicCore {
         self.telemetry
             .record(self.trace_pkt(done, TraceKind::PacketDeposited, &pkt, bytes));
         pkt.stamps.deposited = done;
-        let seen = done + self.timing.host_notify + self.timing.host_recv_check;
+        let seen = done + timing::HOST_NOTIFY + timing::HOST_RECV_CHECK;
         pkt.stamps.host_seen = seen;
         let node = self.node;
         let boxed = self.pkt_pool.take_with(move || pkt);
@@ -429,7 +420,7 @@ impl NicCore {
     /// and send it back along the recorded reverse route. Standard MCP
     /// behaviour, available under any firmware.
     pub fn reply_to_probe(&mut self, ctx: &mut NicCtx, probe: &Packet) {
-        let t = self.cpu.acquire(ctx.now(), self.timing.probe_proc);
+        let t = self.cpu.acquire(ctx.now(), timing::PROBE_PROC);
         let mut reply = Packet::new(self.node, probe.src, PacketKind::ProbeReply);
         reply.msg_id = probe.msg_id;
         reply.route = probe.reverse_route;
@@ -555,7 +546,7 @@ impl Nic {
         let len = pkt.payload_len;
         let buf = core.pool.alloc(pkt).expect("pump checked free_count");
         // Descriptor fetch on the LANai...
-        let t1 = core.cpu.acquire(now, core.timing.send_desc_proc);
+        let t1 = core.cpu.acquire(now, timing::SEND_DESC_PROC);
         // ...then the payload reaches SRAM (PIO: it came with the
         // descriptor; DMA: PCI transfer). Header building is charged when
         // the data actually lands (TxData handler) — pre-booking a future
@@ -564,7 +555,7 @@ impl Nic {
         let data_ready = if desc.pio {
             t1
         } else {
-            let (s, d) = core.host_dma.acquire_window(t1, core.timing.host_dma(len));
+            let (s, d) = core.host_dma.acquire_window(t1, timing::host_dma(len));
             let pkt = core.pool.pkt(buf);
             core.telemetry
                 .record(core.trace_pkt(s, TraceKind::DmaStart, pkt, len as u64));
@@ -607,7 +598,7 @@ impl Nic {
             return;
         }
         self.core.rx_inflight += 1;
-        let t1 = self.core.cpu.acquire(ctx.now(), self.core.timing.rx_proc);
+        let t1 = self.core.cpu.acquire(ctx.now(), timing::RX_PROC);
         let node = self.core.node;
         let boxed = self.core.pkt_pool.take_with(move || pkt);
         ctx.sim.schedule(
@@ -622,10 +613,7 @@ impl Nic {
             NicEvent::TxData { buf } => {
                 // Payload is in SRAM: build the header, then hand to the
                 // firmware's transmit policy.
-                let hdr_done = self
-                    .core
-                    .cpu
-                    .acquire(ctx.now(), self.core.timing.send_hdr_build);
+                let hdr_done = self.core.cpu.acquire(ctx.now(), timing::SEND_HDR_BUILD);
                 let node = self.core.node;
                 ctx.sim
                     .schedule(hdr_done, ClusterEvent::Nic(node, NicEvent::TxReady { buf }));
@@ -804,7 +792,7 @@ mod tests {
     fn nic_core_respects_sram_budget() {
         // 128 buffers + per-node receive buffers is the paper's maximum and
         // must fit; beyond it the constructor panics via SendPool.
-        let core = NicCore::new(NodeId(0), NicTiming::default(), 128, 16);
+        let core = NicCore::new(NodeId(0), 128, 16);
         assert_eq!(core.pool.capacity(), 128);
         assert_eq!(core.stats.packets_tx.get(), 0);
     }
@@ -812,6 +800,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds SRAM")]
     fn oversized_pool_panics() {
-        let _ = NicCore::new(NodeId(0), NicTiming::default(), 450, 64);
+        let _ = NicCore::new(NodeId(0), 450, 64);
     }
 }

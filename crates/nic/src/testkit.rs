@@ -15,7 +15,7 @@ use san_sim::Time;
 
 use crate::cluster::{HostAgent, HostCtx};
 use crate::nic::SendDesc;
-use crate::timing::NicTiming;
+use crate::timing::{host_send, vmmc_consts::PIO_LIMIT};
 
 /// Shared inbox of deposited packets.
 pub type Inbox = Rc<RefCell<Vec<Packet>>>;
@@ -40,7 +40,7 @@ pub fn make_desc(dst: NodeId, bytes: u32, msg_id: u64, posted_at: Time) -> SendD
             Bytes::new()
         },
         logical_len: bytes,
-        pio: bytes <= 32,
+        pio: bytes <= PIO_LIMIT,
         notify: false,
         msg_id,
         msg_offset: 0,
@@ -91,13 +91,7 @@ impl StreamSender {
 
 impl HostAgent for StreamSender {
     fn on_start(&mut self, ctx: &mut HostCtx) {
-        let timing = NicTiming::default();
-        let cost = if self.bytes <= 32 {
-            timing.host_send_pio
-        } else {
-            timing.host_send_dma
-        };
-        ctx.wake_in(cost, 0);
+        ctx.wake_in(host_send(self.bytes), 0);
     }
     fn on_wake(&mut self, ctx: &mut HostCtx, _token: u64) {
         let posted = ctx.now();

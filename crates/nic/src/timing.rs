@@ -8,83 +8,67 @@
 //! no-fault-tolerance* system reproduces the paper's headline numbers:
 //! ~8 µs one-way latency for a 4-byte message with the Figure 3 stage split,
 //! and a large-message bandwidth plateau of ~118 MB/s limited by the PCI bus.
-//! The fault-tolerance overheads (`ft_send_overhead`, `ft_rx_overhead`) are
-//! the paper's measured ~1 µs per side (Figure 3).
+//! The fault-tolerance overheads ([`FT_SEND_OVERHEAD`], [`FT_RX_OVERHEAD`])
+//! are the paper's measured ~1 µs per side (Figure 3). The paper measures
+//! one testbed, so every cost is a constant.
 
 use san_sim::Duration;
 
-/// Every per-operation cost in the NIC/host path.
-#[derive(Debug, Clone)]
-pub struct NicTiming {
-    /// Effective PCI bandwidth for host↔SRAM DMA (bytes/s). Paper: ~120 MB/s.
-    pub pci_bandwidth: u64,
-    /// Fixed setup cost of one host-DMA transaction.
-    pub dma_setup: Duration,
-    /// Host library cost to issue a small (PIO, ≤32 B) send: user-level
-    /// checks, building + PIO-writing the descriptor and inline data.
-    pub host_send_pio: Duration,
-    /// Host library cost to issue a DMA (>32 B) send descriptor.
-    pub host_send_dma: Duration,
-    /// LANai cost to fetch a send descriptor and claim a send buffer.
-    pub send_desc_proc: Duration,
-    /// LANai cost to build the packet header and look up the route.
-    pub send_hdr_build: Duration,
-    /// LANai receive-path processing (dequeue + CRC compare + dispatch).
-    pub rx_proc: Duration,
-    /// Extra send-side cost of the reliability firmware (sequence
-    /// assignment + retransmission-queue management). Paper: ≈1 µs.
-    pub ft_send_overhead: Duration,
-    /// Extra receive-side cost of the reliability firmware (sequence check
-    /// + ACK bookkeeping). Paper: ≈1 µs.
-    pub ft_rx_overhead: Duration,
-    /// LANai cost to process one incoming acknowledgment (free buffers).
-    pub ack_proc: Duration,
-    /// LANai cost to emit one explicit ACK packet (header-only build).
-    pub ack_build: Duration,
-    /// Fixed cost of one retransmission-timer scan...
-    pub timer_scan_base: Duration,
-    /// ...plus this much per non-empty retransmission queue scanned.
-    pub timer_scan_per_queue: Duration,
-    /// LANai cost per packet re-enqueued for retransmission.
-    pub retx_per_pkt: Duration,
-    /// Host-side notification cost when a message is deposited (the
-    /// receiving process notices new data).
-    pub host_notify: Duration,
-    /// Receiving process cost to consume/check a message.
-    pub host_recv_check: Duration,
-    /// LANai cost to build/process one mapping probe.
-    pub probe_proc: Duration,
+use vmmc_consts::PIO_LIMIT;
+
+/// Effective PCI bandwidth for host↔SRAM DMA (bytes/s). Paper: ~120 MB/s.
+pub const PCI_BANDWIDTH: u64 = 120_000_000;
+/// Fixed setup cost of one host-DMA transaction.
+pub const DMA_SETUP: Duration = Duration::from_nanos(600);
+/// Host library cost to issue a small (PIO, ≤32 B) send: user-level
+/// checks, building + PIO-writing the descriptor and inline data.
+pub const HOST_SEND_PIO: Duration = Duration::from_nanos(1_400);
+/// Host library cost to issue a DMA (>32 B) send descriptor.
+pub const HOST_SEND_DMA: Duration = Duration::from_nanos(1_100);
+/// LANai cost to fetch a send descriptor and claim a send buffer.
+pub const SEND_DESC_PROC: Duration = Duration::from_nanos(1_200);
+/// LANai cost to build the packet header and look up the route.
+pub const SEND_HDR_BUILD: Duration = Duration::from_nanos(1_300);
+/// LANai receive-path processing (dequeue + CRC compare + dispatch).
+pub const RX_PROC: Duration = Duration::from_nanos(1_200);
+/// Extra send-side cost of the reliability firmware (sequence
+/// assignment + retransmission-queue management). Paper: ≈1 µs.
+pub const FT_SEND_OVERHEAD: Duration = Duration::from_nanos(1_000);
+/// Extra receive-side cost of the reliability firmware (sequence check
+/// + ACK bookkeeping). Paper: ≈1 µs.
+pub const FT_RX_OVERHEAD: Duration = Duration::from_nanos(1_000);
+/// LANai cost to process one incoming acknowledgment (free buffers).
+pub const ACK_PROC: Duration = Duration::from_nanos(800);
+/// LANai cost to emit one explicit ACK packet (header-only build).
+pub const ACK_BUILD: Duration = Duration::from_nanos(700);
+/// Fixed cost of one retransmission-timer scan...
+pub const TIMER_SCAN_BASE: Duration = Duration::from_nanos(600);
+/// ...plus this much per non-empty retransmission queue scanned.
+pub const TIMER_SCAN_PER_QUEUE: Duration = Duration::from_nanos(150);
+/// LANai cost per packet re-enqueued for retransmission.
+pub const RETX_PER_PKT: Duration = Duration::from_nanos(500);
+/// Host-side notification cost when a message is deposited (the
+/// receiving process notices new data).
+pub const HOST_NOTIFY: Duration = Duration::from_nanos(500);
+/// Receiving process cost to consume/check a message.
+pub const HOST_RECV_CHECK: Duration = Duration::from_nanos(800);
+/// LANai cost to build/process one mapping probe.
+pub const PROBE_PROC: Duration = Duration::from_nanos(800);
+
+/// Host→SRAM (or SRAM→host) DMA time for `bytes`.
+#[inline]
+pub fn host_dma(bytes: u32) -> Duration {
+    DMA_SETUP + Duration::for_bytes(bytes as u64, PCI_BANDWIDTH)
 }
 
-impl Default for NicTiming {
-    fn default() -> Self {
-        Self {
-            pci_bandwidth: 120_000_000,
-            dma_setup: Duration::from_nanos(600),
-            host_send_pio: Duration::from_nanos(1_400),
-            host_send_dma: Duration::from_nanos(1_100),
-            send_desc_proc: Duration::from_nanos(1_200),
-            send_hdr_build: Duration::from_nanos(1_300),
-            rx_proc: Duration::from_nanos(1_200),
-            ft_send_overhead: Duration::from_nanos(1_000),
-            ft_rx_overhead: Duration::from_nanos(1_000),
-            ack_proc: Duration::from_nanos(800),
-            ack_build: Duration::from_nanos(700),
-            timer_scan_base: Duration::from_nanos(600),
-            timer_scan_per_queue: Duration::from_nanos(150),
-            retx_per_pkt: Duration::from_nanos(500),
-            host_notify: Duration::from_nanos(500),
-            host_recv_check: Duration::from_nanos(800),
-            probe_proc: Duration::from_nanos(800),
-        }
-    }
-}
-
-impl NicTiming {
-    /// Host→SRAM (or SRAM→host) DMA time for `bytes`.
-    #[inline]
-    pub fn host_dma(&self, bytes: u32) -> Duration {
-        self.dma_setup + Duration::for_bytes(bytes as u64, self.pci_bandwidth)
+/// Host library cost to issue a send of `bytes`: [`HOST_SEND_PIO`] up to
+/// [`PIO_LIMIT`] bytes, [`HOST_SEND_DMA`] above.
+#[inline]
+pub fn host_send(bytes: u32) -> Duration {
+    if bytes <= PIO_LIMIT {
+        HOST_SEND_PIO
+    } else {
+        HOST_SEND_DMA
     }
 }
 
@@ -99,29 +83,29 @@ pub mod vmmc_consts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use san_fabric::engine::{HOP_LATENCY, LINK_BANDWIDTH};
 
     #[test]
     fn four_byte_latency_budget_is_about_8us() {
         // Sanity-check the calibration against Figure 3 before any machinery
         // exists: sum the no-FT stage costs for a 4-byte PIO message over
-        // one switch (2 channel hops at 300 ns + ~25 wire bytes at 160 MB/s).
-        let t = NicTiming::default();
-        let wire = 2 * 300 + (16 + 1 + 4 + 4) as u64 * 1_000_000_000 / 160_000_000;
-        let total = t.host_send_pio.nanos()
-            + t.send_desc_proc.nanos()
-            + t.send_hdr_build.nanos()
+        // one switch (2 channel hops + ~25 wire bytes at link bandwidth).
+        let wire = HOP_LATENCY * 2 + Duration::for_bytes(16 + 1 + 4 + 4, LINK_BANDWIDTH);
+        let total = host_send(4)
+            + SEND_DESC_PROC
+            + SEND_HDR_BUILD
             + wire
-            + t.rx_proc.nanos()
-            + t.host_dma(4).nanos()
-            + t.host_notify.nanos()
-            + t.host_recv_check.nanos();
-        let us = total as f64 / 1000.0;
+            + RX_PROC
+            + host_dma(4)
+            + HOST_NOTIFY
+            + HOST_RECV_CHECK;
+        let us = total.nanos() as f64 / 1000.0;
         assert!(
             (7.0..9.0).contains(&us),
             "no-FT 4-byte latency ≈ 8 µs, got {us:.2}"
         );
         // And with fault tolerance: ≈ +2 µs (Figure 3).
-        let ft = us + (t.ft_send_overhead.nanos() + t.ft_rx_overhead.nanos()) as f64 / 1000.0;
+        let ft = us + (FT_SEND_OVERHEAD + FT_RX_OVERHEAD).nanos() as f64 / 1000.0;
         assert!(
             (9.0..11.0).contains(&ft),
             "FT 4-byte latency ≈ 10 µs, got {ft:.2}"
@@ -130,9 +114,8 @@ mod tests {
 
     #[test]
     fn pci_bounds_large_message_bandwidth() {
-        let t = NicTiming::default();
         // Per-4KB-packet PCI occupancy bounds throughput at ~118 MB/s.
-        let per_pkt = t.host_dma(4096);
+        let per_pkt = host_dma(4096);
         let mbps = 4096.0 / per_pkt.as_secs_f64() / 1e6;
         assert!(
             (110.0..121.0).contains(&mbps),
@@ -145,10 +128,9 @@ mod tests {
         // The NIC CPU work per 4 KB packet (even with FT) must fit inside
         // the PCI DMA time, or the simulated bandwidth overhead of FT would
         // exceed the paper's <4%.
-        let t = NicTiming::default();
-        let cpu = t.send_desc_proc + t.send_hdr_build + t.ft_send_overhead;
-        assert!(cpu < t.host_dma(4096));
-        let rx_cpu = t.rx_proc + t.ft_rx_overhead + t.ack_build;
-        assert!(rx_cpu < t.host_dma(4096));
+        let cpu = SEND_DESC_PROC + SEND_HDR_BUILD + FT_SEND_OVERHEAD;
+        assert!(cpu < host_dma(4096));
+        let rx_cpu = RX_PROC + FT_RX_OVERHEAD + ACK_BUILD;
+        assert!(rx_cpu < host_dma(4096));
     }
 }

@@ -3,97 +3,14 @@
 //! ~8 µs one-way latency for a 4-byte message and a ~118 MB/s PCI-bound
 //! bandwidth plateau — before any reliability machinery is added.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use bytes::Bytes;
 use san_fabric::topology;
-use san_fabric::{NodeId, Packet, PacketFlags};
-use san_nic::{
-    Cluster, ClusterConfig, HostAgent, HostCtx, IdleHost, NicTiming, SendDesc, UnreliableFirmware,
-};
-use san_sim::Time;
+use san_fabric::NodeId;
+use san_nic::testkit::{inbox, Collector, Inbox, StreamSender};
+use san_nic::{Cluster, ClusterConfig, HostAgent, IdleHost, UnreliableFirmware};
 
-type Inbox = Rc<RefCell<Vec<Packet>>>;
-
-/// Records every deposited message.
-struct Collector(Inbox);
-
-impl HostAgent for Collector {
-    fn on_start(&mut self, _ctx: &mut HostCtx) {}
-    fn on_wake(&mut self, _ctx: &mut HostCtx, _token: u64) {}
-    fn on_message(&mut self, _ctx: &mut HostCtx, pkt: Packet) {
-        self.0.borrow_mut().push(pkt);
-    }
-    fn on_send_done(&mut self, _ctx: &mut HostCtx, _msg_id: u64) {}
-}
-
-/// Sends `count` packets of `bytes` each to `dst`, modelling the host
-/// library cost before each post.
-struct Sender {
-    dst: NodeId,
-    bytes: u32,
-    count: u64,
-    sent: u64,
-}
-
-fn make_desc(dst: NodeId, bytes: u32, msg_id: u64, posted_at: Time) -> SendDesc {
-    let pio = bytes <= 32;
-    let mut flags = PacketFlags::default();
-    flags.set(PacketFlags::FIRST_SEG);
-    flags.set(PacketFlags::LAST_SEG);
-    SendDesc {
-        dst,
-        payload: if bytes <= 64 {
-            Bytes::from(vec![0xA5u8; bytes as usize])
-        } else {
-            Bytes::new()
-        },
-        logical_len: bytes,
-        pio,
-        notify: false,
-        msg_id,
-        msg_offset: 0,
-        msg_len: bytes,
-        recv_buf: 0,
-        flags,
-        tenant: 0,
-        posted_at,
-    }
-}
-
-impl HostAgent for Sender {
-    fn on_start(&mut self, ctx: &mut HostCtx) {
-        // Model host library overhead before the descriptor reaches the NIC.
-        let timing = NicTiming::default();
-        let cost = if self.bytes <= 32 {
-            timing.host_send_pio
-        } else {
-            timing.host_send_dma
-        };
-        ctx.wake_in(cost, 0);
-    }
-    fn on_wake(&mut self, ctx: &mut HostCtx, _token: u64) {
-        // Post everything; the NIC pipelines (buffers permitting). The
-        // host-side cost of subsequent posts overlaps the NIC work, which is
-        // how a real streaming sender behaves. The first message's
-        // `posted_at` is the user's initiation time (t = 0), so one-way
-        // latency includes the host send stage as in Figure 3.
-        let posted = ctx.now();
-        while self.sent < self.count {
-            let stamp = if self.sent == 0 { Time::ZERO } else { posted };
-            let d = make_desc(self.dst, self.bytes, self.sent, stamp);
-            ctx.post_send(d);
-            self.sent += 1;
-        }
-    }
-    fn on_message(&mut self, _ctx: &mut HostCtx, _pkt: Packet) {}
-    fn on_send_done(&mut self, _ctx: &mut HostCtx, _msg_id: u64) {}
-}
-
-fn two_node_cluster(sender: Sender) -> (Cluster, Inbox) {
+fn two_node_cluster(sender: StreamSender) -> (Cluster, Inbox) {
     let (topo, _a, _b) = topology::pair_via_switch();
-    let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
+    let inbox = inbox();
     let hosts: Vec<Box<dyn HostAgent>> = vec![Box::new(sender), Box::new(Collector(inbox.clone()))];
     let mut cluster = Cluster::new(
         topo,
@@ -107,12 +24,7 @@ fn two_node_cluster(sender: Sender) -> (Cluster, Inbox) {
 
 #[test]
 fn four_byte_one_way_latency_is_about_8us() {
-    let (mut cluster, inbox) = two_node_cluster(Sender {
-        dst: NodeId(1),
-        bytes: 4,
-        count: 1,
-        sent: 0,
-    });
+    let (mut cluster, inbox) = two_node_cluster(StreamSender::new(NodeId(1), 4, 1));
     cluster.run_until_idle();
     let inbox = inbox.borrow();
     assert_eq!(inbox.len(), 1);
@@ -134,12 +46,7 @@ fn four_byte_one_way_latency_is_about_8us() {
 
 #[test]
 fn payload_bytes_arrive_intact() {
-    let (mut cluster, inbox) = two_node_cluster(Sender {
-        dst: NodeId(1),
-        bytes: 32,
-        count: 1,
-        sent: 0,
-    });
+    let (mut cluster, inbox) = two_node_cluster(StreamSender::new(NodeId(1), 32, 1));
     cluster.run_until_idle();
     let inbox = inbox.borrow();
     assert_eq!(inbox[0].payload.as_ref(), &[0xA5u8; 32][..]);
@@ -149,12 +56,7 @@ fn payload_bytes_arrive_intact() {
 #[test]
 fn unidirectional_bandwidth_hits_pci_plateau() {
     let n = 256u64; // 1 MB total in 4 KB packets
-    let (mut cluster, inbox) = two_node_cluster(Sender {
-        dst: NodeId(1),
-        bytes: 4096,
-        count: n,
-        sent: 0,
-    });
+    let (mut cluster, inbox) = two_node_cluster(StreamSender::new(NodeId(1), 4096, n));
     cluster.run_until_idle();
     let inbox = inbox.borrow();
     assert_eq!(inbox.len(), n as usize);
@@ -171,14 +73,9 @@ fn unidirectional_bandwidth_hits_pci_plateau() {
 #[test]
 fn small_queue_still_makes_progress() {
     let (topo, _a, _b) = topology::pair_via_switch();
-    let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
+    let inbox = inbox();
     let hosts: Vec<Box<dyn HostAgent>> = vec![
-        Box::new(Sender {
-            dst: NodeId(1),
-            bytes: 4096,
-            count: 64,
-            sent: 0,
-        }),
+        Box::new(StreamSender::new(NodeId(1), 4096, 64)),
         Box::new(Collector(inbox.clone())),
     ];
     let cfg = ClusterConfig {
@@ -195,12 +92,7 @@ fn small_queue_still_makes_progress() {
 
 #[test]
 fn messages_arrive_in_posting_order() {
-    let (mut cluster, inbox) = two_node_cluster(Sender {
-        dst: NodeId(1),
-        bytes: 512,
-        count: 50,
-        sent: 0,
-    });
+    let (mut cluster, inbox) = two_node_cluster(StreamSender::new(NodeId(1), 512, 50));
     cluster.run_until_idle();
     let ids: Vec<u64> = inbox.borrow().iter().map(|p| p.msg_id).collect();
     assert_eq!(ids, (0..50).collect::<Vec<_>>());
@@ -210,12 +102,7 @@ fn messages_arrive_in_posting_order() {
 fn no_route_descriptor_is_counted_not_wedged() {
     let (topo, _a, _b) = topology::pair_via_switch();
     let hosts: Vec<Box<dyn HostAgent>> = vec![
-        Box::new(Sender {
-            dst: NodeId(1),
-            bytes: 64,
-            count: 3,
-            sent: 0,
-        }),
+        Box::new(StreamSender::new(NodeId(1), 64, 3)),
         Box::new(IdleHost),
     ];
     let mut cluster = Cluster::new(

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use san_fabric::{NodeId, Packet};
-use san_nic::{HostAgent, HostCtx};
+use san_nic::{HostAgent, HostCtx, Repost, RepostBudget};
 use san_proc::{Coroutine, Step};
 use san_sim::Time;
 use san_vmmc::{ExportId, ImportHandle, VmmcLib};
@@ -22,7 +22,7 @@ use crate::runner::TimeBreakdown;
 pub const PAGE_BYTES: u32 = 4096;
 /// Per-source slot inside every node's control export.
 pub const CTRL_SLOT: u32 = 64 * 1024;
-/// Wake token reserved for end-to-end retry pacing (process wake tokens are
+/// Wake token reserved for the re-post flush (process wake tokens are
 /// local indices, far below this).
 const RETRY_TOKEN: u64 = 1 << 32;
 
@@ -152,6 +152,9 @@ pub struct SvmNode {
     bar_episode: u32,
     barrier_parked: Vec<usize>,
     shared: Rc<RefCell<SvmShared>>,
+    /// Re-post pacing for sends the NIC fails; `None` keeps the paper's
+    /// silent drop.
+    reposts: Option<RepostBudget>,
 }
 
 impl SvmNode {
@@ -165,7 +168,7 @@ impl SvmNode {
         bodies: Vec<crate::ProcBody>,
         shared: Rc<RefCell<SvmShared>>,
         telemetry: &san_telemetry::Telemetry,
-        recovery: Option<san_vmmc::RecoveryConfig>,
+        host_recovery: bool,
     ) -> Self {
         assert_eq!(bodies.len(), procs_per_node);
         let procs = bodies
@@ -186,8 +189,8 @@ impl SvmNode {
             .filter(|p| p % n_nodes as u32 == node.0 as u32)
             .collect();
         let mut vmmc = VmmcLib::with_telemetry(node, telemetry);
-        if let Some(r) = recovery {
-            vmmc.enable_recovery(r);
+        if host_recovery {
+            vmmc.enable_recovery();
         }
         // Tag SVM protocol traffic per node (tenant 0 is reserved for
         // untagged traffic) so fabric-level attribution can separate nodes
@@ -212,6 +215,7 @@ impl SvmNode {
             bar_episode: 0,
             barrier_parked: Vec::new(),
             shared,
+            reposts: host_recovery.then(RepostBudget::default),
         }
     }
 
@@ -615,10 +619,10 @@ impl HostAgent for SvmNode {
 
     fn on_wake(&mut self, ctx: &mut HostCtx, token: u64) {
         if token == RETRY_TOKEN {
-            // End-to-end recovery pacing: re-post everything whose backoff
-            // elapsed and re-arm for the next due retry.
-            if let Some(next) = self.vmmc.flush_retries(ctx) {
-                ctx.wake_in(next, RETRY_TOKEN);
+            // The re-post flush: every send that failed since it was armed.
+            let due = self.reposts.as_mut().map(RepostBudget::take);
+            for (_, msg_id) in due.unwrap_or_default() {
+                self.vmmc.repost(ctx, msg_id);
             }
             return;
         }
@@ -640,13 +644,18 @@ impl HostAgent for SvmNode {
 
     fn on_send_done(&mut self, _ctx: &mut HostCtx, _msg_id: u64) {}
 
-    fn on_send_failed(&mut self, ctx: &mut HostCtx, msg_id: u64, _dst: NodeId) {
+    fn on_send_failed(&mut self, ctx: &mut HostCtx, msg_id: u64, dst: NodeId) {
         // The NIC exhausted its remap budget and dropped the message. With
-        // a recovery policy installed, schedule a backoff-paced re-post
-        // (same msg_id — idempotent at the receiver); without one, this is
-        // the paper's silent drop.
-        if let Some(delay) = self.vmmc.on_send_failed(ctx.now(), msg_id) {
-            ctx.wake_in(delay, RETRY_TOKEN);
+        // host recovery on, queue a backoff-paced re-post (same msg_id —
+        // idempotent at the receiver); without it, this is the paper's
+        // silent drop.
+        let Some(reposts) = &mut self.reposts else {
+            return;
+        };
+        match reposts.failed(dst, msg_id) {
+            Repost::Arm(delay) => ctx.wake_in(delay, RETRY_TOKEN),
+            Repost::Queued => {}
+            Repost::Spent => self.vmmc.stats.abandoned.hit(),
         }
     }
 }

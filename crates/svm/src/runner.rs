@@ -78,13 +78,13 @@ pub struct SvmConfig {
     pub procs_per_node: usize,
     /// Shared pages.
     pub pages: u32,
-    /// NIC/cluster parameters (send buffers, timing, seed).
+    /// NIC/cluster parameters (send buffers, seed, telemetry).
     pub cluster: ClusterConfig,
     /// Reliability protocol; `None` runs the no-fault-tolerance firmware.
     pub proto: Option<ProtocolConfig>,
-    /// Host-level end-to-end recovery policy for `SendFailed` completions;
-    /// `None` keeps the paper's silent-drop baseline.
-    pub recovery: Option<san_vmmc::RecoveryConfig>,
+    /// Re-post sends the NIC fails as unreachable, paced by
+    /// `san_nic::RepostBudget`; off keeps the paper's silent-drop baseline.
+    pub host_recovery: bool,
     /// Host-uplink outages to inject during the run.
     pub flaps: Vec<LinkFlap>,
     /// Give up after this much simulated time.
@@ -99,7 +99,7 @@ impl Default for SvmConfig {
             pages: 1024,
             cluster: ClusterConfig::default(),
             proto: Some(ProtocolConfig::default()),
-            recovery: None,
+            host_recovery: false,
             flaps: Vec::new(),
             deadline: Time::from_secs(300),
         }
@@ -170,7 +170,7 @@ pub fn run_svm(cfg: SvmConfig, bodies: Vec<ProcBody>) -> SvmReport {
                 node_bodies,
                 shared.clone(),
                 &telemetry,
-                cfg.recovery.clone(),
+                cfg.host_recovery,
             )) as Box<dyn HostAgent>
         })
         .collect();
@@ -512,7 +512,7 @@ mod fairness_tests {
     /// failed message after the repair and the run completes exactly.
     #[test]
     fn host_recovery_survives_remap_budget_exhaustion() {
-        let run = |recovery: Option<san_vmmc::RecoveryConfig>| {
+        let run = |host_recovery: bool| {
             let counter = Rc::new(Cell::new(0u64));
             let bodies: Vec<ProcBody> = (0..2)
                 .map(|_| {
@@ -537,7 +537,7 @@ mod fairness_tests {
                     perm_fail_threshold: Duration::from_millis(2),
                     ..ProtocolConfig::default().with_mapping()
                 }),
-                recovery,
+                host_recovery,
                 // Node 1 unreachable from 2 ms to 400 ms: every sender's
                 // remap-retry budget (~145 ms per cycle) exhausts
                 // mid-outage, so in-flight lock traffic is dropped with a
@@ -554,12 +554,12 @@ mod fairness_tests {
             (report.completed, counter.get())
         };
 
-        let (completed, _) = run(None);
+        let (completed, _) = run(false);
         assert!(
             !completed,
             "without host recovery the dropped lock message must deadlock the run"
         );
-        let (completed, count) = run(Some(san_vmmc::RecoveryConfig::default()));
+        let (completed, count) = run(true);
         assert!(completed, "host recovery must re-post and finish the run");
         assert_eq!(count, 40, "mutual exclusion preserved across recovery");
     }

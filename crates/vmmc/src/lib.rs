@@ -16,7 +16,10 @@
 //! * message-level **deduplication**: the reliability layer guarantees
 //!   exactly-once per generation but may redeliver across a generation
 //!   reset after a permanent failure; deposits are idempotent, and this
-//!   layer additionally swallows duplicate *notifications*.
+//!   layer additionally swallows duplicate *notifications*,
+//! * optional retention of recent sends, so that a host recovering from a
+//!   `SendFailed` (paced by `san_nic::RepostBudget`) can re-post one under
+//!   its original id.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -25,7 +28,7 @@ use bytes::Bytes;
 use san_fabric::{NodeId, Packet, PacketFlags, PacketKind};
 use san_nic::vmmc_consts::{PIO_LIMIT, SEGMENT_BYTES};
 use san_nic::{HostCtx, SendDesc};
-use san_sim::{Duration, Time};
+use san_sim::Time;
 use san_telemetry::{Counter, Telemetry};
 
 /// Identifier of an exported buffer on its owning host.
@@ -90,7 +93,7 @@ pub struct VmmcStats {
     pub dup_msgs: Counter,
     /// End-to-end recovery: messages re-posted after a `SendFailed`.
     pub reposts: Counter,
-    /// End-to-end recovery: messages given up on (attempt budget spent or
+    /// End-to-end recovery: messages given up on (re-post budget spent or
     /// no longer retained).
     pub abandoned: Counter,
 }
@@ -112,51 +115,28 @@ impl VmmcStats {
     }
 }
 
-/// Host-level end-to-end recovery policy: what to do when the NIC reports
-/// `SendFailed` (destination unreachable across the whole remap budget).
-/// The paper's baseline is silent drop; with a policy installed the library
-/// re-posts the message — bounded attempts, exponential backoff — once the
-/// caller drives [`VmmcLib::flush_retries`] at the returned times. Re-posts
-/// reuse the original `msg_id`, so the receiver's exact dedup makes them
-/// idempotent even when the first copy (or part of it) did land.
+/// How many recent sends a recovering library retains for re-posting.
+/// Memory bound: a failure arriving for an evicted message is abandoned.
+pub const RETAINED_SENDS: usize = 4096;
+
+/// One message for [`VmmcLib::post`] to segment: everything its
+/// descriptors carry, so a re-post repeats the first post exactly.
 #[derive(Debug, Clone)]
-pub struct RecoveryConfig {
-    /// Re-posts allowed per message before it is abandoned.
-    pub max_attempts: u32,
-    /// Backoff before the first re-post; doubles per subsequent failure of
-    /// the same message.
-    pub base_backoff: Duration,
-    /// How many recent sends to retain for possible re-posting. Memory
-    /// bound; a failure arriving for an evicted message is abandoned.
-    pub retain: usize,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        Self {
-            max_attempts: 8,
-            base_backoff: Duration::from_micros(500),
-            retain: 4096,
-        }
-    }
-}
-
-/// A send retained for possible end-to-end re-posting.
-#[derive(Debug)]
-struct RetainedSend {
-    to: ImportHandle,
-    offset: u32,
-    len: u32,
-    data: Option<Bytes>,
-    attempts: u32,
-    /// Scheduled re-post time after a failure; `None` while in flight.
-    due: Option<Time>,
-}
-
-#[derive(Debug)]
-struct RecoveryState {
-    cfg: RecoveryConfig,
-    retained: BTreeMap<u64, RetainedSend>,
+pub struct SendMsg {
+    /// The remote buffer.
+    pub to: ImportHandle,
+    /// Offset of the message within the buffer.
+    pub offset: u32,
+    /// Message length.
+    pub len: u32,
+    /// Real bytes covering a prefix of the message (`None`: logical only).
+    pub data: Option<Bytes>,
+    /// Message id (the receiver's dedup key).
+    pub id: u64,
+    /// Tenant tag stamped on every segment (0 = untagged).
+    pub tenant: u16,
+    /// Ask for a `SendDone` once the last segment has left host memory.
+    pub notify: bool,
 }
 
 #[derive(Debug, Default)]
@@ -224,8 +204,9 @@ pub struct VmmcLib {
     /// Completed msg ids per peer, for dedup across generation-reset
     /// redelivery and end-to-end re-posting.
     completed: HashMap<NodeId, CompletedIds>,
-    /// End-to-end recovery policy; `None` = the paper's silent-drop default.
-    recovery: Option<RecoveryState>,
+    /// Recent sends by id, kept for re-posting once recovery is enabled;
+    /// `None` = the paper's silent-drop default.
+    retained: Option<BTreeMap<u64, SendMsg>>,
     /// Tenant tag stamped on every outgoing segment (0 = untagged).
     tenant: u16,
     /// Statistics.
@@ -247,7 +228,7 @@ impl VmmcLib {
             next_msg_id: 0,
             assembling: HashMap::new(),
             completed: HashMap::new(),
-            recovery: None,
+            retained: None,
             tenant: 0,
             stats: VmmcStats::registered(tel, node),
         }
@@ -269,74 +250,23 @@ impl VmmcLib {
         self.tenant
     }
 
-    /// Install an end-to-end recovery policy: sends are retained and, on a
-    /// `SendFailed` completion, re-posted with bounded, backoff-paced
-    /// attempts (drive with [`VmmcLib::on_send_failed`] +
-    /// [`VmmcLib::flush_retries`]).
-    pub fn enable_recovery(&mut self, cfg: RecoveryConfig) {
-        self.recovery = Some(RecoveryState {
-            cfg,
-            retained: BTreeMap::new(),
-        });
+    /// Retain the last [`RETAINED_SENDS`] sends, so that a host recovering
+    /// from a `SendFailed` can [`VmmcLib::repost`] them.
+    pub fn enable_recovery(&mut self) {
+        self.retained = Some(BTreeMap::new());
     }
 
-    /// Messages currently awaiting a scheduled re-post.
-    pub fn retries_pending(&self) -> usize {
-        self.recovery.as_ref().map_or(0, |r| {
-            r.retained.values().filter(|p| p.due.is_some()).count()
-        })
-    }
-
-    /// The NIC reported `msg_id` dropped as unreachable. Schedules a
-    /// re-post (exponential backoff, bounded attempts) and returns the
-    /// backoff delay — the caller must arrange a [`VmmcLib::flush_retries`]
-    /// call after it elapses. Returns `None` when the message is abandoned
-    /// (budget spent, not retained, or no recovery policy).
-    pub fn on_send_failed(&mut self, now: Time, msg_id: u64) -> Option<Duration> {
-        let r = self.recovery.as_mut()?;
-        let Some(p) = r.retained.get_mut(&msg_id) else {
+    /// Re-post retained message `msg_id` under its original id: the
+    /// receiver's exact dedup makes it idempotent even when the first copy
+    /// (or part of it) did land. A message not retained (recovery off, or
+    /// evicted) is counted as abandoned instead.
+    pub fn repost(&mut self, ctx: &mut HostCtx, msg_id: u64) {
+        let Some(msg) = self.retained.as_ref().and_then(|r| r.get(&msg_id)).cloned() else {
             self.stats.abandoned.hit();
-            return None;
+            return;
         };
-        if p.attempts >= r.cfg.max_attempts {
-            r.retained.remove(&msg_id);
-            self.stats.abandoned.hit();
-            return None;
-        }
-        p.attempts += 1;
-        let delay = r.cfg.base_backoff * (1u64 << (p.attempts - 1).min(16));
-        p.due = Some(now + delay);
-        Some(delay)
-    }
-
-    /// Re-post every message whose backoff has elapsed (same `msg_id`: the
-    /// receiver's exact dedup makes redelivery idempotent). Returns the
-    /// time until the earliest still-pending retry, if any.
-    pub fn flush_retries(&mut self, ctx: &mut HostCtx) -> Option<Duration> {
-        let now = ctx.now();
-        let Some(r) = &mut self.recovery else {
-            return None;
-        };
-        let due_now: Vec<u64> = r
-            .retained
-            .iter()
-            .filter(|(_, p)| p.due.is_some_and(|t| t <= now))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due_now {
-            let r = self.recovery.as_mut().unwrap();
-            let p = r.retained.get_mut(&id).unwrap();
-            p.due = None;
-            let (to, offset, len, data) = (p.to, p.offset, p.len, p.data.clone());
-            self.stats.reposts.hit();
-            self.post_segments(ctx, to, offset, len, data.as_ref(), id);
-        }
-        let r = self.recovery.as_ref().unwrap();
-        r.retained
-            .values()
-            .filter_map(|p| p.due)
-            .min()
-            .map(|t| t.since(now))
+        self.stats.reposts.hit();
+        self.post(ctx, &msg);
     }
 
     /// Export a receive region of `size` bytes. `allow` restricts which
@@ -439,40 +369,42 @@ impl VmmcLib {
         len: u32,
         data: Option<Bytes>,
     ) -> u64 {
-        let msg_id = self.next_msg_id;
+        let id = self.next_msg_id;
         self.next_msg_id += 1;
         self.stats.msgs_sent.hit();
-        if let Some(r) = &mut self.recovery {
-            r.retained.insert(
-                msg_id,
-                RetainedSend {
-                    to,
-                    offset,
-                    len,
-                    data: data.clone(),
-                    attempts: 0,
-                    due: None,
-                },
-            );
-            while r.retained.len() > r.cfg.retain {
-                r.retained.pop_first();
+        let msg = SendMsg {
+            to,
+            offset,
+            len,
+            data,
+            id,
+            tenant: self.tenant,
+            notify: false,
+        };
+        self.post(ctx, &msg);
+        if let Some(r) = &mut self.retained {
+            r.insert(id, msg);
+            if r.len() > RETAINED_SENDS {
+                r.pop_first();
             }
         }
-        self.post_segments(ctx, to, offset, len, data.as_ref(), msg_id);
-        msg_id
+        id
     }
 
-    /// Segment a message and post its descriptors (shared by first sends
-    /// and recovery re-posts, which reuse the original `msg_id`).
-    fn post_segments(
-        &mut self,
-        ctx: &mut HostCtx,
-        to: ImportHandle,
-        offset: u32,
-        len: u32,
-        data: Option<&Bytes>,
-        msg_id: u64,
-    ) {
+    /// Segment `msg` and post its descriptors: 4 KB segments with
+    /// FIRST/LAST flags and buffer-relative offsets, PIO for messages of at
+    /// most 32 B. First sends, recovery re-posts and hosts that pick their
+    /// own message ids all post through here.
+    pub fn post(&mut self, ctx: &mut HostCtx, msg: &SendMsg) {
+        let SendMsg {
+            to,
+            offset,
+            len,
+            ref data,
+            id,
+            tenant,
+            notify,
+        } = *msg;
         let posted_at = ctx.now();
         let mut off = 0u32;
         loop {
@@ -481,7 +413,8 @@ impl VmmcLib {
             if off == 0 {
                 flags.set(PacketFlags::FIRST_SEG);
             }
-            if off + seg >= len {
+            let last = off + seg >= len;
+            if last {
                 flags.set(PacketFlags::LAST_SEG);
             }
             // Real bytes may cover only a prefix of the message (padded
@@ -504,15 +437,15 @@ impl VmmcLib {
                 payload,
                 logical_len: seg,
                 pio: len <= PIO_LIMIT,
-                notify: false,
-                msg_id,
+                notify: notify && last,
+                msg_id: id,
                 // The wire offset is buffer-relative so deposits land at the
                 // right place without a completion pass.
                 msg_offset: offset + off,
                 msg_len: len,
                 recv_buf: to.export.0,
                 flags,
-                tenant: self.tenant,
+                tenant,
                 posted_at,
             };
             self.stats.segments_sent.hit();
@@ -780,47 +713,49 @@ mod tests {
         assert!(c.above.is_empty());
     }
 
+    /// Re-posts come from the last [`RETAINED_SENDS`] sends; a failure
+    /// for a message not retained (recovery off, or evicted) is abandoned.
     #[test]
-    fn failed_send_without_policy_or_retention_is_abandoned() {
-        let mut lib = VmmcLib::new(NodeId(0));
-        // No policy installed: silent-drop baseline.
-        assert_eq!(lib.on_send_failed(Time::ZERO, 3), None);
-        assert_eq!(lib.stats.abandoned.get(), 0, "baseline: not even counted");
-        // Policy installed but the message was never retained (evicted or
-        // pre-policy): abandoned explicitly.
-        lib.enable_recovery(RecoveryConfig::default());
-        assert_eq!(lib.on_send_failed(Time::ZERO, 3), None);
-        assert_eq!(lib.stats.abandoned.get(), 1);
-    }
-
-    #[test]
-    fn failed_send_backoff_doubles_until_budget() {
-        let mut lib = VmmcLib::new(NodeId(0));
-        lib.enable_recovery(RecoveryConfig {
-            max_attempts: 3,
-            base_backoff: Duration::from_micros(100),
-            retain: 8,
-        });
-        // Retain a message by hand (send_inner needs a live cluster ctx).
-        lib.recovery.as_mut().unwrap().retained.insert(
-            7,
-            RetainedSend {
-                to: VmmcLib::import(NodeId(1), ExportId(0), 64),
-                offset: 0,
-                len: 8,
-                data: None,
-                attempts: 0,
-                due: None,
-            },
+    fn reposts_come_from_the_bounded_retention() {
+        use san_nic::{Cluster, ClusterConfig, HostAgent, IdleHost, UnreliableFirmware};
+        let (topo, a, b) = san_fabric::topology::pair_via_switch();
+        let hosts: Vec<Box<dyn HostAgent>> = vec![Box::new(IdleHost), Box::new(IdleHost)];
+        let mut c = Cluster::new(
+            topo,
+            ClusterConfig::default(),
+            |_| Box::new(UnreliableFirmware),
+            hosts,
         );
-        let now = Time::from_millis(1);
-        assert_eq!(lib.on_send_failed(now, 7), Some(Duration::from_micros(100)));
-        assert_eq!(lib.on_send_failed(now, 7), Some(Duration::from_micros(200)));
-        assert_eq!(lib.on_send_failed(now, 7), Some(Duration::from_micros(400)));
-        assert_eq!(lib.retries_pending(), 1);
-        assert_eq!(lib.on_send_failed(now, 7), None, "budget spent");
-        assert_eq!(lib.stats.abandoned.get(), 1);
-        assert_eq!(lib.retries_pending(), 0, "abandoned message dropped");
+        let mut ctx = HostCtx {
+            node: a,
+            nic: &mut c.nics[0],
+            sim: &mut c.sim,
+            engine: &mut c.engine,
+        };
+        let to = VmmcLib::import(b, ExportId(0), 1 << 20);
+
+        let mut off = VmmcLib::new(a);
+        let id = off.send_logical(&mut ctx, to, 0, 64);
+        off.repost(&mut ctx, id);
+        assert_eq!(off.stats.abandoned.get(), 1, "recovery off retains nothing");
+
+        let mut lib = VmmcLib::new(a);
+        lib.enable_recovery();
+        let first = lib.send_logical(&mut ctx, to, 0, 3 * SEGMENT_BYTES);
+        lib.repost(&mut ctx, first);
+        assert_eq!(lib.stats.reposts.get(), 1);
+        assert_eq!(
+            lib.stats.segments_sent.get(),
+            6,
+            "a re-post repeats every segment"
+        );
+        for _ in 0..RETAINED_SENDS {
+            lib.send_logical(&mut ctx, to, 0, 8);
+        }
+        lib.repost(&mut ctx, first);
+        assert_eq!(lib.stats.abandoned.get(), 1, "the oldest send was evicted");
+        lib.repost(&mut ctx, first + 1);
+        assert_eq!(lib.stats.reposts.get(), 2);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The open-loop multi-tenant driver: spec → host agents + shared ledger.
 //!
 //! Every cluster host gets one [`WorkloadHost`] agent. Hosts that source
-//! tenant streams schedule seeded arrival wakeups; every host can receive
-//! (reassembly and exactly-once dedup ride on an embedded [`VmmcLib`]).
+//! tenant streams schedule seeded arrival wakeups; every host posts and
+//! receives through an embedded [`VmmcLib`] (its segmenter on the way
+//! out; reassembly and exactly-once dedup on the way in).
 //! A shared [`WorkloadDriver`] ledger accumulates offered/shed/delivered
 //! accounting, per-tenant latency samples and — in oracle mode — the raw
 //! per-segment delivery log the chaos invariants consume.
@@ -23,13 +24,11 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
-use bytes::Bytes;
-use san_fabric::{NodeId, Packet, PacketFlags};
-use san_nic::vmmc_consts::{PIO_LIMIT, SEGMENT_BYTES};
-use san_nic::{HostAgent, HostCtx, SendDesc};
+use san_fabric::{NodeId, Packet};
+use san_nic::{HostAgent, HostCtx, Repost, RepostBudget};
 use san_sim::{Duration, SimRng, Time};
 use san_telemetry::{Counter, HistogramHandle, Layer, Telemetry, TraceEvent, TraceKind};
-use san_vmmc::VmmcLib;
+use san_vmmc::{ExportId, SendMsg, VmmcLib};
 
 use crate::dist::{ArrivalGen, DestSpec, SizeSpec, ZipfTable};
 use crate::spec::WorkloadSpec;
@@ -38,53 +37,6 @@ use crate::stats::{jain_index, quantile_ns, TenantStats, WorkloadReport};
 /// Wake token reserved for the re-post flush (stream tokens are the
 /// host-local stream index, always < this).
 const WAKE_REPOST: u64 = u64::MAX;
-
-/// Host-level re-post pacing after a `SendFailed`: long enough not to
-/// hammer the NIC with back-to-back mapping episodes, short compared to a
-/// drain grace. Doubles per re-post of the same message, up to
-/// `REPOST_DELAY << 5`.
-const REPOST_DELAY: Duration = Duration::from_millis(1);
-
-/// Re-post budget per message: with the NIC's own remap-retry budget in
-/// front of every attempt this outlives any outage a survivable chaos
-/// campaign can schedule, while still bounding a truly partitioned stream.
-const MAX_REPOSTS: u32 = 16;
-
-/// A host's end-to-end recovery of sends the NIC fails as unreachable:
-/// the transport gives up after its remap-retry budget, and outliving a
-/// long outage is the host's job. Each message may be re-posted
-/// [`MAX_REPOSTS`] times with [`REPOST_DELAY`] backoff, and one flush wake
-/// carries every failure that arrives before it fires.
-#[derive(Debug, Default)]
-pub struct RepostBudget {
-    /// Re-posts already spent per (dst, msg_id).
-    attempts: HashMap<(u16, u64), u32>,
-    /// Failed sends waiting for the flush wake.
-    queue: Vec<(NodeId, u64)>,
-}
-
-impl RepostBudget {
-    /// Note that the send of `msg_id` to `dst` failed. Unless the
-    /// message's budget is spent, queue it for the flush wake `token`,
-    /// arming that wake if the queue was empty.
-    pub fn failed(&mut self, ctx: &mut HostCtx, dst: NodeId, msg_id: u64, token: u64) {
-        let a = self.attempts.entry((dst.0, msg_id)).or_insert(0);
-        if *a >= MAX_REPOSTS {
-            return; // budget spent: abandon (the oracle will notice)
-        }
-        *a += 1;
-        let delay = REPOST_DELAY * (1u64 << (*a - 1).min(5));
-        if self.queue.is_empty() {
-            ctx.wake_in(delay, token);
-        }
-        self.queue.push((dst, msg_id));
-    }
-
-    /// The sends to re-post now, at the flush wake.
-    pub fn take(&mut self) -> Vec<(NodeId, u64)> {
-        std::mem::take(&mut self.queue)
-    }
-}
 
 /// One deposited segment, as seen by a receiving host — the raw material
 /// for the chaos oracle's order/dup/completeness invariants.
@@ -257,52 +209,20 @@ struct WorkloadHost {
     metrics: Option<Rc<Vec<TenantMetrics>>>,
 }
 
-impl WorkloadHost {
-    /// Segment one logical message into tenant-tagged descriptors
-    /// (mirrors the VMMC segmenter: 4 KB segments, FIRST/LAST flags,
-    /// buffer-relative offsets into export 0). `notify` requests a
-    /// `SendDone` on the last segment — first posts use it for backlog
-    /// accounting; re-posts don't (the original already notified).
-    fn post_message(
-        &mut self,
-        ctx: &mut HostCtx,
-        dst: NodeId,
-        msg_id: u64,
-        bytes: u32,
-        tenant: u16,
-        notify: bool,
-    ) {
-        let posted_at = ctx.now();
-        let mut off = 0u32;
-        loop {
-            let seg = (bytes - off).min(SEGMENT_BYTES);
-            let mut flags = PacketFlags::default();
-            if off == 0 {
-                flags.set(PacketFlags::FIRST_SEG);
-            }
-            let last = off + seg >= bytes;
-            if last {
-                flags.set(PacketFlags::LAST_SEG);
-            }
-            ctx.post_send(SendDesc {
-                dst,
-                payload: Bytes::new(),
-                logical_len: seg,
-                pio: bytes <= PIO_LIMIT,
-                notify: notify && last,
-                msg_id,
-                msg_offset: off,
-                msg_len: bytes,
-                recv_buf: 0,
-                flags,
-                tenant: tenant + 1,
-                posted_at,
-            });
-            off += seg;
-            if off >= bytes {
-                break;
-            }
-        }
+/// Message `msg_id` of `bytes` logical bytes into `dst`'s export 0,
+/// tagged with tenant index `tenant` (wire tag = index + 1), for the VMMC
+/// segmenter. `notify` requests a `SendDone` on the last segment — first
+/// posts use it for backlog accounting; re-posts don't (the original
+/// already notified).
+fn tenant_msg(dst: NodeId, msg_id: u64, bytes: u32, tenant: u16, notify: bool) -> SendMsg {
+    SendMsg {
+        to: VmmcLib::import(dst, ExportId(0), bytes),
+        offset: 0,
+        len: bytes,
+        data: None,
+        id: msg_id,
+        tenant: tenant + 1,
+        notify,
     }
 }
 
@@ -319,7 +239,8 @@ impl HostAgent for WorkloadHost {
         if token == WAKE_REPOST {
             for (dst, msg_id) in self.reposts.take() {
                 if let Some(&(tenant, bytes)) = self.posted.get(&(dst.0, msg_id)) {
-                    self.post_message(ctx, dst, msg_id, bytes, tenant, false);
+                    self.vmmc
+                        .post(ctx, &tenant_msg(dst, msg_id, bytes, tenant, false));
                 }
             }
             return;
@@ -376,7 +297,8 @@ impl HostAgent for WorkloadHost {
             .or_default()
             .push_back(tenant);
         self.posted.insert((dst.0, msg_id), (tenant, bytes));
-        self.post_message(ctx, dst, msg_id, bytes, tenant, true);
+        self.vmmc
+            .post(ctx, &tenant_msg(dst, msg_id, bytes, tenant, true));
     }
 
     fn on_message(&mut self, ctx: &mut HostCtx, pkt: Packet) {
@@ -442,8 +364,11 @@ impl HostAgent for WorkloadHost {
             .borrow_mut()
             .failures
             .push((self.me.0, dst.0, msg_id));
-        if self.recover {
-            self.reposts.failed(ctx, dst, msg_id, WAKE_REPOST);
+        if !self.recover {
+            return;
+        }
+        if let Repost::Arm(delay) = self.reposts.failed(dst, msg_id) {
+            ctx.wake_in(delay, WAKE_REPOST);
         }
     }
 }

@@ -47,8 +47,7 @@ pub mod stats;
 
 pub use dist::{ArrivalGen, ArrivalSpec, DestSpec, SizeSpec, ZipfTable};
 pub use engine::{
-    build_hosts, incast_victim, potential_pairs, RepostBudget, SegmentRecord, WorkloadDriver,
-    WorkloadOptions,
+    build_hosts, incast_victim, potential_pairs, SegmentRecord, WorkloadDriver, WorkloadOptions,
 };
 pub use run::{run, RunConfig};
 pub use spec::{WorkloadSpec, MAX_MSG_BYTES};

@@ -68,8 +68,11 @@ impl Default for RunConfig {
     }
 }
 
-/// Derive an independent stream seed (same construction as the chaos
-/// crate's `mix_seed`: splitmix64 over seed ⊕ salt).
+/// Derive an independent stream seed: splitmix64 over seed ⊕ salt·φ.
+/// The chaos crate's `mix_seed` also adds `0x6A09_E667_F3BC_C909` to the
+/// salted term, so the two give different seeds, and they must stay
+/// different: tenants_lossy's `sim_digest` and `perf/src/tenants.rs`'
+/// copy of this function both use this version.
 fn mix_seed(seed: u64, salt: u64) -> u64 {
     let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -66,8 +66,10 @@ done
 
 echo "== san-mc smoke (exhaustive 2-node model check + leak-knob canary)"
 # tiny2/wrap2 must verify exhaustively (with liveness); leak2 must FAIL
-# with a conservation counterexample — if the checker stops finding the
-# re-introduced PR 2 leak, this gate trips.
+# with a `descriptor-conservation` counterexample (checked without
+# liveness, whose shorter counterexample would otherwise stand in for it)
+# — if the checker stops finding the re-introduced PR 2 leak, this gate
+# trips.
 cargo run --release -q -p san-mc -- check --smoke
 
 echo "== san-mc benchmark configs (2-node failure model, two-way traffic, 3-node incast: exact counts, frontier peaks and visited-set bytes per state)"

@@ -232,7 +232,8 @@ fn switch_death_failover_on_testbed() {
 /// injected errors; payload bytes survive intact.
 #[test]
 fn vmmc_large_messages_with_errors() {
-    use san_nic::{HostCtx, NicTiming};
+    use san_nic::timing::HOST_SEND_DMA;
+    use san_nic::HostCtx;
     use san_vmmc::{ExportId, VmmcLib};
 
     struct BigSender {
@@ -242,7 +243,7 @@ fn vmmc_large_messages_with_errors() {
     impl HostAgent for BigSender {
         fn on_start(&mut self, ctx: &mut HostCtx) {
             self.vmmc.export(1 << 20, None);
-            ctx.wake_in(NicTiming::default().host_send_dma, 0);
+            ctx.wake_in(HOST_SEND_DMA, 0);
         }
         fn on_wake(&mut self, ctx: &mut HostCtx, _token: u64) {
             if !self.sent {
