@@ -1,14 +1,14 @@
 //! # san-apps — SPLASH-2-style application kernels on simulated SVM
 //!
 //! The paper's application experiments (§5.1.4, Table 2, Figure 9) run three
-//! programs from the SPLASH-2 suite, as restructured by Jiang et al. [19],
+//! programs from the SPLASH-2 suite, as restructured by Jiang et al. \[19\],
 //! on 4 nodes × 2 processors over the GeNIMA SVM:
 //!
 //! * **FFT** — six-step 1-D FFT (√n×√n matrix, transpose / row-FFT+twiddle /
 //!   transpose / row-FFT / transpose). Single-writer, bandwidth-bound
 //!   all-to-all transposes.
 //! * **RadixLocal** — LSD radix sort with the locality-improved permutation
-//!   of [19]: ranks make each processor's writes per digit contiguous.
+//!   of \[19\]: ranks make each processor's writes per digit contiguous.
 //!   Fine-grained, latency-sensitive histogram/permutation communication.
 //! * **WaterNSquared** — O(n²) molecular dynamics; tiny
 //!   communication-to-computation ratio but heavy lock synchronization

@@ -5,7 +5,7 @@
 //! globally visible, (3) every process reads *all* histograms and computes
 //! its own write offsets (the fine-grained, latency-sensitive exchange the
 //! paper's intro describes), (4) keys are permuted into the destination
-//! array — the [19] restructuring makes each process's writes per digit a
+//! array — the \[19\] restructuring makes each process's writes per digit a
 //! contiguous run, which is what "RadixLocal" improves over original Radix.
 //!
 //! Sorting is stable per pass, so the multi-pass LSD sort is exact; the

@@ -16,9 +16,9 @@
 //!   (drain): the planner stops offering the link, affected pairs are
 //!   re-steered onto alternates computed through the drain-aware filter,
 //!   in-flight traffic completes, and the detach kills nothing. Each
-//!   epoch's fingerprint delta drives `UpDownMap::patch` and
-//!   `RouteCache::replan_after` (measured wall-clock, touched-region
-//!   stats) instead of a global rebuild.
+//!   epoch re-plans just the affected pair with `pair_routes` and
+//!   re-offers its candidates as mapper hints (measured wall-clock)
+//!   instead of a global rebuild.
 //!
 //! Per fabric and policy the study reports reconfiguration epochs, probe
 //! cost, packets-in-flight lost at detach, and time-to-stable (extra
@@ -31,13 +31,12 @@ use std::time::Instant;
 
 use san_bench::{json_arg, tsv, write_bench, Routes, Stream, StreamRun};
 use san_fabric::engine::FabricEvent;
-use san_fabric::updown::UpDownMap;
-use san_fabric::{Endpoint, LinkId, NodeId, Route, RouteHints, Topology};
+use san_fabric::{Endpoint, LinkId, NodeId, Route, Topology};
 use san_ft::{MapperConfig, ProtocolConfig};
 use san_sim::{Duration, Time};
 use san_telemetry::json::Json;
 use san_telemetry::Telemetry;
-use san_topo::{validate, GenericDiversePlanner, RouteCache, RoutePlanner, TopoSpec};
+use san_topo::{validate, GenericDiversePlanner, RoutePlanner, TopoSpec};
 
 const MESSAGES: u64 = 400;
 const BYTES: u32 = 2048;
@@ -80,12 +79,8 @@ struct RunResult {
     model_overhead_ms: f64,
     /// sim_delay + model overhead.
     time_to_stable_ms: f64,
-    /// Switches examined by the UP*/DOWN* patch (`incremental`).
-    patch_touched: usize,
-    /// Planner pairs carried byte-identically / recomputed (`incremental`).
-    replan_kept: usize,
-    replan_replanned: usize,
-    /// Wall-clock control-plane work (reinstall or patch+replan, µs).
+    /// Wall-clock control-plane work (full reinstall, or the pair's
+    /// re-plan and re-offer, µs).
     ctrl_us: u64,
 }
 
@@ -128,9 +123,8 @@ fn mapper_probes(run: &StreamRun, node: NodeId) -> u64 {
 }
 
 /// Plan both directions of the pair through the engine's drain-aware
-/// filter and offer the candidates as hints tagged with the current
-/// epoch. With `steer`, each end also loads its first candidate as the
-/// route.
+/// filter and offer the candidates as hints. With `steer`, each end also
+/// loads its first candidate as the route.
 fn replan_pair(
     run: &mut StreamRun,
     planner: &mut GenericDiversePlanner,
@@ -147,12 +141,7 @@ fn replan_pair(
         if let Some(first) = cands.first().filter(|_| steer) {
             run.cluster.nics[s.idx()].core.routes.set(d, *first);
         }
-        let epoch = run.cluster.engine.reconfig_epoch();
-        run.offer_hints(
-            s,
-            d,
-            RouteHints::from_strategy(cands, planner.id(), epoch, false),
-        );
+        run.offer_hints(s, d, cands);
     }
 }
 
@@ -202,11 +191,7 @@ fn run_policy(
     if policy != Policy::Static {
         for (s, d) in [(src, dst), (dst, src)] {
             let cands = planner.pair_routes(topo0, s, d, HINT_K, &|_| true);
-            run.offer_hints(
-                s,
-                d,
-                RouteHints::from_strategy(cands, planner.id(), 0, false),
-            );
+            run.offer_hints(s, d, cands);
         }
     }
 
@@ -225,19 +210,10 @@ fn run_policy(
         }
     }
 
-    // Incremental control plane: a patched UP*/DOWN* map and a planner
-    // cache migrated per fingerprint delta instead of rebuilt.
-    let n = topo0.num_hosts();
-    let mut local_ud = UpDownMap::build(topo0, |_| true).expect("switched fabric");
-    let mut cache = RouteCache::new(HINT_K);
-    let replan_sample =
-        validate::sample_hosts(&(0..n).map(|h| NodeId(h as u16)).collect::<Vec<_>>(), 12);
-    cache.plan(topo0, &replan_sample, &[]);
-
     let full_probes_per_sweep = full_sweep_probes(topo0);
 
     let mut out = RunResult::default();
-    let mut seen_epochs = 0usize;
+    let mut seen_epoch = 0;
     let mut resteered = calibrate || policy != Policy::Incremental;
     let slice = Duration::from_micros(500);
     let finish = run.run(slice, Time::from_millis(400), |run, now| {
@@ -251,8 +227,8 @@ fn run_policy(
         }
 
         // Epoch advanced: run the policy's control plane.
-        let log_len = run.cluster.engine.reconfig_log().len();
-        if log_len > seen_epochs {
+        let epoch = run.cluster.engine.reconfig_epoch();
+        if epoch > seen_epoch {
             match policy {
                 Policy::Static => {
                     let c0 = Instant::now();
@@ -263,24 +239,13 @@ fn run_policy(
                 }
                 Policy::OnDemand => {} // endpoints recover on their own
                 Policy::Incremental => {
-                    let c0 = Instant::now();
-                    for e in seen_epochs..log_len {
-                        let engine = &run.cluster.engine;
-                        let delta = engine.reconfig_log()[e].clone();
-                        let topo = engine.topology().clone();
-                        let alive = engine.alive_filter();
-                        let ps = local_ud.patch(&topo, &alive, &delta.changed_switches);
-                        out.patch_touched += ps.touched;
-                        let rs = cache.replan_after(&topo, &delta, &replan_sample, &[]);
-                        out.replan_kept += rs.kept_pairs;
-                        out.replan_replanned += rs.replanned_pairs;
-                    }
                     // Fresh failover hints through the current filter.
+                    let c0 = Instant::now();
                     replan_pair(run, &mut planner, src, dst, false);
                     out.ctrl_us += c0.elapsed().as_micros() as u64;
                 }
             }
-            seen_epochs = log_len;
+            seen_epoch = epoch;
         }
         run.delivered() >= MESSAGES as usize
     });
@@ -331,23 +296,14 @@ fn run_fabric(spec: TopoSpec, smoke: bool) -> FabricReport {
     );
 
     println!(
-        "  {:<12} {:>7} {:>8} {:>7} {:>10} {:>10} {:>10} {:>9} {:>11} {:>8}",
-        "policy",
-        "epochs",
-        "probes",
-        "lost",
-        "stable.ms",
-        "sim.ms",
-        "model.ms",
-        "patch.sw",
-        "kept/replan",
-        "ctrl.us"
+        "  {:<12} {:>7} {:>8} {:>7} {:>10} {:>10} {:>10} {:>8}",
+        "policy", "epochs", "probes", "lost", "stable.ms", "sim.ms", "model.ms", "ctrl.us"
     );
     let mut results = Vec::new();
     for policy in [Policy::Static, Policy::OnDemand, Policy::Incremental] {
         let r = run_policy(&topo, src, dst, routes, policy, base.finish_ms);
         println!(
-            "  {:<12} {:>7} {:>8} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>9} {:>6}/{:<4} {:>8}",
+            "  {:<12} {:>7} {:>8} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>8}",
             policy.name(),
             r.epochs,
             r.probes,
@@ -355,9 +311,6 @@ fn run_fabric(spec: TopoSpec, smoke: bool) -> FabricReport {
             r.time_to_stable_ms,
             r.sim_delay_ms,
             r.model_overhead_ms,
-            r.patch_touched,
-            r.replan_kept,
-            r.replan_replanned,
             r.ctrl_us
         );
         tsv(&[
@@ -369,9 +322,6 @@ fn run_fabric(spec: TopoSpec, smoke: bool) -> FabricReport {
             r.inflight_lost.to_string(),
             format!("{:.3}", r.time_to_stable_ms),
             r.delivered.to_string(),
-            r.patch_touched.to_string(),
-            r.replan_kept.to_string(),
-            r.replan_replanned.to_string(),
             r.ctrl_us.to_string(),
         ]);
         assert!(
@@ -421,14 +371,6 @@ fn run_fabric(spec: TopoSpec, smoke: bool) -> FabricReport {
             inc.time_to_stable_ms <= st.time_to_stable_ms,
             "smoke: patching must not be slower to stabilize than a full remap"
         );
-        assert!(
-            inc.patch_touched > 0,
-            "smoke: the patch must have examined the changed region"
-        );
-        assert!(
-            inc.replan_kept > 0,
-            "smoke: untouched planner pairs must be carried, not recomputed"
-        );
         println!("  smoke gates: OK");
     }
     println!();
@@ -462,9 +404,6 @@ fn bench_body(reports: &[FabricReport]) -> Vec<(&'static str, Json)> {
                 ("time_to_stable_ms", r.time_to_stable_ms.into()),
                 ("sim_delay_ms", r.sim_delay_ms.into()),
                 ("model_overhead_ms", r.model_overhead_ms.into()),
-                ("patch_touched_switches", (r.patch_touched as u64).into()),
-                ("replan_kept_pairs", (r.replan_kept as u64).into()),
-                ("replan_replanned_pairs", (r.replan_replanned as u64).into()),
                 ("ctrl_us", r.ctrl_us.into()),
             ])
         })

@@ -10,8 +10,9 @@
 //! * **full-map recompute**: a GM-style global remap. Probe cost is the
 //!   deterministic scout model (one host probe + one loop probe per alive
 //!   switch port) with one 400 µs probe batch per switch scan; route
-//!   recompute is measured wall-clock (UP*/DOWN* full table and the
-//!   planner's `RouteCache`, miss then hit).
+//!   recompute is measured wall-clock (the UP*/DOWN* full table, and one
+//!   `GenericDiversePlanner` pass over every ordered pair of a 16-host
+//!   sample on the degraded fabric).
 //!
 //! Each fabric also runs one *cold-start* on-demand exploration (no
 //! routes, no hints) — the regime of Table 3's chain — which demonstrates
@@ -32,14 +33,15 @@
 //! one link, one switch, two switches + two links (victims picked on the
 //! installed route / its alternates, pair-connectivity preserved).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use san_bench::{cold_start, remap_under_stream, tsv, ColdStart, Routes, Stream};
 use san_fabric::engine::FabricEvent;
 use san_fabric::updown::UpDownMap;
-use san_fabric::{Endpoint, LinkId, NodeId, Route, RouteHints, SwitchId, Topology};
+use san_fabric::{Endpoint, LinkId, NodeId, Route, SwitchId, Topology};
 use san_telemetry::Telemetry;
-use san_topo::{validate, GenericDiversePlanner, RouteCache, RoutePlanner, TopoSpec};
+use san_topo::{validate, GenericDiversePlanner, RoutePlanner, TopoSpec};
 
 const MESSAGES: u64 = 400;
 const BYTES: u32 = 2048;
@@ -219,15 +221,7 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
     let mut planner = GenericDiversePlanner::new();
     let cands = planner.pair_routes(&topo, src, dst, HINT_K, &|_| true);
     let back = planner.pair_routes(&topo, dst, src, HINT_K, &|_| true);
-    let id = planner.id();
-    let hints = vec![
-        (
-            src,
-            dst,
-            RouteHints::from_strategy(cands.clone(), id, 0, false),
-        ),
-        (dst, src, RouteHints::from_strategy(back, id, 0, false)),
-    ];
+    let hints = vec![(src, dst, cands.clone()), (dst, src, back)];
 
     // Cold start first: the blind-exploration baseline. With deep
     // signatures on, this must *converge* even on the fat trees whose
@@ -298,26 +292,19 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
             .flat_map(|row| row.iter())
             .filter(|r| r.is_some())
             .count();
-        // Planner recompute on the degraded fabric: miss, then the cache
-        // hit that a flap storm would take.
-        let eff_dead: Vec<LinkId> = topo
-            .links()
-            .map(|(id, _)| id)
-            .filter(|&l| !alive(l))
-            .collect();
+        // Planner recompute on the degraded fabric: every ordered pair
+        // of the sample.
         let sample = validate::sample_hosts(&fab.hosts, 16);
-        let mut cache = RouteCache::with_telemetry(HINT_K, tel);
         let t1 = Instant::now();
-        let plan_a = cache.plan(&topo, &sample, &eff_dead);
-        let plan_miss_us = t1.elapsed().as_micros() as u64;
-        let t2 = Instant::now();
-        let plan_b = cache.plan(&topo, &sample, &eff_dead);
-        let plan_hit_us = t2.elapsed().as_micros() as u64;
-        assert_eq!(
-            plan_a.fingerprint(),
-            plan_b.fingerprint(),
-            "cache hit must be byte-identical to the recompute"
-        );
+        let mut sample_planner = GenericDiversePlanner::new();
+        for &a in &sample {
+            for &b in &sample {
+                if a != b {
+                    black_box(sample_planner.pair_routes(&topo, a, b, HINT_K, &alive));
+                }
+            }
+        }
+        let plan_us = t1.elapsed().as_micros() as u64;
 
         // -- on-demand side (simulated) ----------------------------------
         let stream = Stream {
@@ -347,7 +334,7 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
         };
         let remap_ms = remap.remap_ms();
         println!(
-            "  {:<20} {:>3}/{:<3} {:>9} {:>9} {:>9.3} {:>8.2} {:>9} {:>11} {:>5}/{:<5}",
+            "  {:<20} {:>3}/{:<3} {:>9} {:>9} {:>9.3} {:>8.2} {:>9} {:>11} {:>11}",
             scen.name,
             delivered,
             MESSAGES,
@@ -357,8 +344,7 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
             stretch,
             full_probes,
             updown_us,
-            plan_miss_us,
-            plan_hit_us
+            plan_us
         );
         tsv(&[
             "scale_map".into(),
@@ -372,8 +358,7 @@ fn run_fabric(spec: TopoSpec, smoke: bool, tel: &Telemetry) {
             full_probes.to_string(),
             format!("{full_time_model_ms:.1}"),
             updown_us.to_string(),
-            plan_miss_us.to_string(),
-            plan_hit_us.to_string(),
+            plan_us.to_string(),
             routed.to_string(),
         ]);
         // The gate: every severity must complete the stream, and a remap
@@ -441,8 +426,8 @@ fn main() {
     println!("on-demand columns are simulated probe/remap work at the affected");
     println!("endpoints; full-map columns are the scout-probe model (2 probes per");
     println!("alive switch port, one 400 us batch per switch) plus measured");
-    println!("wall-clock for the UP*/DOWN* full table and planner RouteCache");
-    println!("(miss/hit).");
+    println!("wall-clock for the UP*/DOWN* full table and one planner pass over");
+    println!("a 16-host sample's ordered pairs.");
     if let Some(dir) = tel_dir {
         san_bench::emit_telemetry(&dir, "scale_map", &tel);
     }

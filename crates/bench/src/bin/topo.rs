@@ -25,7 +25,7 @@ use san_bench::{
     cold_start, json_arg, remap_under_stream, tsv, write_bench, Remap, Routes, Stream,
 };
 use san_fabric::engine::FabricEvent;
-use san_fabric::{LinkId, NodeId, Route, RouteHints, Topology};
+use san_fabric::{LinkId, NodeId, Route, Topology};
 use san_telemetry::json::Json;
 use san_telemetry::Telemetry;
 use san_topo::{planner_for, validate, GenericDiversePlanner, RoutePlanner, TopoSpec};
@@ -168,8 +168,8 @@ fn fault_survival(topo: &Topology, cmp: &PlannerCmp) -> FaultSurvival {
 }
 
 /// Kill one switch-switch link of the installed route under a reliable
-/// stream, with family-planner hints (provenance-tagged) pre-offered at
-/// both endpoints. The pair stays connected by construction.
+/// stream, with family-planner hints pre-offered at both endpoints. The
+/// pair stays connected by construction.
 fn remap_one_link(spec: &TopoSpec, topo: &Topology, src: NodeId, dst: NodeId) -> Remap {
     let routes = Routes::for_spec(spec);
     let installed = routes.route(topo, src, dst);
@@ -184,16 +184,9 @@ fn remap_one_link(spec: &TopoSpec, topo: &Topology, src: NodeId, dst: NodeId) ->
         .find(|&l| topo.shortest_route(src, dst, |x| x != l).is_some())
         .expect("a survivable on-route link");
     let mut planner = planner_for(spec);
-    let hints: Vec<(NodeId, NodeId, RouteHints)> = [(src, dst), (dst, src)]
+    let hints: Vec<(NodeId, NodeId, Vec<Route>)> = [(src, dst), (dst, src)]
         .into_iter()
-        .map(|(s, d)| {
-            let routes = planner.pair_routes(topo, s, d, HINT_K, &|_| true);
-            (
-                s,
-                d,
-                RouteHints::from_strategy(routes, planner.id(), 0, false),
-            )
-        })
+        .map(|(s, d)| (s, d, planner.pair_routes(topo, s, d, HINT_K, &|_| true)))
         .collect();
     let stream = Stream {
         src,

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 use san_fabric::engine::FabricEvent;
 use san_fabric::updown::UpDownMap;
-use san_fabric::{NodeId, Route, RouteHints, Topology};
+use san_fabric::{NodeId, Route, Topology};
 use san_ft::{MapStats, MapperConfig, ProtocolConfig, ReliableFirmware};
 use san_microbench::{unidirectional_bandwidth, BwPoint, FwKind};
 use san_nic::testkit::{inbox, Collector, Inbox, StreamSender};
@@ -269,14 +269,14 @@ impl StreamRun {
         }
     }
 
-    /// Offer planner `hints` for `dst` to the mapper at `at`.
-    pub fn offer_hints(&mut self, at: NodeId, dst: NodeId, hints: RouteHints) {
+    /// Offer planner candidate `routes` for `dst` to the mapper at `at`.
+    pub fn offer_hints(&mut self, at: NodeId, dst: NodeId, routes: Vec<Route>) {
         self.cluster.nics[at.idx()]
             .fw
             .as_any_mut()
             .downcast_mut::<ReliableFirmware>()
             .expect("reliable firmware")
-            .offer_route_hints(dst, hints);
+            .offer_route_hints(dst, routes);
     }
 
     /// Schedule a fabric event at `at`.
@@ -395,7 +395,7 @@ impl Remap {
 }
 
 /// A reliable stream that loses part of its route (§4.2): `stream` runs
-/// over `routes` with each `(at, dst, hints)` offered first, and every
+/// over `routes` with each `(at, dst, candidates)` offered first, and every
 /// `faults` event strikes at 2 ms. A 10 ms permanent-failure verdict
 /// sends the affected end to on-demand mapping. Runs in 5 ms slices
 /// until the stream is delivered or 400 ms have passed.
@@ -403,7 +403,7 @@ pub fn remap_under_stream(
     topo: &Topology,
     stream: Stream,
     routes: Routes,
-    hints: &[(NodeId, NodeId, RouteHints)],
+    hints: &[(NodeId, NodeId, Vec<Route>)],
     faults: &[FabricEvent],
     tel: &Telemetry,
 ) -> Remap {

@@ -1161,6 +1161,21 @@ mod tests {
     }
 
     #[test]
+    fn oversized_atlas_topology_fails_to_parse() {
+        let mut c = demo_campaign().to_json();
+        let Json::Obj(kv) = &mut c else {
+            unreachable!("a campaign serializes to an object")
+        };
+        for (k, v) in kv.iter_mut() {
+            if k == "topology" {
+                *v = "torus3d:41x41x41x1".into();
+            }
+        }
+        let err = Campaign::parse(&c.pretty()).expect_err("68921 switches overflow 16-bit ids");
+        assert!(err.contains("needs 68921 switch ids"), "{err}");
+    }
+
+    #[test]
     fn trial_round_trips_through_json() {
         let c = demo_campaign();
         let t = c.sample(1);

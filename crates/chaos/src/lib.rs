@@ -16,7 +16,7 @@
 //!   per (src, dst, generation), no corrupted deposits, completeness once
 //!   connectivity is restored, retransmission-queue drain, and bounded
 //!   recovery after path resets.
-//! * [`shrink`] — when a trial fails, greedily minimize its fault
+//! * [`shrink`](mod@shrink) — when a trial fails, greedily minimize its fault
 //!   schedule into a small deterministic repro file that
 //!   `san-chaos replay` re-executes bit-for-bit.
 //!

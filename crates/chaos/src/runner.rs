@@ -23,7 +23,6 @@ use san_sim::fanout::map_indexed;
 use san_sim::{Duration, Time};
 use san_telemetry::{Telemetry, TraceKind};
 
-use san_fabric::RouteHints;
 use san_topo::planner_for;
 
 use crate::campaign::{mix_seed, Campaign, TopologySpec, Trial};
@@ -342,10 +341,7 @@ pub fn run_trial_traced(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceSca
             .as_any_mut()
             .downcast_mut::<ReliableFirmware>()
         {
-            fw.offer_route_hints(
-                dst,
-                RouteHints::from_strategy(routes, planner.id(), 0, false),
-            );
+            fw.offer_route_hints(dst, routes);
         }
     }
     cluster
@@ -383,19 +379,13 @@ pub fn run_trial_traced(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceSca
                     })
                     .filter(|(_, _, c)| !c.is_empty())
                     .collect();
-                // Re-offers carry the reconfig epoch so the mapper's
-                // provenance stats can tell a post-reconfiguration hint
-                // from the cold-start batch.
                 for (src, dst, routes) in fresh {
                     if let Some(fw) = cluster.nics[src.0 as usize]
                         .fw
                         .as_any_mut()
                         .downcast_mut::<ReliableFirmware>()
                     {
-                        fw.offer_route_hints(
-                            dst,
-                            RouteHints::from_strategy(routes, planner.id(), epoch, false),
-                        );
+                        fw.offer_route_hints(dst, routes);
                     }
                 }
             }

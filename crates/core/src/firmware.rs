@@ -132,13 +132,11 @@ impl ReliableFirmware {
     }
 
     /// Offer candidate routes for `dst` to the on-demand mapper (from an
-    /// external planner such as the `topo` route cache), with provenance:
-    /// the planning strategy, planner epoch and cache hit/miss travel with
-    /// the routes and are recorded when a mapping run consumes them. The
+    /// external planner such as `san_topo::RoutePlanner::pair_routes`). The
     /// next mapping run for `dst` verifies the candidates before falling
-    /// back to exploration.
-    pub fn offer_route_hints(&mut self, dst: NodeId, hints: san_fabric::RouteHints) {
-        self.mapper.offer_hints(dst, hints);
+    /// back to exploration; see [`crate::Mapper::offer_hints`].
+    pub fn offer_route_hints(&mut self, dst: NodeId, routes: Vec<Route>) {
+        self.mapper.offer_hints(dst, routes);
     }
 
     /// Send-side state toward `dst` (for tests and reports).

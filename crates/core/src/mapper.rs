@@ -13,7 +13,7 @@
 //!   simultaneously proves the switch exists and yields a usable
 //!   `reverse_from` for it — the inductive step that keeps the whole
 //!   exploration possible with pure source routing (after Mainwaring et
-//!   al.'s SAN mapping [22]). Because Myrinet switches carry no identity,
+//!   al.'s SAN mapping \[22\]). Because Myrinet switches carry no identity,
 //!   a hit is followed by a **signature scan** — host probes on every port of
 //!   the candidate. The per-port host population is the switch's identity:
 //!   anonymous switches are told apart by who hangs off them, which is
@@ -29,7 +29,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use san_fabric::route::MAX_HOPS;
-use san_fabric::{NodeId, Packet, PacketKind, Route, RouteHints};
+use san_fabric::{NodeId, Packet, PacketKind, Route};
 use san_nic::{timing, ClusterEvent, NicCore, NicCtx, NicEvent, SendDesc};
 use san_sim::{Duration, Time};
 use san_telemetry::{Counter, SummaryHandle, Telemetry, TraceKind};
@@ -76,12 +76,6 @@ pub struct MapStats {
     pub hint_resolved: Counter,
     /// Deep (two-hop) signature scans performed (all runs).
     pub deep_scans: Counter,
-    /// Strategy id of the most recently consumed hint set (`""` = none).
-    pub last_hint_strategy: &'static str,
-    /// Planner epoch of the most recently consumed hint set.
-    pub last_hint_epoch: u64,
-    /// Whether the most recently consumed hint set was a planner-cache hit.
-    pub last_hint_cache_hit: bool,
     /// Host probes in the most recent completed run.
     pub last_host_probes: u64,
     /// Switch probes in the most recent completed run.
@@ -106,9 +100,6 @@ impl MapStats {
             switch_probes: tel.counter(&m("switch_probes")),
             hint_resolved: tel.counter(&m("hint_resolved")),
             deep_scans: tel.counter(&m("deep_scans")),
-            last_hint_strategy: "",
-            last_hint_epoch: 0,
-            last_hint_cache_hit: false,
             last_host_probes: 0,
             last_switch_probes: 0,
             last_time_ms: 0.0,
@@ -269,9 +260,9 @@ pub struct Mapper {
     /// before the batch deadline): a late reply still names a host and its
     /// route — free knowledge worth caching.
     late_probes: HashMap<u64, Route>,
-    /// Planner-supplied candidate routes with provenance, consumed by the
-    /// next run for their destination (see [`Mapper::offer_hints`]).
-    hints: HashMap<NodeId, RouteHints>,
+    /// Planner-supplied candidate routes, consumed by the next run for
+    /// their destination (see [`Mapper::offer_hints`]).
+    hints: HashMap<NodeId, Vec<Route>>,
     next_token: u64,
     next_batch: u64,
     stats: MapStats,
@@ -315,26 +306,18 @@ impl Mapper {
         self.held.entry(desc.dst).or_default().push(desc);
     }
 
-    /// Offer candidate routes for `dst` from an external planner (e.g. the
-    /// `topo` crate's route cache), with provenance: which strategy planned
-    /// them, at which planner epoch, and whether they came out of a warm
-    /// cache (recorded in [`MapStats`] when the run consumes them). The
-    /// next mapping run for `dst` verifies them with one host probe each
-    /// *before* exploring: a live candidate resolves the run at hint cost,
-    /// all-silent falls back to the normal exploration. Candidates are
-    /// consumed by that run; routes longer than the source-route budget are
-    /// dropped here.
-    pub fn offer_hints(&mut self, dst: NodeId, hints: RouteHints) {
-        let routes: Vec<Route> = hints
-            .routes
-            .iter()
-            .copied()
-            .filter(|r| r.len() <= MAX_HOPS)
-            .collect();
+    /// Offer candidate routes for `dst` from an external planner (e.g.
+    /// `san_topo::RoutePlanner::pair_routes`). The next mapping run for
+    /// `dst` verifies them with one host probe each *before* exploring: a
+    /// live candidate resolves the run at hint cost, all-silent falls back
+    /// to the normal exploration. Candidates are consumed by that run. A
+    /// new offer replaces any earlier one for `dst`; an empty list clears
+    /// it.
+    pub fn offer_hints(&mut self, dst: NodeId, routes: Vec<Route>) {
         if routes.is_empty() {
             self.hints.remove(&dst);
         } else {
-            self.hints.insert(dst, RouteHints { routes, ..hints });
+            self.hints.insert(dst, routes);
         }
     }
 
@@ -389,12 +372,7 @@ impl Mapper {
             reset_counts: HashMap::new(),
         });
         match self.hints.remove(&dst) {
-            Some(h) => {
-                self.stats.last_hint_strategy = h.strategy;
-                self.stats.last_hint_epoch = h.epoch;
-                self.stats.last_hint_cache_hit = h.cache_hit;
-                self.start_hint_phase(core, ctx, h.routes)
-            }
+            Some(routes) => self.start_hint_phase(core, ctx, routes),
             None => self.start_hosts_phase(core, ctx, 0),
         }
     }

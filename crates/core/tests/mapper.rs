@@ -1,7 +1,7 @@
 //! On-demand mapper behaviour: probe economics, BFS order, identity checks,
 //! caching of side discoveries, and queued requests.
 
-use san_fabric::{topology, NodeId, RouteHints};
+use san_fabric::{topology, NodeId};
 use san_ft::{MapperConfig, ProtocolConfig, ReliableFirmware};
 use san_nic::testkit::{inbox, make_desc, Collector, Inbox};
 use san_nic::{Cluster, ClusterConfig, HostAgent, HostCtx, IdleHost};
@@ -351,7 +351,7 @@ fn offered_candidates_resolve_without_exploration() {
         .as_any_mut()
         .downcast_mut::<ReliableFirmware>()
         .unwrap()
-        .offer_route_hints(dst, RouteHints::manual(candidates));
+        .offer_route_hints(dst, candidates);
     assert!(run_until_count(&mut c, &ib, 1, Time::from_secs(1)));
     let st = fw_of(&c, 0).mapper_stats();
     assert_eq!(st.hint_resolved.get(), 1, "the hint phase must resolve");
@@ -394,7 +394,7 @@ fn dead_candidates_fall_back_to_exploration() {
         .as_any_mut()
         .downcast_mut::<ReliableFirmware>()
         .unwrap()
-        .offer_route_hints(dst, RouteHints::manual(candidates.clone()));
+        .offer_route_hints(dst, candidates.clone());
     assert!(run_until_count(&mut c, &ib, 1, Time::from_secs(1)));
     let st = fw_of(&c, 0).mapper_stats();
     assert_eq!(st.hint_resolved.get(), 1, "surviving candidate resolves");
@@ -421,7 +421,7 @@ fn dead_candidates_fall_back_to_exploration() {
         .as_any_mut()
         .downcast_mut::<ReliableFirmware>()
         .unwrap()
-        .offer_route_hints(dst, RouteHints::manual(vec![candidates[0], candidates[0]]));
+        .offer_route_hints(dst, vec![candidates[0], candidates[0]]);
     assert!(run_until_count(&mut c, &ib, 1, Time::from_secs(5)));
     let st = fw_of(&c, 0).mapper_stats();
     assert_eq!(st.hint_resolved.get(), 0, "dead hints must not resolve");
@@ -430,6 +430,50 @@ fn dead_candidates_fall_back_to_exploration() {
         "fallback exploration probes the fabric"
     );
     assert!(st.resolved.get() >= 1, "destination still mapped");
+}
+
+/// A second offer for the same destination replaces the first, and an
+/// empty offer clears it: the chaos runner re-offers fresh candidates
+/// after every reconfiguration epoch and relies on exactly that. With
+/// `l1` dead, `candidates[0]` is a dead hint and `candidates[1]` a live
+/// one.
+#[test]
+fn later_offers_replace_or_clear_earlier_ones() {
+    let run_with_offers = |offers: Vec<Vec<san_fabric::Route>>| {
+        let (topo, dst, _, [l1, _l2]) = hinted_fabric();
+        let ib = inbox();
+        let hosts: Vec<Box<dyn HostAgent>> = vec![
+            Box::new(san_nic::testkit::StreamSender::new(dst, 64, 1)),
+            Box::new(Collector(ib.clone())),
+        ];
+        let mut c = cold_cluster(topo, hosts);
+        c.sim.schedule(
+            Time(1),
+            san_fabric::engine::FabricEvent::LinkDown { link: l1 }.into(),
+        );
+        let fw = c.nics[0]
+            .fw
+            .as_any_mut()
+            .downcast_mut::<ReliableFirmware>()
+            .unwrap();
+        for routes in offers {
+            fw.offer_route_hints(dst, routes);
+        }
+        assert!(run_until_count(&mut c, &ib, 1, Time::from_secs(5)));
+        let st = fw_of(&c, 0).mapper_stats();
+        (st.hint_resolved.get(), st.last_switch_probes)
+    };
+    let (_, _, candidates, _) = hinted_fabric();
+
+    // The live second offer replaces the dead first one.
+    let (hinted, switch_probes) = run_with_offers(vec![vec![candidates[0]], vec![candidates[1]]]);
+    assert_eq!(hinted, 1, "the replacing offer resolves the run");
+    assert_eq!(switch_probes, 0, "no exploration behind a good hint");
+
+    // An empty offer clears the live one: the run explores.
+    let (hinted, switch_probes) = run_with_offers(vec![vec![candidates[1]], Vec::new()]);
+    assert_eq!(hinted, 0, "a cleared hint must not resolve");
+    assert!(switch_probes > 0, "exploration probes the fabric");
 }
 
 /// Fat-tree cold starts cross the depth-1 signature's blind spot: host-less

@@ -1,6 +1,6 @@
 //! The cut-through traversal engine.
 //!
-//! A packet in flight (a [`Flight`]) acquires the *directed channels* along
+//! A packet in flight (a `Flight`) acquires the *directed channels* along
 //! its source route one hop at a time. A channel belongs to at most one
 //! flight; a flight that finds its next channel busy waits in that channel's
 //! FIFO **while still holding everything it already acquired** — that is
@@ -35,7 +35,7 @@ use san_sim::{Duration, Sim, SimRng, Time};
 use san_telemetry::{Layer, Telemetry, TraceEvent, TraceKind};
 
 use crate::fault::TransientFaults;
-use crate::fingerprint::{fingerprint_topology, WiringDelta};
+use crate::fingerprint::fingerprint_topology;
 use crate::ids::{Endpoint, LinkId, NodeId, PortId, SwitchId};
 use crate::packet::Packet;
 use crate::route::{Route, MAX_HOPS};
@@ -90,9 +90,8 @@ pub enum FabricEvent {
     RemoveLink { link: LinkId },
     /// Live reconfiguration: de-rack a whole switch (all its links detach).
     RemoveSwitch { switch: SwitchId },
-    /// Notification that a reconfiguration epoch completed. The fingerprint
-    /// delta summary rides in the event; the full changed-link/-switch
-    /// lists are in [`Engine::reconfig_log`], addressable by `epoch`.
+    /// Notification that a reconfiguration epoch completed, with the
+    /// wiring fingerprints before and after it.
     Reconfigured {
         epoch: u64,
         old_fp: u64,
@@ -370,9 +369,8 @@ pub struct Engine {
     draining: Vec<bool>,
     /// When each draining link's drain was announced.
     drain_started: Vec<Time>,
-    /// Every completed reconfiguration step, in epoch order (epoch `e` is
-    /// at index `e - 1`).
-    reconfig_log: Vec<WiringDelta>,
+    /// Completed reconfiguration steps (the current epoch).
+    reconfig_epoch: u64,
     metrics: FabricMetrics,
     rmetrics: ReconfigMetrics,
     tel: Telemetry,
@@ -414,7 +412,7 @@ impl Engine {
             burst_bad: false,
             draining: vec![false; num_links],
             drain_started: vec![Time::ZERO; num_links],
-            reconfig_log: Vec::new(),
+            reconfig_epoch: 0,
             metrics,
             rmetrics,
             tel,
@@ -952,12 +950,7 @@ impl Engine {
     /// The reconfiguration epoch: how many wiring mutations have completed.
     /// Drivers poll this between slices and re-plan when it advances.
     pub fn reconfig_epoch(&self) -> u64 {
-        self.reconfig_log.len() as u64
-    }
-
-    /// Every completed reconfiguration step, in epoch order.
-    pub fn reconfig_log(&self) -> &[WiringDelta] {
-        &self.reconfig_log
+        self.reconfig_epoch
     }
 
     /// Is this link marked draining (planned removal announced)?
@@ -981,18 +974,13 @@ impl Engine {
             .count() as u64
     }
 
-    /// Seal one wiring mutation: compute the fingerprint delta, log it,
-    /// record the trace event, and emit a [`FabricEvent::Reconfigured`]
-    /// notification at the current instant.
-    fn finish_reconfig<E: From<FabricEvent>>(
-        &mut self,
-        sim: &mut Sim<E>,
-        old_fp: u64,
-        changed_links: Vec<LinkId>,
-        changed_switches: Vec<SwitchId>,
-    ) -> u64 {
+    /// Seal one wiring mutation: advance the epoch, record the trace
+    /// event with the new fingerprint, and emit a
+    /// [`FabricEvent::Reconfigured`] notification at the current instant.
+    fn finish_reconfig<E: From<FabricEvent>>(&mut self, sim: &mut Sim<E>, old_fp: u64) -> u64 {
         let new_fp = fingerprint_topology(&self.topo);
-        let epoch = self.reconfig_log.len() as u64 + 1;
+        self.reconfig_epoch += 1;
+        let epoch = self.reconfig_epoch;
         self.rmetrics.epochs.hit();
         self.tel.record(TraceEvent {
             at_ns: sim.now().nanos(),
@@ -1005,13 +993,6 @@ impl Engine {
             seq: epoch as u32,
             aux: new_fp,
         });
-        self.reconfig_log.push(WiringDelta {
-            epoch,
-            old_fp,
-            new_fp,
-            changed_links,
-            changed_switches,
-        });
         let now = sim.now();
         sim.schedule(
             now,
@@ -1023,20 +1004,6 @@ impl Engine {
             .into(),
         );
         epoch
-    }
-
-    /// The switches incident to a set of link endpoints, deduplicated in
-    /// first-appearance order — the patch region of a wiring delta.
-    fn switches_of(endpoints: &[Endpoint]) -> Vec<SwitchId> {
-        let mut out = Vec::new();
-        for ep in endpoints {
-            if let Some((s, _)) = ep.switch() {
-                if !out.contains(&s) {
-                    out.push(s);
-                }
-            }
-        }
-        out
     }
 
     /// Grow per-link state (channels, busy counters, drain flags) to cover
@@ -1083,7 +1050,7 @@ impl Engine {
         let id = self.topo.try_connect(a, b)?;
         self.provision_link_state(id);
         self.rmetrics.links_added.hit();
-        self.finish_reconfig(sim, old_fp, vec![id], Self::switches_of(&[a, b]));
+        self.finish_reconfig(sim, old_fp);
         Ok(id)
     }
 
@@ -1122,20 +1089,14 @@ impl Engine {
         }
         let gone = self.topo.disconnect(link);
         self.rmetrics.links_removed.hit();
-        self.finish_reconfig(
-            sim,
-            old_fp,
-            vec![link],
-            Self::switches_of(&[gone.a, gone.b]),
-        );
+        self.finish_reconfig(sim, old_fp);
         Some(gone)
     }
 
     /// Live switch removal: detach every incident link (in-flight traffic
     /// on them is lost and counted), then seal a single epoch covering the
     /// whole de-rack. The switch record remains with zero wired ports.
-    /// Returns the sealed epoch (0 if the switch had no wired links); the
-    /// detached link list is in [`Engine::reconfig_log`] under that epoch.
+    /// Returns the sealed epoch (0 if the switch had no wired links).
     pub fn shrink_switch<E: From<FabricEvent>>(
         &mut self,
         sim: &mut Sim<E>,
@@ -1158,7 +1119,6 @@ impl Engine {
         }
         let lost = self.count_flights_on(|ch| incident.contains(&LinkId(ch / 2)));
         self.rmetrics.inflight_lost.add(lost);
-        let mut endpoints = Vec::new();
         for &link in &incident {
             self.set_link_alive(sim, link, false, out);
             if self.draining[link.idx()] {
@@ -1167,15 +1127,9 @@ impl Engine {
                     .record(sim.now().since(self.drain_started[link.idx()]));
                 self.draining[link.idx()] = false;
             }
-            let gone = self.topo.disconnect(link);
+            self.topo.disconnect(link);
             self.rmetrics.links_removed.hit();
-            endpoints.push(gone.a);
-            endpoints.push(gone.b);
         }
-        let mut switches = Self::switches_of(&endpoints);
-        if !switches.contains(&s) {
-            switches.push(s);
-        }
-        self.finish_reconfig(sim, old_fp, incident, switches)
+        self.finish_reconfig(sim, old_fp)
     }
 }

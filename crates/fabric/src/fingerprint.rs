@@ -1,15 +1,15 @@
-//! Wiring fingerprints and reconfiguration deltas.
+//! Wiring fingerprints.
 //!
 //! A fingerprint is an order-independent FNV-1a digest of the *entire*
 //! wiring: host count, per-switch port counts, and every live link's id and
-//! endpoints. Two topologies with the same fingerprint route identically,
-//! which is what the `san-topo` route cache keys off. The digest lives here
-//! (rather than in `san-topo`, where it was born) because live
-//! reconfiguration makes the fabric engine itself a fingerprint producer:
-//! every mutation emits a [`WiringDelta`] carrying the fingerprints on both
-//! sides of the change.
+//! endpoints. Two topologies with the same fingerprint route identically.
+//! The digest lives here (rather than in `san-topo`, where it was born)
+//! because live reconfiguration makes the fabric engine itself a
+//! fingerprint producer: every mutation records the new fingerprint in its
+//! `Reconfig` trace event and reports the fingerprints on both sides of
+//! the change in a `FabricEvent::Reconfigured` notification.
 
-use crate::ids::{LinkId, SwitchId};
+use crate::ids::SwitchId;
 use crate::topology::Topology;
 
 /// FNV-1a over the full wiring of a topology. Removed (tombstoned) links do
@@ -72,31 +72,6 @@ impl Default for Fnv {
     }
 }
 
-/// One live-reconfiguration step: what the wiring looked like before and
-/// after, and exactly which links/switches changed. Route caches evict by
-/// `changed_links`; incremental UP*/DOWN* re-orientation seeds its repair
-/// from `changed_switches`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WiringDelta {
-    /// Reconfiguration epoch (1-based; epoch 0 is the initial wiring).
-    pub epoch: u64,
-    /// Fingerprint before the mutation.
-    pub old_fp: u64,
-    /// Fingerprint after the mutation.
-    pub new_fp: u64,
-    /// Links added or removed by this step.
-    pub changed_links: Vec<LinkId>,
-    /// Switches incident to any changed link (the patch region).
-    pub changed_switches: Vec<SwitchId>,
-}
-
-impl WiringDelta {
-    /// Does any route crossing `link` need re-planning after this delta?
-    pub fn touches(&self, link: LinkId) -> bool {
-        self.changed_links.contains(&link)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,18 +102,5 @@ mod tests {
             before,
             "reverse mutation restores"
         );
-    }
-
-    #[test]
-    fn delta_touch_query() {
-        let d = WiringDelta {
-            epoch: 1,
-            old_fp: 1,
-            new_fp: 2,
-            changed_links: vec![LinkId(3)],
-            changed_switches: vec![SwitchId(0)],
-        };
-        assert!(d.touches(LinkId(3)));
-        assert!(!d.touches(LinkId(4)));
     }
 }

@@ -22,7 +22,6 @@ pub mod crc;
 pub mod engine;
 pub mod fault;
 pub mod fingerprint;
-pub mod hints;
 pub mod ids;
 pub mod packet;
 pub mod route;
@@ -31,8 +30,7 @@ pub mod updown;
 
 pub use engine::{DropReason, Engine, EngineConfig, FabricEvent, FabricOut};
 pub use fault::{FaultPlan, PermanentFault, TransientFaults};
-pub use fingerprint::{fingerprint_topology, Fnv, WiringDelta};
-pub use hints::RouteHints;
+pub use fingerprint::{fingerprint_topology, Fnv};
 pub use ids::{Endpoint, LinkId, NodeId, PortId, SwitchId};
 pub use packet::{Packet, PacketFlags, PacketKind};
 pub use route::Route;

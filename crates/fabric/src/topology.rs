@@ -89,9 +89,13 @@ impl Topology {
     }
 
     /// Add a host (one network port).
+    ///
+    /// Panics when the topology already holds 65,536 hosts, the most
+    /// 16-bit ids can number.
     pub fn add_host(&mut self) -> NodeId {
+        let id = u16::try_from(self.hosts.len()).expect("host ids are 16-bit: at most 65536 hosts");
         self.hosts.push(None);
-        NodeId((self.hosts.len() - 1) as u16)
+        NodeId(id)
     }
 
     /// Add `n` hosts, returning their IDs.
@@ -100,9 +104,14 @@ impl Topology {
     }
 
     /// Add a full-crossbar switch with `ports` ports.
+    ///
+    /// Panics when the topology already holds 65,536 switches, the most
+    /// 16-bit ids can number.
     pub fn add_switch(&mut self, ports: u8) -> SwitchId {
+        let id = u16::try_from(self.switches.len())
+            .expect("switch ids are 16-bit: at most 65536 switches");
         self.switches.push(vec![None; ports as usize]);
-        SwitchId((self.switches.len() - 1) as u16)
+        SwitchId(id)
     }
 
     /// Wire two endpoints together, refusing (rather than corrupting the
@@ -569,6 +578,26 @@ mod tests {
             .link_at(Endpoint::Switch(SwitchId(0), PortId(5)))
             .is_none());
         let _ = b;
+    }
+
+    #[test]
+    #[should_panic(expected = "host ids are 16-bit")]
+    fn host_ids_do_not_wrap() {
+        let mut t = Topology::new();
+        let last = t.add_hosts(1 << 16).pop().unwrap();
+        assert_eq!(last, NodeId(u16::MAX));
+        t.add_host();
+    }
+
+    #[test]
+    #[should_panic(expected = "switch ids are 16-bit")]
+    fn switch_ids_do_not_wrap() {
+        let mut t = Topology::new();
+        for _ in 0..1 << 16 {
+            t.add_switch(0);
+        }
+        assert_eq!(t.num_switches(), 1 << 16);
+        t.add_switch(0);
     }
 
     #[test]

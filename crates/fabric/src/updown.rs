@@ -65,18 +65,6 @@ pub fn bfs_levels(
     level
 }
 
-/// Work accounting for an incremental re-orientation ([`UpDownMap::patch`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PatchStats {
-    /// Switches whose BFS level actually changed.
-    pub relabeled: usize,
-    /// Switches examined (invalidation fixpoint plus relaxation frontier) —
-    /// the size of the region the patch touched. A full rebuild touches
-    /// every switch; a local patch touches only the neighborhood of the
-    /// changed links.
-    pub touched: usize,
-}
-
 impl UpDownMap {
     /// Build the orientation for `topo` rooted at the lowest-id switch that
     /// is reachable, considering only alive links.
@@ -87,130 +75,6 @@ impl UpDownMap {
         let root = SwitchId(0);
         let level = bfs_levels(topo, root, &alive);
         Some(UpDownMap { level, root })
-    }
-
-    /// Incrementally repair the orientation after a wiring change, touching
-    /// only the affected region. `seeds` are the switches incident to the
-    /// changed links (grown *and* removed); the patch result is exactly
-    /// equal to a full [`UpDownMap::build`] on the mutated topology — BFS
-    /// levels are unique, so "incremental" is a cost statement, not an
-    /// approximation (pinned by the `patch_equals_rebuild` proptest).
-    ///
-    /// Two passes:
-    /// 1. **Invalidation fixpoint** (handles removals): a non-root switch's
-    ///    level is *supported* if some alive neighbor one level closer to
-    ///    the root is itself clean. Unsupported switches go dirty and their
-    ///    dependents are re-checked until nothing changes; dirty levels are
-    ///    cleared. Removals only lengthen distances, so clean levels stay
-    ///    exact.
-    /// 2. **Relaxation** (handles additions and re-levels the dirty
-    ///    region): unit-weight Dijkstra seeded from the clean boundary and
-    ///    from the seed switches, settling each touched switch at its true
-    ///    new distance.
-    pub fn patch(
-        &mut self,
-        topo: &Topology,
-        alive: impl Fn(LinkId) -> bool,
-        seeds: &[SwitchId],
-    ) -> PatchStats {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        // Grown switches extend the level vector (unreachable until wired).
-        self.level.resize(topo.num_switches(), None);
-        let old = self.level.clone();
-        self.level[self.root.idx()] = Some(0);
-
-        let sw_neighbors = |s: SwitchId| {
-            topo.neighbors(s).filter_map(|(_, link, far)| {
-                if !alive(link) {
-                    return None;
-                }
-                far.switch().map(|(s2, _)| s2)
-            })
-        };
-
-        // Pass 1: invalidation fixpoint.
-        let mut dirty = vec![false; topo.num_switches()];
-        let mut queued = vec![false; topo.num_switches()];
-        let mut work: VecDeque<SwitchId> = VecDeque::new();
-        let mut touched = 0usize;
-        for &s in seeds {
-            if s.idx() < queued.len() && !queued[s.idx()] {
-                queued[s.idx()] = true;
-                work.push_back(s);
-            }
-        }
-        while let Some(s) = work.pop_front() {
-            queued[s.idx()] = false;
-            touched += 1;
-            if s == self.root || dirty[s.idx()] {
-                continue;
-            }
-            let Some(l) = self.level[s.idx()] else {
-                continue; // unreachable levels cannot be stale-low
-            };
-            let supported = l.checked_sub(1).is_some_and(|lp| {
-                sw_neighbors(s).any(|n| !dirty[n.idx()] && self.level[n.idx()] == Some(lp))
-            });
-            if !supported {
-                dirty[s.idx()] = true;
-                // Anything that might have leaned on s must be re-checked.
-                for n in sw_neighbors(s) {
-                    if !queued[n.idx()] && !dirty[n.idx()] {
-                        queued[n.idx()] = true;
-                        work.push_back(n);
-                    }
-                }
-            }
-        }
-        for (i, d) in dirty.iter().enumerate() {
-            if *d {
-                self.level[i] = None;
-            }
-        }
-
-        // Pass 2: unit-weight Dijkstra over the dirty region and any
-        // improvements the changed links introduced.
-        let mut heap: BinaryHeap<Reverse<(u32, u16)>> = BinaryHeap::new();
-        for (i, d) in dirty.iter().enumerate() {
-            if !*d {
-                continue;
-            }
-            // Clean boundary around the dirty region.
-            for n in sw_neighbors(SwitchId(i as u16)) {
-                if let Some(ln) = self.level[n.idx()] {
-                    heap.push(Reverse((ln, n.0)));
-                }
-            }
-        }
-        for &s in seeds {
-            if let Some(l) = self.level[s.idx()] {
-                heap.push(Reverse((l, s.0)));
-            }
-        }
-        while let Some(Reverse((d, s))) = heap.pop() {
-            let s = SwitchId(s);
-            match self.level[s.idx()] {
-                Some(l) if l < d => continue, // stale queue entry
-                _ => {}
-            }
-            touched += 1;
-            self.level[s.idx()] = Some(d);
-            for n in sw_neighbors(s) {
-                let cand = d + 1;
-                if self.level[n.idx()].is_none_or(|ln| ln > cand) {
-                    heap.push(Reverse((cand, n.0)));
-                }
-            }
-        }
-
-        let relabeled = old
-            .iter()
-            .zip(self.level.iter())
-            .filter(|(o, n)| o != n)
-            .count();
-        PatchStats { relabeled, touched }
     }
 
     /// Is traversing from switch `a` to switch `b` an **up** step?
@@ -509,71 +373,6 @@ mod tests {
         assert!(routes_deadlock_free(&t, &[(a, r), (b, rb)]));
     }
 
-    #[test]
-    fn patch_tracks_link_removal_and_regrow() {
-        let tb = paper_mapping_testbed(1);
-        let mut topo = tb.topo.clone();
-        let mut m = UpDownMap::build(&topo, |_| true).unwrap();
-        // Remove one of the two core-to-core links: levels are unchanged
-        // (the twin still supports core1), so the patch relabels nothing.
-        let gone = topo.disconnect(tb.redundant_links[0]);
-        let seeds: Vec<SwitchId> = [gone.a, gone.b]
-            .iter()
-            .filter_map(|ep| ep.switch().map(|(s, _)| s))
-            .collect();
-        let stats = m.patch(&topo, |_| true, &seeds);
-        assert_eq!(stats.relabeled, 0);
-        assert_eq!(m.level, UpDownMap::build(&topo, |_| true).unwrap().level);
-        // Re-grow it: still byte-identical to a fresh build.
-        topo.try_connect(gone.a, gone.b).unwrap();
-        m.patch(&topo, |_| true, &seeds);
-        assert_eq!(m.level, UpDownMap::build(&topo, |_| true).unwrap().level);
-    }
-
-    #[test]
-    fn patch_relevels_detached_region() {
-        // chain(4): levels 0,1,2,3. Cutting the 1-2 link strands switches
-        // 2,3 (None); re-wiring restores 2,3.
-        let (mut t, _, _) = topology::chain(4);
-        let mut m = UpDownMap::build(&t, |_| true).unwrap();
-        assert_eq!(m.level, vec![Some(0), Some(1), Some(2), Some(3)]);
-        let cut = t
-            .links()
-            .find(|(_, l)| {
-                l.a.switch().map(|(s, _)| s.0) == Some(1)
-                    && l.b.switch().map(|(s, _)| s.0) == Some(2)
-                    || l.a.switch().map(|(s, _)| s.0) == Some(2)
-                        && l.b.switch().map(|(s, _)| s.0) == Some(1)
-            })
-            .map(|(id, _)| id)
-            .expect("1-2 inter-switch link");
-        let gone = t.disconnect(cut);
-        let stats = m.patch(&t, |_| true, &[SwitchId(1), SwitchId(2)]);
-        assert_eq!(m.level, vec![Some(0), Some(1), None, None]);
-        assert_eq!(stats.relabeled, 2);
-        t.try_connect(gone.a, gone.b).unwrap();
-        let stats = m.patch(&t, |_| true, &[SwitchId(1), SwitchId(2)]);
-        assert_eq!(m.level, vec![Some(0), Some(1), Some(2), Some(3)]);
-        assert_eq!(stats.relabeled, 2);
-    }
-
-    #[test]
-    fn patch_extends_to_grown_switches() {
-        let (mut t, _, _) = topology::chain(2);
-        let mut m = UpDownMap::build(&t, |_| true).unwrap();
-        // Grow a brand-new switch wired to switch 1.
-        let s2 = t.add_switch(4);
-        t.try_connect(
-            Endpoint::Switch(SwitchId(1), PortId(3)),
-            Endpoint::Switch(s2, PortId(0)),
-        )
-        .unwrap();
-        let stats = m.patch(&t, |_| true, &[SwitchId(1), s2]);
-        assert_eq!(m.level, UpDownMap::build(&t, |_| true).unwrap().level);
-        assert_eq!(m.level[s2.idx()], Some(2));
-        assert_eq!(stats.relabeled, 1);
-    }
-
     /// Row `src` of [`UpDownMap::routes_from`] against the per-pair
     /// search, entry by entry.
     fn assert_row_matches(
@@ -717,54 +516,6 @@ mod proptests {
                 }
             }
             prop_assert!(routes_deadlock_free(&t, &routes));
-        }
-
-        /// Incremental patch ≡ full rebuild, for any random mutation
-        /// sequence (removals, re-adds, brand-new links) over a random
-        /// topology. BFS levels are unique, so equality is exact.
-        #[test]
-        fn patch_equals_rebuild(seed in any::<u64>(), n_switch in 2usize..7, extra in 0usize..5, steps in 1usize..8) {
-            let mut t = random_topology(seed, n_switch, 4, extra);
-            let mut m = UpDownMap::build(&t, |_| true).unwrap();
-            let mut rng = SimRng::seed_from(seed ^ 0xDB2E_C0F1);
-            let mut removed: Vec<(Endpoint, Endpoint)> = Vec::new();
-            for _ in 0..steps {
-                let seeds: Vec<SwitchId>;
-                let choice = rng.below(3);
-                if choice == 0 && !removed.is_empty() {
-                    // Re-add a previously removed link.
-                    let (a, b) = removed.pop().unwrap();
-                    if t.try_connect(a, b).is_err() { continue; }
-                    seeds = [a, b].iter().filter_map(|ep| ep.switch().map(|(s, _)| s)).collect();
-                } else if choice == 1 {
-                    // Grow: wire two switches with free ports.
-                    let i = rng.below(t.num_switches() as u64) as usize;
-                    let j = rng.below(t.num_switches() as u64) as usize;
-                    if i == j { continue; }
-                    let (si, sj) = (SwitchId(i as u16), SwitchId(j as u16));
-                    let (Some(pa), Some(pb)) = (t.free_port(si), t.free_port(sj)) else { continue };
-                    if t.try_connect(
-                        Endpoint::Switch(si, PortId(pa)),
-                        Endpoint::Switch(sj, PortId(pb)),
-                    ).is_err() { continue; }
-                    seeds = vec![si, sj];
-                } else {
-                    // Remove a random inter-switch link.
-                    let fabric_links: Vec<LinkId> = t
-                        .links()
-                        .filter(|(_, l)| l.a.switch().is_some() && l.b.switch().is_some())
-                        .map(|(id, _)| id)
-                        .collect();
-                    if fabric_links.is_empty() { continue; }
-                    let id = fabric_links[rng.below(fabric_links.len() as u64) as usize];
-                    let gone = t.disconnect(id);
-                    removed.push((gone.a, gone.b));
-                    seeds = [gone.a, gone.b].iter().filter_map(|ep| ep.switch().map(|(s, _)| s)).collect();
-                }
-                m.patch(&t, |_| true, &seeds);
-                let rebuilt = UpDownMap::build(&t, |_| true).unwrap();
-                prop_assert_eq!(&m.level, &rebuilt.level, "patch must equal full rebuild");
-            }
         }
     }
 }

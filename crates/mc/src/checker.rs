@@ -271,7 +271,7 @@ const RECOVERY_STEP_BOUND: usize = 20_000;
 /// or failed and the system drains.
 ///
 /// Returns `Err(description)` when quiescence is not reached within
-/// [`RECOVERY_STEP_BOUND`] steps.
+/// `RECOVERY_STEP_BOUND` steps.
 pub fn recovery_converges(cfg: &McConfig, st: &SysState) -> Result<(), String> {
     let mut st = st.clone();
     // Fairness: the fault episode ends — all links come back.

@@ -196,7 +196,7 @@ pub enum Repost {
 /// A host's end-to-end recovery of sends the NIC fails as unreachable:
 /// the transport gives up after its remap-retry budget, and outliving a
 /// long outage is the host's job. Each message may be re-posted
-/// [`MAX_REPOSTS`] times with [`REPOST_DELAY`] backoff, and one flush wake
+/// `MAX_REPOSTS` times with `REPOST_DELAY` backoff, and one flush wake
 /// carries every failure that arrives before it fires. Re-posts reuse the
 /// original message id, so the receiver's dedup makes them idempotent.
 #[derive(Debug, Default)]

@@ -4,8 +4,8 @@
 //! Generators only use the public `Topology` wiring API, so a generated
 //! fabric is indistinguishable from a hand-wired one. All generators are
 //! deterministic: the same spec (including the seed for the random family)
-//! always produces byte-identical wiring, which is what lets chaos trials
-//! and route caches key off a fabric fingerprint.
+//! always produces byte-identical wiring, which is what lets a chaos
+//! trial be replayed from its spec string alone.
 
 use san_fabric::topology::{self, Topology};
 use std::collections::VecDeque;
@@ -148,8 +148,7 @@ impl Fabric {
 
     /// Order-independent FNV-1a fingerprint of the wiring: host count,
     /// per-switch port counts and every link's endpoints. Two fabrics with
-    /// the same fingerprint route identically, which is what the planner's
-    /// cache keys off.
+    /// the same fingerprint route identically.
     pub fn fingerprint(&self) -> u64 {
         fingerprint_topology(&self.topo)
     }
@@ -165,11 +164,7 @@ impl Fabric {
     }
 }
 
-// The wiring fingerprint lives in `san-fabric` (live reconfiguration
-// computes per-epoch deltas there); re-exported here because the planner
-// cache and every atlas consumer historically imported it from this
-// module.
-pub use san_fabric::fingerprint::{fingerprint_topology, Fnv};
+use san_fabric::fingerprint_topology;
 
 impl TopoSpec {
     /// The family label.
@@ -214,7 +209,9 @@ impl TopoSpec {
 
     /// Parse the string form: `pair`, `chain:K`, `star:N`, `testbed:H`,
     /// `fat_tree:K`, `torus2d:RxCxH`, `torus3d:XxYxZxH`,
-    /// `regular:NxDxH[:SEED]`, `spare_tree:FxDxH[:S]`.
+    /// `regular:NxDxH[:SEED]`, `spare_tree:FxDxH[:S]`. An argument too
+    /// large for its field is an error, and so is a torus whose clamped
+    /// size needs more host or switch ids than 16 bits can number.
     pub fn parse(s: &str) -> Result<TopoSpec, String> {
         let mut parts = s.split(':');
         let kind = parts.next().unwrap_or("");
@@ -239,32 +236,37 @@ impl TopoSpec {
             }
             Ok(xs)
         };
-        match kind {
-            "pair" => Ok(TopoSpec::Pair),
-            "chain" => Ok(TopoSpec::Chain(num(arg(0, "K")?, "chain length")? as u16)),
-            "star" => Ok(TopoSpec::Star(num(arg(0, "N")?, "star size")? as u16)),
-            "testbed" => Ok(TopoSpec::Testbed(
-                num(arg(0, "H")?, "hosts per switch")? as u16
-            )),
-            "fat_tree" => Ok(TopoSpec::FatTree {
-                k: num(arg(0, "K")?, "arity")?.min(255) as u8,
-            }),
+        let u16_of = |v: u64, what: &str| -> Result<u16, String> {
+            u16::try_from(v).map_err(|_| format!("{kind}: {what} {v} is larger than {}", u16::MAX))
+        };
+        let u8_of = |v: u64, what: &str| -> Result<u8, String> {
+            u8::try_from(v).map_err(|_| format!("{kind}: {what} {v} is larger than {}", u8::MAX))
+        };
+        let num16 = |txt: &str, what: &str| u16_of(num(txt, what)?, what);
+        let spec = match kind {
+            "pair" => TopoSpec::Pair,
+            "chain" => TopoSpec::Chain(num16(arg(0, "K")?, "chain length")?),
+            "star" => TopoSpec::Star(num16(arg(0, "N")?, "star size")?),
+            "testbed" => TopoSpec::Testbed(num16(arg(0, "H")?, "hosts per switch")?),
+            "fat_tree" => TopoSpec::FatTree {
+                k: u8_of(num(arg(0, "K")?, "arity")?, "arity")?,
+            },
             "torus2d" => {
                 let d = dims(arg(0, "RxCxH")?, 3)?;
-                Ok(TopoSpec::Torus2D {
-                    rows: d[0] as u16,
-                    cols: d[1] as u16,
-                    hosts: d[2].min(255) as u8,
-                })
+                TopoSpec::Torus2D {
+                    rows: u16_of(d[0], "rows")?,
+                    cols: u16_of(d[1], "cols")?,
+                    hosts: u8_of(d[2], "hosts per switch")?,
+                }
             }
             "torus3d" => {
                 let d = dims(arg(0, "XxYxZxH")?, 4)?;
-                Ok(TopoSpec::Torus3D {
-                    x: d[0] as u16,
-                    y: d[1] as u16,
-                    z: d[2] as u16,
-                    hosts: d[3].min(255) as u8,
-                })
+                TopoSpec::Torus3D {
+                    x: u16_of(d[0], "x extent")?,
+                    y: u16_of(d[1], "y extent")?,
+                    z: u16_of(d[2], "z extent")?,
+                    hosts: u8_of(d[3], "hosts per switch")?,
+                }
             }
             "regular" => {
                 let d = dims(arg(0, "NxDxH")?, 3)?;
@@ -272,28 +274,53 @@ impl TopoSpec {
                     Some(s) => num(s, "seed")?,
                     None => 1,
                 };
-                Ok(TopoSpec::Regular {
-                    switches: d[0] as u16,
-                    degree: d[1].min(255) as u8,
-                    hosts: d[2].min(255) as u8,
+                TopoSpec::Regular {
+                    switches: u16_of(d[0], "switch count")?,
+                    degree: u8_of(d[1], "degree")?,
+                    hosts: u8_of(d[2], "hosts per switch")?,
                     seed,
-                })
+                }
             }
             "spare_tree" => {
                 let d = dims(arg(0, "FxDxH")?, 3)?;
                 let spares = match args.get(1) {
-                    Some(s) => num(s, "spares")? as u16,
+                    Some(s) => num16(s, "spares")?,
                     None => u16::MAX, // full leaf ring
                 };
-                Ok(TopoSpec::SpareTree {
-                    fanout: d[0].min(255) as u8,
-                    depth: d[1].min(255) as u8,
-                    hosts: d[2].min(255) as u8,
+                TopoSpec::SpareTree {
+                    fanout: u8_of(d[0], "fanout")?,
+                    depth: u8_of(d[1], "depth")?,
+                    hosts: u8_of(d[2], "hosts per switch")?,
                     spares,
-                })
+                }
             }
-            _ => Err(format!("unknown topology '{s}'")),
+            _ => return Err(format!("unknown topology '{s}'")),
+        };
+        // Only the tori can outgrow 16-bit ids once clamped: the other
+        // generators clamp to at most a few thousand switches and hosts
+        // (a chain's u16 length is at most 65,535 switches). No id value
+        // is reserved, so 16 bits number 65,536 hosts and 65,536 switches.
+        let torus = match spec {
+            TopoSpec::Torus2D { rows, cols, hosts } => {
+                Some((torus_extent(rows) * torus_extent(cols), hosts))
+            }
+            TopoSpec::Torus3D { x, y, z, hosts } => {
+                Some((torus_extent(x) * torus_extent(y) * torus_extent(z), hosts))
+            }
+            _ => None,
+        };
+        if let Some((switches, hosts_per)) = torus {
+            let hosts = switches * torus_hosts_per(hosts_per) as usize;
+            for (n, what) in [(switches, "switch"), (hosts, "host")] {
+                if n > 1 << 16 {
+                    return Err(format!(
+                        "{s} needs {n} {what} ids; 16-bit ids number at most {}",
+                        1 << 16
+                    ));
+                }
+            }
         }
+        Ok(spec)
     }
 
     /// For the random family, a seed of 0 means "decided elsewhere" (chaos
@@ -435,10 +462,20 @@ fn fat_tree(k: u8) -> Fabric {
     finish(TopoSpec::FatTree { k }, t, hosts, Vec::new())
 }
 
+/// A torus extent as the generator builds it: 1..=64 switches.
+fn torus_extent(d: u16) -> usize {
+    d.clamp(1, 64) as usize
+}
+
+/// Hosts per torus switch as the generator builds it: 1..=8.
+fn torus_hosts_per(h: u8) -> u8 {
+    h.clamp(1, 8)
+}
+
 /// Wrap-around mesh over arbitrary dimension extents.
 fn torus(dims: &[u16], hosts_per: u8, respec: fn([u16; 3], u8) -> TopoSpec) -> Fabric {
-    let dims: Vec<usize> = dims.iter().map(|&d| d.clamp(1, 64) as usize).collect();
-    let hosts_per = hosts_per.clamp(1, 8);
+    let dims: Vec<usize> = dims.iter().map(|&d| torus_extent(d)).collect();
+    let hosts_per = torus_hosts_per(hosts_per);
     let n: usize = dims.iter().product();
     let ports = (2 * dims.len() + hosts_per as usize).min(255) as u8;
     let mut t = Topology::new();
@@ -657,6 +694,36 @@ mod tests {
         }
         assert!(TopoSpec::parse("hypercube:4").is_err());
         assert!(TopoSpec::parse("torus2d:8x8").is_err());
+    }
+
+    #[test]
+    fn specs_beyond_16_bit_ids_are_errors() {
+        for (s, why) in [
+            ("torus3d:41x41x41x1", "needs 68921 switch ids"),
+            ("torus3d:24x24x24x8", "needs 110592 host ids"),
+            ("chain:65537", "chain length 65537 is larger than 65535"),
+            ("torus2d:65536x8x2", "rows 65536 is larger than 65535"),
+            ("fat_tree:256", "arity 256 is larger than 255"),
+        ] {
+            let err = TopoSpec::parse(s).expect_err(s);
+            assert!(err.contains(why), "{s}: {err}");
+        }
+        // The largest values that fit still parse, and the generators
+        // clamp them as before.
+        assert_eq!(
+            TopoSpec::parse("chain:65535").unwrap(),
+            TopoSpec::Chain(u16::MAX)
+        );
+        assert!(
+            TopoSpec::parse("torus3d:64x64x16x1").is_ok(),
+            "65536 switch ids"
+        );
+        assert!(
+            TopoSpec::parse("torus3d:64x64x2x8").is_ok(),
+            "65536 host ids"
+        );
+        let f = TopoSpec::parse("torus2d:65535x8x2").unwrap().build();
+        assert_eq!(f.switches.len(), 64 * 8, "rows clamp to 64");
     }
 
     #[test]

@@ -16,24 +16,21 @@
 //!   link-disjoint path diversity (a min-cut lower bound), survivable
 //!   link/switch candidate sets for fault injection, and a one-call
 //!   [`validate::check`] that also proves `UpDownMap::build` works.
-//! * [`planner`] — the [`planner::RoutePlanner`] strategy seam: the generic
-//!   ECMP-style equal-cost + link-disjoint search, a deadlock-freedom
-//!   verdict via `fabric::updown::routes_deadlock_free`, and a
-//!   [`planner::RouteCache`] keyed by (topology fingerprint, alive-link
-//!   fingerprint) so repeated remaps on the same degraded fabric are O(1)
-//!   lookups. [`planner::planner_for`] selects the strategy by
-//!   [`TopoSpec`] family.
+//! * [`planner`] — the [`planner::RoutePlanner`] strategy seam, whose
+//!   `pair_routes` is the one way to ask for candidate routes: the generic
+//!   ECMP-style equal-cost + link-disjoint search, with
+//!   [`planner::planner_for`] selecting the strategy by [`TopoSpec`]
+//!   family.
 //! * [`symmetry`] — the torus-native strategy: k diverse minimal routes
 //!   per pair materialized from translational-symmetry templates in
 //!   O(k·hops), with quadrant-aware disjoint alternates under dead links
 //!   and a generic fallback when the wiring stops looking like a torus.
 //!
 //! The planner's route sets double as *mapper hints*: `san-ft`'s on-demand
-//! mapper accepts them as `RouteHints` and verifies them with single host
+//! mapper accepts a pair's `Vec<Route>` and verifies it with single host
 //! probes before falling back to its BFS exploration (see
 //! `Mapper::offer_hints`), which turns a multi-hundred-probe remap on
-//! a 128-host fabric into a handful of probes when a planner (or cache) is
-//! warm.
+//! a 128-host fabric into a handful of probes.
 
 #![warn(missing_docs)]
 
@@ -43,9 +40,6 @@ pub mod symmetry;
 pub mod validate;
 
 pub use atlas::{Fabric, TopoClass, TopoSpec};
-pub use planner::{
-    planner_for, GenericDiversePlanner, PlanHints, PlanRequest, PlanTable, Planned, RouteCache,
-    RoutePlanner,
-};
+pub use planner::{planner_for, GenericDiversePlanner, RoutePlanner};
 pub use symmetry::TorusSymmetryPlanner;
 pub use validate::Survey;

@@ -26,7 +26,7 @@ use std::collections::HashSet;
 use san_fabric::route::MAX_HOPS;
 use san_fabric::{Endpoint, LinkId, NodeId, PortId, Route, SwitchId, Topology};
 
-use crate::planner::{candidate_routes_counted, RoutePlanner};
+use crate::planner::{candidate_routes_counted, select_diverse, RoutePlanner};
 
 /// Supported torus ranks (the atlas builds 2-D and 3-D tori).
 const MAX_DIMS: usize = 3;
@@ -428,25 +428,7 @@ impl RoutePlanner for TorusSymmetryPlanner {
             // generic search could still connect.
             return fallback(self);
         }
-        let mut routes: Vec<Route> = Vec::new();
-        let mut chosen: HashSet<Route> = HashSet::new();
-        let mut used: HashSet<LinkId> = HashSet::new();
-        while routes.len() < k {
-            let best = pool
-                .iter()
-                .filter(|r| !chosen.contains(*r))
-                .map(|r| {
-                    let links = crate::validate::route_links(topo, from, r).unwrap_or_default();
-                    let overlap = links.iter().filter(|l| used.contains(l)).count();
-                    (overlap, r)
-                })
-                .min_by_key(|&(overlap, _)| overlap);
-            let Some((_, r)) = best else { break };
-            used.extend(crate::validate::route_links(topo, from, r).unwrap_or_default());
-            chosen.insert(*r);
-            routes.push(*r);
-        }
-        routes
+        select_diverse(topo, from, &pool, k)
     }
 
     fn steps(&self) -> u64 {

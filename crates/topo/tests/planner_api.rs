@@ -7,11 +7,8 @@
 //! captured from the pre-trait planner; if any of them moves, the generic
 //! strategy changed behaviour, not just shape.
 
-use san_fabric::{NodeId, Topology};
-use san_topo::{
-    planner_for, validate, GenericDiversePlanner, PlanRequest, PlanTable, RouteCache, RoutePlanner,
-    TopoSpec,
-};
+use san_fabric::{Fnv, NodeId, Topology};
+use san_topo::{planner_for, validate, GenericDiversePlanner, RoutePlanner, TopoSpec};
 
 /// `(spec, k, sampled hosts, fingerprint of the historical plan)`.
 const PINS: &[(&str, usize, usize, u64)] = &[
@@ -21,18 +18,40 @@ const PINS: &[(&str, usize, usize, u64)] = &[
     ("regular:16x4x2:3", 4, 8, 0x3b5171f78bcbd3c7),
 ];
 
-/// Every ordered pair of `hosts`, planned by the generic strategy over a
-/// healthy fabric.
-fn generic_plan(topo: &Topology, hosts: &[NodeId], k: usize) -> PlanTable {
-    GenericDiversePlanner::new()
-        .plan(&PlanRequest {
-            topo,
-            hosts,
-            k,
-            alive: &|_| true,
-            hints: None,
-        })
-        .table
+/// The torus strategy's plans, same sampling and digest as [`PINS`].
+const TORUS_PINS: &[(&str, usize, usize, u64)] = &[
+    ("torus2d:4x4x2", 3, 8, 0x06492cf3de87f085),
+    ("torus3d:4x4x4x1", 4, 8, 0x9eef26f0eec34da7),
+];
+
+/// FNV-1a over every ordered pair of `hosts` in (src, dst) id order:
+/// the pair's ids, candidate count, and each candidate's length and
+/// ports. Disconnected pairs (no candidates) contribute nothing.
+fn plan_fingerprint(p: &mut dyn RoutePlanner, topo: &Topology, hosts: &[NodeId], k: usize) -> u64 {
+    let mut ids = hosts.to_vec();
+    ids.sort();
+    let mut h = Fnv::new();
+    for &a in &ids {
+        for &b in &ids {
+            if a == b {
+                continue;
+            }
+            let routes = p.pair_routes(topo, a, b, k, &|_| true);
+            if routes.is_empty() {
+                continue;
+            }
+            h.u64(a.0 as u64);
+            h.u64(b.0 as u64);
+            h.u64(routes.len() as u64);
+            for r in &routes {
+                h.u64(r.len() as u64);
+                for &port in r.ports() {
+                    h.u64(port as u64);
+                }
+            }
+        }
+    }
+    h.finish()
 }
 
 #[test]
@@ -40,9 +59,9 @@ fn generic_strategy_is_byte_identical_to_historical_plans() {
     for &(spec, k, sample, pin) in PINS {
         let f = TopoSpec::parse(spec).unwrap().build();
         let hosts = validate::sample_hosts(&f.hosts, sample);
-        let table = generic_plan(&f.topo, &hosts, k);
+        let mut p = GenericDiversePlanner::new();
         assert_eq!(
-            table.fingerprint(),
+            plan_fingerprint(&mut p, &f.topo, &hosts, k),
             pin,
             "generic plan for {spec} k={k} diverged from the pre-trait planner"
         );
@@ -50,19 +69,18 @@ fn generic_strategy_is_byte_identical_to_historical_plans() {
 }
 
 #[test]
-fn route_cache_hit_path_serves_the_pinned_plan() {
-    for &(spec, k, sample, pin) in PINS {
-        let f = TopoSpec::parse(spec).unwrap().build();
+fn torus_strategy_is_pinned() {
+    for &(spec, k, sample, pin) in TORUS_PINS {
+        let parsed = TopoSpec::parse(spec).unwrap();
+        let f = parsed.build();
         let hosts = validate::sample_hosts(&f.hosts, sample);
-        let mut cache = RouteCache::new(k);
-        let miss = cache.plan(&f.topo, &hosts, &[]);
-        assert_eq!(miss.fingerprint(), pin, "{spec} miss path");
-        let hit = cache.plan(&f.topo, &hosts, &[]);
-        assert_eq!(hit.fingerprint(), pin, "{spec} hit path");
-        assert!(cache.last_was_hit());
-        assert_eq!(cache.hits.get(), 1);
-        assert_eq!(cache.misses.get(), 1);
-        assert_eq!(cache.strategy(), "generic-diverse");
+        let mut p = planner_for(&parsed);
+        assert_eq!(p.id(), "torus-symmetry");
+        assert_eq!(
+            plan_fingerprint(p.as_mut(), &f.topo, &hosts, k),
+            pin,
+            "torus plan for {spec} k={k} changed"
+        );
     }
 }
 
@@ -74,34 +92,29 @@ fn family_selected_planner_matches_generic_on_non_tori() {
         let hosts = validate::sample_hosts(&f.hosts, 6);
         let mut p = planner_for(&parsed);
         assert_eq!(p.id(), "generic-diverse", "{spec} family must stay generic");
-        let alive = |_| true;
-        let planned = p.plan(&PlanRequest {
-            topo: &f.topo,
-            hosts: &hosts,
-            k: 3,
-            alive: &alive,
-            hints: None,
-        });
         assert_eq!(
-            planned.table.fingerprint(),
-            generic_plan(&f.topo, &hosts, 3).fingerprint()
+            plan_fingerprint(p.as_mut(), &f.topo, &hosts, 3),
+            plan_fingerprint(&mut GenericDiversePlanner::new(), &f.topo, &hosts, 3)
         );
     }
 }
 
 #[test]
-fn spec_selected_cache_uses_torus_strategy() {
+fn spec_selected_planner_uses_torus_strategy() {
     let spec = TopoSpec::parse("torus2d:4x4x2").unwrap();
     let f = spec.build();
-    let mut cache = RouteCache::for_spec(3, &spec);
-    assert_eq!(cache.strategy(), "torus-symmetry");
-    let table = cache.plan(&f.topo, &f.hosts, &[]);
-    assert_eq!(table.len(), f.hosts.len() * (f.hosts.len() - 1));
-    // Every pair still gets a valid primary on the torus strategy.
+    let mut p = planner_for(&spec);
+    assert_eq!(p.id(), "torus-symmetry");
+    // Every pair gets a valid primary on the torus strategy.
     for &a in &f.hosts {
         for &b in &f.hosts {
             if a != b {
-                assert!(table.primary(a, b).is_some());
+                let routes = p.pair_routes(&f.topo, a, b, 3, &|_| true);
+                let primary = routes.first().expect("every torus pair has a primary");
+                assert_eq!(
+                    f.topo.trace_route(a, primary, |_| true),
+                    Some(san_fabric::Endpoint::Host(b))
+                );
             }
         }
     }

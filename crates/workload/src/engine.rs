@@ -1,6 +1,6 @@
 //! The open-loop multi-tenant driver: spec → host agents + shared ledger.
 //!
-//! Every cluster host gets one [`WorkloadHost`] agent. Hosts that source
+//! Every cluster host gets one `WorkloadHost` agent. Hosts that source
 //! tenant streams schedule seeded arrival wakeups; every host posts and
 //! receives through an embedded [`VmmcLib`] (its segmenter on the way
 //! out; reassembly and exactly-once dedup on the way in).

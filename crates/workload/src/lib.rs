@@ -26,7 +26,7 @@
 //! * [`stats`] — per-tenant p50/p99/p999 delivery latency, Jain's
 //!   fairness index over per-tenant delivered bytes, and the
 //!   [`WorkloadReport`] the bench and chaos layers render.
-//! * [`run`] — a one-call library entry: build an atlas fabric, run a
+//! * [`run`](mod@run) — a one-call library entry: build an atlas fabric, run a
 //!   spec over it with the reliability firmware (adaptive knobs
 //!   optional), return the report. `san-bench tenants` is a thin sweep
 //!   around this.

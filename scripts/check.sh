@@ -39,6 +39,9 @@ fi
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (rustdoc warnings are errors: a doc link to a deleted or private item fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo test"
 cargo test --workspace -q
 
