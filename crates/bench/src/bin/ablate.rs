@@ -1,9 +1,13 @@
-//! Ablations of the paper's design choices (DESIGN.md §5):
+//! Ablations of the paper's design choices (DESIGN.md §5), one section
+//! each; the section's name leads its `#tsv` lines:
 //!
-//! 1. single periodic timer vs per-packet timers (AM-II),
-//! 2. go-back-N vs selective retransmission + receiver buffering,
-//! 3. sender-based feedback vs fixed ACK-every-K,
-//! 4. on-demand partial mapping vs mapping the whole network.
+//! 1. `timers`: single periodic timer vs per-packet timers (AM-II),
+//! 2. `selective`: go-back-N vs selective retransmission + receiver
+//!    buffering,
+//! 3. `feedback`: sender-based feedback vs fixed ACK-every-K,
+//! 4. `level`: reliable delivery vs reliable reception,
+//! 5. `burst`: bursty vs uniform errors,
+//! 6. `mapping`: on-demand partial mapping vs mapping the whole network.
 
 use san_bench::{parse_mode, tsv, Stream, StreamRun};
 use san_fabric::{topology, NodeId, Topology};

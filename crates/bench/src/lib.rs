@@ -187,15 +187,13 @@ pub enum Routes {
 }
 
 impl Routes {
-    /// The table a mapped `spec` fabric installs: UP*/DOWN* on the tori and
-    /// random regular fabrics, whose minimal routes form channel cycles that
-    /// wormhole traffic deadlocks on, shortest routes otherwise.
+    /// The table a mapped `spec` fabric installs
+    /// ([`TopoSpec::needs_updown`]).
     pub fn for_spec(spec: &TopoSpec) -> Routes {
-        match spec {
-            TopoSpec::Torus2D { .. } | TopoSpec::Torus3D { .. } | TopoSpec::Regular { .. } => {
-                Routes::UpDown
-            }
-            _ => Routes::Shortest,
+        if spec.needs_updown() {
+            Routes::UpDown
+        } else {
+            Routes::Shortest
         }
     }
 

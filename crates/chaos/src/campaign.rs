@@ -353,11 +353,6 @@ pub struct ProtoSpec {
     /// unreachable, with bounded exponential backoff. Off models a host
     /// that treats `SendFailed` as final (the paper's silent drop).
     pub host_recovery: bool,
-    /// Install UP*/DOWN* routes instead of shortest routes. Required for
-    /// campaigns on cyclic atlas fabrics (tori): minimal routes there form
-    /// channel cycles, and wormhole data traffic would deadlock on its own
-    /// without any injected fault.
-    pub updown_routes: bool,
 }
 
 impl Default for ProtoSpec {
@@ -371,7 +366,6 @@ impl Default for ProtoSpec {
             adaptive_rto: false,
             damping: false,
             host_recovery: true,
-            updown_routes: false,
         }
     }
 }
@@ -399,7 +393,6 @@ impl ProtoSpec {
             ("adaptive_rto", self.adaptive_rto.into()),
             ("damping", self.damping.into()),
             ("host_recovery", self.host_recovery.into()),
-            ("updown_routes", self.updown_routes.into()),
         ])
     }
 
@@ -441,10 +434,6 @@ impl ProtoSpec {
                 .get("host_recovery")
                 .and_then(Json::as_bool)
                 .unwrap_or(d.host_recovery),
-            updown_routes: v
-                .get("updown_routes")
-                .and_then(Json::as_bool)
-                .unwrap_or(d.updown_routes),
         })
     }
 }

@@ -330,7 +330,7 @@ pub fn run_trial_traced(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceSca
         },
         hosts,
     );
-    if trial.protocol.updown_routes {
+    if trial.topology.atlas_spec().needs_updown() {
         cluster.install_updown_routes();
     } else {
         cluster.install_shortest_routes();

@@ -7,7 +7,7 @@ use san_sim::Duration;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FeedbackPolicy {
     /// The paper's sender-based feedback: the request interval scales with
-    /// the free-buffer level — scarce buffers → request on every packet;
+    /// the free-buffer level — scarce buffers → request every 8 packets;
     /// plentiful buffers → request rarely (capacity-proportional interval).
     SenderFeedback,
     /// Ablation baseline: request an ACK every `k` packets regardless of
@@ -89,20 +89,15 @@ pub struct ProtocolConfig {
     /// EXTENSION: adaptive retransmission control. The firmware estimates a
     /// smoothed per-destination RTT (plus variance) from ACK round trips,
     /// excluding samples from retransmitted packets (Karn's rule), and ages
-    /// each queue against `SRTT + 4·RTTVAR` (clamped to
-    /// [`rto_min`, `rto_max`], doubled per consecutive expiry) instead of
+    /// each queue against `SRTT + 4·RTTVAR` (clamped between
+    /// [`crate::RTO_MIN`] and [`crate::RTO_MAX`], doubled per consecutive
+    /// expiry) instead of
     /// the fixed `retx_timeout`. The paper's *single* periodic scan timer
     /// is kept — only the per-queue age threshold (and the scan's own
     /// period, which follows the smallest estimate) adapts. Off by default:
     /// the fixed-timer behavior of the paper is the baseline for every
     /// sweep and ablation.
     pub adaptive_rto: bool,
-    /// Lower clamp for the adaptive age threshold and scan period. Must
-    /// exceed the steady-state cumulative-ACK lag or clean traffic is
-    /// retransmitted spuriously (the paper's 10 µs-timer failure mode).
-    pub rto_min: Duration,
-    /// Upper clamp for the adaptive age threshold (including backoff).
-    pub rto_max: Duration,
     /// EXTENSION: retransmit-storm damping. A timeout-triggered go-back-N
     /// replay halves the per-destination outstanding window (packets
     /// allowed on the wire); clean cumulative ACKs reopen it
@@ -127,8 +122,6 @@ impl Default for ProtocolConfig {
             reliable_reception: false,
             selective_retransmission: false,
             adaptive_rto: false,
-            rto_min: Duration::from_micros(200),
-            rto_max: Duration::from_secs(1),
             window_damping: false,
         }
     }
@@ -308,7 +301,6 @@ mod tests {
                 .with_window_damping()
                 .window_damping
         );
-        assert!(c.rto_min < c.rto_max);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use san_telemetry::TraceKind;
 use crate::config::{MapperConfig, ProtocolConfig};
 use crate::ft_trace;
 use crate::mapper::{MapOutcome, Mapper};
-use crate::proto::{ReceiverState, RxVerdict, SenderState};
+use crate::proto::{ReceiverState, RxVerdict, SenderState, RTO_MAX, RTO_MIN};
 use crate::step::{
     ack_progress, group_ack_due, injector_fires, plan_replay, retry_is_stale, tx_assign,
     unreachable_next, UnreachableNext, MAX_MAP_ATTEMPTS,
@@ -61,7 +61,7 @@ pub struct ReliableFirmware {
     /// non-empty, so the periodic scan visits only those queues.
     queued: Vec<u64>,
     /// Each destination's adaptive base threshold (`SRTT + 4·RTTVAR`
-    /// clamped to [`rto_min`, `rto_max`]), refreshed on every RTT sample;
+    /// clamped between [`RTO_MIN`] and [`RTO_MAX`]), refreshed on every RTT sample;
     /// `None` before the first. The scan period is their minimum.
     base_thresholds: Vec<Option<Duration>>,
     /// The periodic scan's list of non-empty queues, kept across firings
@@ -182,7 +182,7 @@ impl ReliableFirmware {
     /// *smallest* per-destination estimate (no backoff — backoff widens the
     /// age threshold, not the scan), so a 1 s configured timer no longer
     /// means 1 s of blindness; before any RTT sample exists the floor
-    /// `rto_min` is used, because the first samples arrive within the first
+    /// [`RTO_MIN`] is used, because the first samples arrive within the first
     /// round trips — long before the first loss needs detecting.
     fn scan_period(&self) -> Duration {
         if !self.cfg.adaptive_rto {
@@ -193,21 +193,20 @@ impl ReliableFirmware {
             .flatten()
             .min()
             .copied()
-            .unwrap_or(self.cfg.rto_min)
+            .unwrap_or(RTO_MIN)
     }
 
     /// Age past which `dst`'s queue head counts as lost. Fixed mode: the
-    /// configured timer. Adaptive mode: SRTT + 4·RTTVAR clamped to
-    /// [`rto_min`, `rto_max`], doubled per consecutive expiry (Karn).
+    /// configured timer. Adaptive mode: SRTT + 4·RTTVAR clamped
+    /// between [`RTO_MIN`] and [`RTO_MAX`], doubled per consecutive expiry
+    /// (Karn).
     fn age_threshold(&self, dst: NodeId) -> Duration {
         if !self.cfg.adaptive_rto {
             return self.cfg.retx_timeout;
         }
-        self.senders[dst.idx()].rtt.threshold(
-            self.cfg.retx_timeout,
-            self.cfg.rto_min,
-            self.cfg.rto_max,
-        )
+        self.senders[dst.idx()]
+            .rtt
+            .threshold(self.cfg.retx_timeout, RTO_MIN, RTO_MAX)
     }
 
     fn arm_timer(&self, core: &NicCore, ctx: &mut NicCtx) {
@@ -253,8 +252,7 @@ impl ReliableFirmware {
             let clean = s.sample_eligible(newest_seq) && sent_at > Time::ZERO;
             if clean && self.cfg.adaptive_rto {
                 s.rtt.sample(ctx.now().since(sent_at));
-                self.base_thresholds[peer.idx()] =
-                    s.rtt.base_threshold(self.cfg.rto_min, self.cfg.rto_max);
+                self.base_thresholds[peer.idx()] = s.rtt.base_threshold(RTO_MIN, RTO_MAX);
             }
             for b in s.retrans_q.drain(..n_freed) {
                 core.pool.release(b);

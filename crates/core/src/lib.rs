@@ -65,7 +65,9 @@ pub(crate) fn ft_trace(
 pub use config::{FeedbackPolicy, MapperConfig, ProtocolConfig};
 pub use firmware::ReliableFirmware;
 pub use mapper::{MapStats, Mapper};
-pub use proto::{ReceiverState, RttEstimator, SenderState, MAX_RTO_BACKOFF, MIN_CWND};
+pub use proto::{
+    ReceiverState, RttEstimator, SenderState, MAX_RTO_BACKOFF, MIN_CWND, RTO_MAX, RTO_MIN,
+};
 pub use seq::{gen_newer, seq_leq, seq_lt};
 pub use step::{
     ack_progress, group_ack_due, injector_fires, plan_replay, retry_is_stale, tx_assign,

@@ -13,8 +13,16 @@ use san_sim::{Duration, Time};
 use crate::image_fields;
 use crate::seq::{gen_newer, seq_leq};
 
+/// Lower clamp for the adaptive age threshold and scan period. It must
+/// exceed the steady-state cumulative-ACK lag or clean traffic is
+/// retransmitted spuriously (the paper's 10 µs-timer failure mode).
+pub const RTO_MIN: Duration = Duration::from_micros(200);
+
+/// Upper clamp for the adaptive age threshold, backoff included.
+pub const RTO_MAX: Duration = Duration::from_secs(1);
+
 /// Cap on the consecutive-expiry backoff shift: the threshold never grows
-/// by more than 2⁶ over the base estimate (the clamp to `rto_max` binds
+/// by more than 2⁶ over the base estimate (the clamp to [`RTO_MAX`] binds
 /// first anyway).
 pub const MAX_RTO_BACKOFF: u32 = 6;
 

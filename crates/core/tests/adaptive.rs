@@ -203,45 +203,6 @@ fn send_failed_exactly_once_per_msg_id() {
     assert_eq!(ids, vec![7, 8, 9], "no stale duplicates after repair");
 }
 
-/// Deliveries fingerprint: ids and timestamps of everything the collector
-/// saw plus the send-side counters that summarize the wire history.
-fn run_fingerprint(proto: ProtocolConfig) -> (Vec<(u64, u64)>, u64, u64, u64) {
-    let (topo, _a, _b) = topology::pair_via_switch();
-    let ib = inbox();
-    let n = 200u64;
-    let hosts: Vec<Box<dyn HostAgent>> = vec![
-        Box::new(StreamSender::new(NodeId(1), 1024, n)),
-        Box::new(Collector(ib.clone())),
-    ];
-    let mut c = ft_cluster(topo, ClusterConfig::default(), proto, hosts);
-    c.install_shortest_routes();
-    assert!(run_until_quiet(&mut c, &ib, n as usize, Time::from_secs(2)));
-    let deliveries = ib
-        .borrow()
-        .iter()
-        .map(|p| (p.msg_id, p.stamps.host_seen.nanos()))
-        .collect();
-    let s = &c.nics[0].core.stats;
-    (
-        deliveries,
-        s.packets_tx.get(),
-        s.retransmits.get(),
-        s.acks_tx.get(),
-    )
-}
-
-#[test]
-fn fixed_mode_ignores_adaptive_knobs_byte_identically() {
-    // With `adaptive_rto` and `window_damping` off, the clamp knobs must be
-    // completely inert: same deliveries at the same nanoseconds, same wire
-    // history — the paper baseline is untouched by this extension.
-    let base = ProtocolConfig::default().with_error_rate(1.0 / 20.0);
-    let mut tweaked = base.clone();
-    tweaked.rto_min = Duration::from_micros(1);
-    tweaked.rto_max = Duration::from_secs(30);
-    assert_eq!(run_fingerprint(base), run_fingerprint(tweaked));
-}
-
 #[test]
 fn adaptive_mode_survives_brutal_error_rate_exactly_once() {
     // Sanity under fire: 1-in-20 injected drops with the full adaptive

@@ -90,13 +90,10 @@ pub enum FabricEvent {
     RemoveLink { link: LinkId },
     /// Live reconfiguration: de-rack a whole switch (all its links detach).
     RemoveSwitch { switch: SwitchId },
-    /// Notification that a reconfiguration epoch completed, with the
-    /// wiring fingerprints before and after it.
-    Reconfigured {
-        epoch: u64,
-        old_fp: u64,
-        new_fp: u64,
-    },
+    /// Notification that a reconfiguration epoch completed. It carries
+    /// nothing; it stays because it takes a queue sequence number, which
+    /// orders every later tie.
+    Reconfigured,
 }
 
 /// Uninhabited: no flight ever leaves the serial engine. Kept only because
@@ -687,7 +684,7 @@ impl Engine {
                 let _ = self.shrink_switch(sim, switch, out);
             }
             // Pure notification: the mutation that produced it already ran.
-            FabricEvent::Reconfigured { .. } => {}
+            FabricEvent::Reconfigured => {}
         }
     }
 
@@ -977,8 +974,7 @@ impl Engine {
     /// Seal one wiring mutation: advance the epoch, record the trace
     /// event with the new fingerprint, and emit a
     /// [`FabricEvent::Reconfigured`] notification at the current instant.
-    fn finish_reconfig<E: From<FabricEvent>>(&mut self, sim: &mut Sim<E>, old_fp: u64) -> u64 {
-        let new_fp = fingerprint_topology(&self.topo);
+    fn finish_reconfig<E: From<FabricEvent>>(&mut self, sim: &mut Sim<E>) -> u64 {
         self.reconfig_epoch += 1;
         let epoch = self.reconfig_epoch;
         self.rmetrics.epochs.hit();
@@ -991,18 +987,10 @@ impl Engine {
             dst: 0,
             generation: 0,
             seq: epoch as u32,
-            aux: new_fp,
+            aux: fingerprint_topology(&self.topo),
         });
         let now = sim.now();
-        sim.schedule(
-            now,
-            FabricEvent::Reconfigured {
-                epoch,
-                old_fp,
-                new_fp,
-            }
-            .into(),
-        );
+        sim.schedule(now, FabricEvent::Reconfigured.into());
         epoch
     }
 
@@ -1046,11 +1034,10 @@ impl Engine {
         b: Endpoint,
         _out: &mut Vec<FabricOut>,
     ) -> Result<LinkId, WireError> {
-        let old_fp = fingerprint_topology(&self.topo);
         let id = self.topo.try_connect(a, b)?;
         self.provision_link_state(id);
         self.rmetrics.links_added.hit();
-        self.finish_reconfig(sim, old_fp);
+        self.finish_reconfig(sim);
         Ok(id)
     }
 
@@ -1077,7 +1064,6 @@ impl Engine {
         out: &mut Vec<FabricOut>,
     ) -> Option<Link> {
         self.topo.try_link(link)?;
-        let old_fp = fingerprint_topology(&self.topo);
         let lost = self.count_flights_on(|ch| LinkId(ch / 2) == link);
         self.rmetrics.inflight_lost.add(lost);
         self.set_link_alive(sim, link, false, out);
@@ -1089,7 +1075,7 @@ impl Engine {
         }
         let gone = self.topo.disconnect(link);
         self.rmetrics.links_removed.hit();
-        self.finish_reconfig(sim, old_fp);
+        self.finish_reconfig(sim);
         Some(gone)
     }
 
@@ -1103,7 +1089,6 @@ impl Engine {
         s: SwitchId,
         out: &mut Vec<FabricOut>,
     ) -> u64 {
-        let old_fp = fingerprint_topology(&self.topo);
         let incident: Vec<LinkId> = self
             .topo
             .links()
@@ -1130,6 +1115,6 @@ impl Engine {
             self.topo.disconnect(link);
             self.rmetrics.links_removed.hit();
         }
-        self.finish_reconfig(sim, old_fp)
+        self.finish_reconfig(sim)
     }
 }

@@ -6,8 +6,7 @@
 //! The digest lives here (rather than in `san-topo`, where it was born)
 //! because live reconfiguration makes the fabric engine itself a
 //! fingerprint producer: every mutation records the new fingerprint in its
-//! `Reconfig` trace event and reports the fingerprints on both sides of
-//! the change in a `FabricEvent::Reconfigured` notification.
+//! `Reconfig` trace event.
 
 use crate::ids::SwitchId;
 use crate::topology::Topology;

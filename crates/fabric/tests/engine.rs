@@ -324,12 +324,7 @@ fn reset_checks_keep_injection_order_among_ties() {
         );
     }
     let deadline = Time::from_millis(1);
-    let marker = FabricEvent::Reconfigured {
-        epoch: 0,
-        old_fp: 0,
-        new_fp: 0,
-    };
-    sim.schedule(deadline, marker);
+    sim.schedule(deadline, FabricEvent::Reconfigured);
     let mut at_deadline = Vec::new();
     while let Some((t, ev)) = sim.pop() {
         if t == deadline {

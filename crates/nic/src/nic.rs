@@ -288,9 +288,9 @@ impl NicCore {
         let pool = SendPool::new(send_bufs, recv_ring).expect("NIC configuration exceeds SRAM");
         Self {
             node,
-            cpu: Resource::new("lanai"),
-            host_dma: Resource::new("pci-dma"),
-            net_tx: Resource::new("net-tx"),
+            cpu: Resource::default(),
+            host_dma: Resource::default(),
+            net_tx: Resource::default(),
             pool,
             pending: VecDeque::new(),
             routes: RouteTable::new(n_nodes),

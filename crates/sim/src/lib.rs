@@ -21,8 +21,8 @@
 //! configuration must produce bit-identical results, because the paper's
 //! parameter sweeps (Figures 5–9) compare dozens of configurations and any
 //! run-to-run jitter would drown the effects being measured. The wheel breaks
-//! ties on `(time, insertion sequence)` and the RNG is an explicitly seeded
-//! [`rand::rngs::SmallRng`].
+//! ties on `(time, insertion sequence)` and the RNG, [`SimRng`], is an
+//! explicitly seeded xoshiro256++ stream defined in this crate.
 
 pub mod fanout;
 pub mod histogram;

@@ -9,38 +9,20 @@
 
 use crate::time::{Duration, Time};
 
-/// A serially shared unit with FIFO service order.
-#[derive(Debug, Clone)]
+/// A serially shared unit with FIFO service order; a new one is idle.
+#[derive(Debug, Clone, Default)]
 pub struct Resource {
-    name: &'static str,
     free_at: Time,
-    busy_total: Duration,
-    ops: u64,
 }
 
 impl Resource {
-    /// A new, idle resource. The name appears in diagnostics only.
-    pub fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            free_at: Time::ZERO,
-            busy_total: Duration::ZERO,
-            ops: 0,
-        }
-    }
-
     /// Reserve the unit at `now` for `cost`; returns the completion instant.
     ///
     /// The reservation starts when the unit is free, so completion is
     /// `max(now, free) + cost`.
     #[inline]
     pub fn acquire(&mut self, now: Time, cost: Duration) -> Time {
-        let start = now.max(self.free_at);
-        let done = start + cost;
-        self.free_at = done;
-        self.busy_total += cost;
-        self.ops += 1;
-        done
+        self.acquire_window(now, cost).1
     }
 
     /// Like [`Resource::acquire`], but also returns the instant the
@@ -50,55 +32,14 @@ impl Resource {
     #[inline]
     pub fn acquire_window(&mut self, now: Time, cost: Duration) -> (Time, Time) {
         let start = now.max(self.free_at);
-        let done = start + cost;
-        self.free_at = done;
-        self.busy_total += cost;
-        self.ops += 1;
-        (start, done)
-    }
-
-    /// Completion instant if an operation of `cost` were issued at `now`,
-    /// without reserving.
-    #[inline]
-    pub fn peek(&self, now: Time, cost: Duration) -> Time {
-        now.max(self.free_at) + cost
+        self.free_at = start + cost;
+        (start, self.free_at)
     }
 
     /// Instant at which the unit next becomes idle.
     #[inline]
     pub fn free_at(&self) -> Time {
         self.free_at
-    }
-
-    /// True if the unit is idle at `now`.
-    #[inline]
-    pub fn idle_at(&self, now: Time) -> bool {
-        self.free_at <= now
-    }
-
-    /// Cumulative busy time (occupancy accounting for utilization reports).
-    #[inline]
-    pub fn busy_total(&self) -> Duration {
-        self.busy_total
-    }
-
-    /// Number of operations served.
-    #[inline]
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Utilization in `[0,1]` over the window `[0, now]`.
-    pub fn utilization(&self, now: Time) -> f64 {
-        if now == Time::ZERO {
-            return 0.0;
-        }
-        self.busy_total.nanos() as f64 / now.nanos() as f64
-    }
-
-    /// Diagnostic name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -108,7 +49,7 @@ mod tests {
 
     #[test]
     fn acquire_when_idle_starts_immediately() {
-        let mut r = Resource::new("cpu");
+        let mut r = Resource::default();
         let done = r.acquire(Time::from_nanos(100), Duration::from_nanos(50));
         assert_eq!(done, Time::from_nanos(150));
         assert_eq!(r.free_at(), Time::from_nanos(150));
@@ -116,7 +57,7 @@ mod tests {
 
     #[test]
     fn acquire_when_busy_queues() {
-        let mut r = Resource::new("dma");
+        let mut r = Resource::default();
         r.acquire(Time::from_nanos(0), Duration::from_nanos(100));
         let done = r.acquire(Time::from_nanos(10), Duration::from_nanos(30));
         assert_eq!(
@@ -124,27 +65,5 @@ mod tests {
             Time::from_nanos(130),
             "second op must wait for the first"
         );
-    }
-
-    #[test]
-    fn peek_does_not_reserve() {
-        let mut r = Resource::new("pci");
-        let p = r.peek(Time::from_nanos(5), Duration::from_nanos(10));
-        assert_eq!(p, Time::from_nanos(15));
-        assert!(r.idle_at(Time::from_nanos(5)));
-        assert_eq!(r.ops(), 0);
-        r.acquire(Time::from_nanos(5), Duration::from_nanos(10));
-        assert_eq!(r.ops(), 1);
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut r = Resource::new("cpu");
-        r.acquire(Time::ZERO, Duration::from_nanos(25));
-        r.acquire(Time::from_nanos(50), Duration::from_nanos(25));
-        assert_eq!(r.busy_total(), Duration::from_nanos(50));
-        let u = r.utilization(Time::from_nanos(100));
-        assert!((u - 0.5).abs() < 1e-12);
-        assert_eq!(Resource::new("x").utilization(Time::ZERO), 0.0);
     }
 }

@@ -182,6 +182,17 @@ impl TopoSpec {
         }
     }
 
+    /// The routing discipline a cluster on this fabric installs: UP*/DOWN*
+    /// on the tori and random regular fabrics, whose minimal routes form
+    /// channel cycles that wormhole traffic deadlocks on, shortest routes
+    /// otherwise.
+    pub fn needs_updown(&self) -> bool {
+        matches!(
+            self.class(),
+            TopoClass::Torus2D | TopoClass::Torus3D | TopoClass::Regular
+        )
+    }
+
     /// The stable string form, `parse`'s inverse.
     pub fn format(&self) -> String {
         match *self {

@@ -13,7 +13,7 @@ use san_ft::{MapperConfig, ProtocolConfig, ReliableFirmware};
 use san_nic::{Cluster, ClusterConfig, Firmware};
 use san_sim::{Duration, Time};
 use san_telemetry::Telemetry;
-use san_topo::{TopoClass, TopoSpec};
+use san_topo::TopoSpec;
 
 use crate::engine::{build_hosts, WorkloadOptions};
 use crate::spec::WorkloadSpec;
@@ -116,13 +116,10 @@ pub fn run(cfg: &RunConfig) -> WorkloadReport {
         },
         agents,
     );
-    // Cyclic fabrics (tori, near-regular graphs) need deadlock-free
-    // up*/down* routes; everything else takes shortest paths.
-    match cfg.topo.class() {
-        TopoClass::Torus2D | TopoClass::Torus3D | TopoClass::Regular => {
-            cluster.install_updown_routes()
-        }
-        _ => cluster.install_shortest_routes(),
+    if cfg.topo.needs_updown() {
+        cluster.install_updown_routes();
+    } else {
+        cluster.install_shortest_routes();
     }
     if cfg.loss > 0.0 || cfg.corrupt > 0.0 {
         cluster.engine.set_transient_faults(

@@ -36,6 +36,34 @@ if grep -rnE 'Arc<|Arc::|Mutex|RwLock|Atomic[A-Z]' crates/*/src | grep -v '^crat
     exit 1
 fi
 
+echo "== no unused dependency edges ([dependencies] are imported by src/, [dev-dependencies] by the package)"
+# An edge counts as used when some file names the crate as `ident::` or
+# `use ident`; the lines printed are the manifest lines to delete or move.
+unused=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    section= lineno=0
+    while IFS= read -r line; do
+        lineno=$((lineno + 1))
+        if [[ $line == '['* ]]; then section=$line; continue; fi
+        [[ $line =~ ^([A-Za-z0-9_-]+)[[:space:]]*= ]] || continue
+        case "$section" in
+            '[dependencies]') dirs=("$dir/src") ;;
+            '[dev-dependencies]') dirs=("$dir/src" "$dir/tests" "$dir/examples" "$dir/benches") ;;
+            *) continue ;;
+        esac
+        ident=${BASH_REMATCH[1]//-/_}
+        if ! grep -rqsE --include='*.rs' "\\b${ident}::|use ${ident}\\b" "${dirs[@]}"; then
+            echo "$manifest:$lineno: $line (nothing under ${dirs[*]} imports $ident)"
+            unused=1
+        fi
+    done < "$manifest"
+done
+if [ "$unused" -ne 0 ]; then
+    echo "ERROR: the manifest lines above name a crate nothing imports; delete them, or move a test-only dependency to [dev-dependencies]" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -20,7 +20,7 @@
 //! * [`telemetry`] — cross-layer metrics registry, trace ring and
 //!   packet-lifecycle reconstruction,
 //! * [`topo`] — large-scale topology atlas, structural validators and the
-//!   multipath route planner + cache.
+//!   multipath route planner.
 //!
 //! ```
 //! use san_repro::prelude::*;
