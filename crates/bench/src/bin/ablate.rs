@@ -217,7 +217,7 @@ fn main() {
                 t += slice;
             }
             let done = stt.borrow().done;
-            let last = stt.borrow().received.iter().map(|d| d.completed_at).max();
+            let last = stt.borrow().last_completed;
             let mbps = match (done, last) {
                 (true, Some(last)) => {
                     (msgs * 4096) as f64 / last.since(Time::ZERO).as_secs_f64() / 1e6

@@ -1,8 +1,10 @@
 //! Exact byte images of the model's protocol state.
 //!
 //! `san-mc` keeps every state it has discovered but not yet expanded as
-//! one image, and unpacks it into a reused state when its turn comes.
-//! An image holds every field — absolute sequence numbers, generations,
+//! an image cut into sections (one per node, one per channel, one for
+//! the rest), each distinct section stored once, and unpacks the
+//! sections that differ into a reused state when its turn comes. An
+//! image holds every field — absolute sequence numbers, generations,
 //! pool slots, times — so unpacking restores the state exactly. The
 //! checker's canonical key is smaller but erases what a counterexample
 //! still needs. Integers and lengths are LEB128 varints. The firmware
@@ -43,18 +45,19 @@ macro_rules! image_fields {
     };
 }
 
-/// Replace `out` with the image of `v`.
-pub fn pack_into<T: Image>(v: &T, out: &mut Vec<u8>) {
-    out.clear();
-    v.pack(out);
-}
-
 /// Overwrite `v` with the value imaged in `bytes`, which must hold
 /// exactly one image. A malformed image is a bug in its packer: this
 /// panics on one.
 pub fn unpack_from<T: Image>(v: &mut T, bytes: &[u8]) {
+    unpack_with(bytes, |r| v.unpack(r));
+}
+
+/// Run `read` over a cursor on `bytes`, which it must read to the end:
+/// for an image of several values packed one after another. Panics on
+/// bytes left over, as [`unpack_from`] does.
+pub fn unpack_with(bytes: &[u8], read: impl FnOnce(&mut Reader<'_>)) {
     let mut r = Reader { rest: bytes };
-    v.unpack(&mut r);
+    read(&mut r);
     assert!(
         r.rest.is_empty(),
         "{} bytes left over after unpacking an image",
@@ -249,7 +252,7 @@ mod tests {
 
     fn roundtrip<T: Image + Default + PartialEq + std::fmt::Debug>(v: T) -> usize {
         let mut bytes = Vec::new();
-        pack_into(&v, &mut bytes);
+        v.pack(&mut bytes);
         let mut back = T::default();
         unpack_from(&mut back, &bytes);
         assert_eq!(back, v);
@@ -274,11 +277,12 @@ mod tests {
     fn containers_refill_from_scratch() {
         let mut q: VecDeque<u32> = VecDeque::from([9, 9, 9]);
         let mut bytes = Vec::new();
-        pack_into(&VecDeque::from([1u32, 2]), &mut bytes);
+        VecDeque::from([1u32, 2]).pack(&mut bytes);
         unpack_from(&mut q, &bytes);
         assert_eq!(q, [1, 2]);
         let mut v: Vec<Option<u64>> = vec![Some(5), None, Some(7)];
-        pack_into(&vec![None, Some(u64::MAX)], &mut bytes);
+        bytes.clear();
+        vec![None, Some(u64::MAX)].pack(&mut bytes);
         unpack_from(&mut v, &bytes);
         assert_eq!(v, [None, Some(u64::MAX)]);
     }

@@ -17,7 +17,8 @@
 //! with `--sim`, its environment schedule against the real simulator); it
 //! exits 1 at the first event the model does not enable there.
 //! `stats` prints per-config state-space sizes, the peak BFS frontier, the
-//! visited set's bytes per state and throughput.
+//! visited set's bytes per state, the frontier's bytes per queued state
+//! at its peak and throughput.
 
 use std::process::ExitCode;
 
@@ -88,7 +89,8 @@ fn cmd_list() -> ExitCode {
 const LEAK_INVARIANT: &str = "descriptor-conservation";
 
 /// One line of verdict per config run: the counts, the peak frontier,
-/// the visited set's bytes per state, the seconds and the verdict. With
+/// the visited set's bytes per state, the frontier's bytes per queued
+/// state at its peak, the seconds and the verdict. With
 /// `invariant` set, an expected counterexample must break that invariant.
 fn report_line(
     r: &san_mc::CheckReport,
@@ -106,7 +108,7 @@ fn report_line(
         (None, false, false) => (true, "VERIFIED"),
     };
     let line = format!(
-        "{:<8} {:>9} states {:>10} transitions depth {:<3} dedup {:>9} frontier {:>7} {:>6.1} B/state {:>8.2}s  {}",
+        "{:<8} {:>9} states {:>10} transitions depth {:<3} dedup {:>9} frontier {:>7} {:>6.1} B/state {:>6.1} B/queued {:>8.2}s  {}",
         r.config,
         r.states,
         r.transitions,
@@ -114,6 +116,7 @@ fn report_line(
         r.dedup_hits,
         r.frontier_peak,
         r.visited_bytes_per_state(),
+        r.frontier_bytes_per_state(),
         r.elapsed_secs,
         verdict.1
     );
@@ -290,7 +293,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         return code;
     }
     println!(
-        "{:<8} {:>10} {:>12} {:>7} {:>10} {:>9} {:>8} {:>12} {:>9}",
+        "{:<8} {:>10} {:>12} {:>7} {:>10} {:>9} {:>8} {:>9} {:>12} {:>9}",
         "config",
         "states",
         "transitions",
@@ -298,6 +301,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         "dedup",
         "frontier",
         "B/state",
+        "B/queued",
         "states/sec",
         "seconds"
     );
@@ -305,7 +309,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         let tel = Telemetry::new();
         let report = check(cfg, &CheckOpts::default(), &tel);
         println!(
-            "{:<8} {:>10} {:>12} {:>7} {:>10} {:>9} {:>8.1} {:>12} {:>9.2}",
+            "{:<8} {:>10} {:>12} {:>7} {:>10} {:>9} {:>8.1} {:>9.1} {:>12} {:>9.2}",
             report.config,
             report.states,
             report.transitions,
@@ -313,6 +317,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
             report.dedup_hits,
             report.frontier_peak,
             report.visited_bytes_per_state(),
+            report.frontier_bytes_per_state(),
             tel.gauge("mc.states_per_sec").get(),
             report.elapsed_secs
         );

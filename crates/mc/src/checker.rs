@@ -10,25 +10,34 @@
 //! its event list, which replays through [`crate::trace::replay_model`]
 //! and (for environment-level events) [`crate::simreplay`].
 //!
-//! The frontier holds each discovered, unexpanded state as one exact
-//! byte image ([`san_ft::image`]), not as a `SysState`: a popped image is
-//! unpacked into one reused state and expanded from there. The image is
-//! exact, not the canonical key. The key erases channel order under
+//! The [`Frontier`] holds each discovered, unexpanded state collapsed the
+//! same way: its exact byte image ([`san_ft::image`]) is cut into one
+//! section per node, one per ordered channel and one for the remaining
+//! fields, each distinct section is interned once, and the queue holds
+//! the section ids. A popped state is unpacked into one reused
+//! `SysState`, section by section, and expanded from there. The image
+//! is exact, not the canonical key. The key erases channel order under
 //! reordering, absolute seqs and generations, pool slot ids and the
 //! fields the model does not read yet; counterexample events and
 //! violation details need all of them.
+//!
+//! Ids are handed out in discovery order and the frontier is FIFO, so
+//! states pop in id order and the queue holds no id. The parent map
+//! keeps a parent and an event per state, 8 bytes; a state's depth is
+//! its BFS level, which ends at the state count seen when the level's
+//! first state is popped.
 
 use std::collections::VecDeque;
+use std::mem::size_of;
 use std::time::Instant;
 
-use san_ft::image::{pack_into, unpack_from};
 use san_telemetry::Telemetry;
 
 use crate::invariant::check_state;
 use crate::model::{
     apply_in_place, enabled_into, encode_into, McConfig, McEvent, SysState, Violation,
 };
-use crate::visited::Visited;
+use crate::visited::{Interner, Visited};
 
 /// Search budgets and switches.
 #[derive(Debug, Clone)]
@@ -79,6 +88,9 @@ pub struct CheckReport {
     /// expansion, starting at 1 for the initial state (0 when the initial
     /// state already violates an invariant).
     pub frontier_peak: usize,
+    /// Bytes the frontier held when it first reached its peak: its queued
+    /// section ids and its section arena, bounds and table.
+    pub frontier_bytes: usize,
     /// True when a budget stopped the search before exhaustion.
     pub truncated: bool,
     /// Bytes the visited set holds at the end: its section and tuple
@@ -100,19 +112,105 @@ impl CheckReport {
     pub fn visited_bytes_per_state(&self) -> f64 {
         self.visited_bytes as f64 / self.states.max(1) as f64
     }
+
+    /// Bytes the frontier held per queued state at its peak.
+    pub fn frontier_bytes_per_state(&self) -> f64 {
+        self.frontier_bytes as f64 / self.frontier_peak.max(1) as f64
+    }
 }
 
-/// Parent-map entry: how state `id` was first reached.
+/// The breadth-first frontier, collapse-compressed like the visited set:
+/// a queued state is its tuple of image-section ids, and each distinct
+/// section is stored once. States pop in the order they were pushed.
+pub struct Frontier {
+    sections: Interner,
+    /// Sections per state.
+    k: usize,
+    /// `k` section ids per queued state, oldest state first.
+    queue: VecDeque<u32>,
+    /// The section ids the last [`Frontier::pop`] wrote, `u32::MAX` (never
+    /// an interned id) before the first.
+    held: Vec<u32>,
+    /// The image being pushed and the end of each of its sections.
+    image: Vec<u8>,
+    cuts: Vec<usize>,
+}
+
+impl Frontier {
+    /// An empty frontier for states of `cfg`.
+    pub fn new(cfg: &McConfig) -> Self {
+        let k = SysState::image_sections(cfg);
+        Self {
+            sections: Interner::new(),
+            k,
+            queue: VecDeque::new(),
+            held: vec![u32::MAX; k],
+            image: Vec::new(),
+            cuts: Vec::new(),
+        }
+    }
+
+    /// Queue `st` behind every state queued before it.
+    pub fn push(&mut self, st: &SysState) {
+        st.pack_sections(&mut self.image, &mut self.cuts);
+        assert_eq!(
+            self.cuts.len(),
+            self.k,
+            "a state image has {} sections",
+            self.k
+        );
+        let mut start = 0;
+        for &end in &self.cuts {
+            let id = self.sections.intern(&self.image[start..end]);
+            self.queue.push_back(id);
+            start = end;
+        }
+    }
+
+    /// Dequeue the oldest state into `st`; false when none is queued.
+    ///
+    /// `st` must hold what the previous pop wrote, unchanged since (any
+    /// state before the first pop): only the sections whose ids differ
+    /// from the previous pop's are unpacked. Images are exact, so an equal
+    /// id means equal bytes and so equal field values.
+    pub fn pop(&mut self, st: &mut SysState) -> bool {
+        if self.queue.is_empty() {
+            return false;
+        }
+        for (i, held) in self.held.iter_mut().enumerate() {
+            let id = self.queue.pop_front().expect("k ids per queued state");
+            if id != *held {
+                st.unpack_section(i, self.sections.get(id));
+                *held = id;
+            }
+        }
+        true
+    }
+
+    /// States queued.
+    pub(crate) fn len(&self) -> usize {
+        self.queue.len() / self.k
+    }
+
+    /// Bytes held: the queued section ids and the section arena, bounds
+    /// and table, counted as [`CheckReport::visited_bytes`] is.
+    pub(crate) fn bytes(&self) -> usize {
+        self.queue.len() * size_of::<u32>() + self.sections.bytes()
+    }
+}
+
+/// Parent-map entry: how a state other than the root was first reached.
 struct Reached {
     parent: u32,
     via: McEvent,
-    depth: u32,
 }
 
-/// Walk the parent map back from `id` to the root.
-fn trace_to(reached: &[Option<Reached>], mut id: u32) -> Vec<McEvent> {
+/// Walk the parent map back from `id` to the root. `reached[i]` is how
+/// state `i + 1` was reached.
+fn trace_to(reached: &[Reached], mut id: u32) -> Vec<McEvent> {
     let mut evs = Vec::new();
-    while let Some(r) = &reached[id as usize] {
+    while id > 0 {
+        let r = &reached[id as usize - 1];
         evs.push(r.via);
         id = r.parent;
     }
@@ -139,6 +237,7 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
         dedup_hits: 0,
         max_depth_seen: 0,
         frontier_peak: 0,
+        frontier_bytes: 0,
         truncated: false,
         visited_bytes: 0,
         counterexample: None,
@@ -148,28 +247,27 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
     if let Err(e) = cfg.validate() {
         panic!("invalid model-checker config `{}`: {e}", cfg.name);
     }
-    // The state being expanded: each popped image is unpacked over it.
+    // The state being expanded: each popped state is unpacked over it.
     let mut st = SysState::initial(cfg);
     // Invariants must hold in the initial state too.
     let init_viols = check_state(cfg, &st);
-    let mut reached: Vec<Option<Reached>> = Vec::new();
-    let mut frontier: VecDeque<(u32, Box<[u8]>)> = VecDeque::new();
+    let mut reached: Vec<Reached> = Vec::new();
+    let mut frontier = Frontier::new(cfg);
     // Every transition is expanded into this one scratch successor and
-    // encoded into one reused key; the visited set copies only the
-    // sections it has not seen into its arenas, and only a state not seen
-    // before gets an exact-size frontier image, so the ~84% of
-    // transitions that land on a visited state allocate nothing.
+    // encoded into one reused key; the visited set and the frontier copy
+    // only the sections they have not seen into their arenas, so the ~84%
+    // of transitions that land on a visited state allocate nothing, and
+    // neither does queueing a new one, once the arenas and queues have
+    // grown.
     let mut succ = st.clone();
     let mut key: Vec<u8> = Vec::new();
     let mut cuts: Vec<usize> = Vec::new();
-    let mut image: Vec<u8> = Vec::new();
     let mut evs: Vec<McEvent> = Vec::new();
     let mut actions = Vec::new();
     let mut viols: Vec<Violation> = Vec::new();
     encode_into(cfg, &st, &mut key, &mut cuts);
     let mut visited = Visited::new(cuts.len());
     visited.insert(&key, &cuts);
-    reached.push(None);
     report.states = 1;
     c_states.hit();
     if let Some(v) = init_viols.into_iter().next() {
@@ -181,14 +279,19 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
         report.elapsed_secs = t0.elapsed().as_secs_f64();
         return report;
     }
-    pack_into(&st, &mut image);
-    frontier.push_back((0, image.as_slice().into()));
+    frontier.push(&st);
     report.frontier_peak = 1;
+    report.frontier_bytes = frontier.bytes();
+    // The next state to pop, and the BFS level it is on: level `depth`
+    // holds the ids below `level_end`.
+    let (mut id, mut depth, mut level_end) = (0u32, 0usize, 1u32);
 
-    'search: while let Some((id, packed)) = frontier.pop_front() {
-        unpack_from(&mut st, &packed);
-        let depth = reached[id as usize].as_ref().map_or(0, |r| r.depth);
-        report.max_depth_seen = report.max_depth_seen.max(depth as usize);
+    'search: while frontier.pop(&mut st) {
+        if id == level_end {
+            depth += 1;
+            level_end = report.states as u32;
+        }
+        report.max_depth_seen = depth;
         if opts.liveness {
             if let Err(detail) = recovery_converges(cfg, &st) {
                 report.counterexample = Some(Counterexample {
@@ -201,8 +304,9 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
                 break 'search;
             }
         }
-        if depth as usize >= opts.max_depth {
+        if depth >= opts.max_depth {
             report.truncated = true;
+            id += 1;
             continue;
         }
         enabled_into(cfg, &st, &mut evs);
@@ -227,12 +331,10 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
                 c_dedup.hit();
                 continue;
             }
-            let succ_id = reached.len() as u32;
-            reached.push(Some(Reached {
+            reached.push(Reached {
                 parent: id,
                 via: ev,
-                depth: depth + 1,
-            }));
+            });
             report.states += 1;
             c_states.hit();
             if report.states.is_multiple_of(4096) {
@@ -245,13 +347,16 @@ pub fn check(cfg: &McConfig, opts: &CheckOpts, tel: &Telemetry) -> CheckReport {
                 report.truncated = true;
                 break 'search;
             }
-            pack_into(&succ, &mut image);
-            frontier.push_back((succ_id, image.as_slice().into()));
+            frontier.push(&succ);
         }
-        report.frontier_peak = report.frontier_peak.max(frontier.len());
+        if frontier.len() > report.frontier_peak {
+            report.frontier_peak = frontier.len();
+            report.frontier_bytes = frontier.bytes();
+        }
+        id += 1;
     }
 
-    debug_assert_eq!(visited.len(), reached.len());
+    debug_assert_eq!(visited.len(), reached.len() + 1);
     report.visited_bytes = visited.bytes();
     report.elapsed_secs = t0.elapsed().as_secs_f64();
     g_frontier.set(frontier.len() as i64);

@@ -32,7 +32,7 @@ pub mod simreplay;
 pub mod trace;
 mod visited;
 
-pub use checker::{check, recovery_converges, CheckOpts, CheckReport, Counterexample};
+pub use checker::{check, recovery_converges, CheckOpts, CheckReport, Counterexample, Frontier};
 pub use invariant::check_state;
 pub use model::{
     apply, apply_in_place, enabled, enabled_into, encode, encode_into, Chan, McConfig, McEvent,

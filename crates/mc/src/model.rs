@@ -14,6 +14,7 @@
 //! bound the adversary and, together with the bounded channels and
 //! message counts, make the reachable state space finite.
 
+use san_ft::image::{unpack_from, unpack_with, Image};
 use san_ft::step::{
     FaultKnobs, ModelPacket, NodeAction, NodeEvent, NodeModel, NodeState, ProtocolStep,
 };
@@ -428,19 +429,84 @@ impl Clone for SysState {
     }
 }
 
-// The checker's frontier image: every field, absolute values included
-// (see `san_ft::image`).
-image_fields!(SysState {
-    nodes,
-    chans,
-    posted,
-    delivered_mask,
-    gen_delivered_mask,
-    failed_mask,
-    last_delivered,
-    last_dep_gen,
-    used,
-});
+/// The checker's frontier image of a state: every field, absolute values
+/// included (see `san_ft::image`), cut into sections that the frontier
+/// interns one by one. Each node is one section, each ordered channel one,
+/// and the remaining fields one more: 7 sections on two nodes, 13 on
+/// three.
+impl SysState {
+    /// Sections in the image of a state under `cfg`.
+    pub(crate) fn image_sections(cfg: &McConfig) -> usize {
+        let n = cfg.n_nodes;
+        n + n * n + 1
+    }
+
+    /// Replace `out` with the image of `self` and `cuts` with the end of
+    /// each section, in section order.
+    pub(crate) fn pack_sections(&self, out: &mut Vec<u8>, cuts: &mut Vec<usize>) {
+        out.clear();
+        cuts.clear();
+        let Self {
+            nodes,
+            chans,
+            posted,
+            delivered_mask,
+            gen_delivered_mask,
+            failed_mask,
+            last_delivered,
+            last_dep_gen,
+            used,
+        } = self;
+        for node in nodes {
+            node.pack(out);
+            cuts.push(out.len());
+        }
+        for ch in chans {
+            ch.pack(out);
+            cuts.push(out.len());
+        }
+        posted.pack(out);
+        delivered_mask.pack(out);
+        gen_delivered_mask.pack(out);
+        failed_mask.pack(out);
+        last_delivered.pack(out);
+        last_dep_gen.pack(out);
+        used.pack(out);
+        cuts.push(out.len());
+    }
+
+    /// Overwrite section `i` of `self` with its image `bytes`, keeping
+    /// the section's buffers.
+    pub(crate) fn unpack_section(&mut self, i: usize, bytes: &[u8]) {
+        let Self {
+            nodes,
+            chans,
+            posted,
+            delivered_mask,
+            gen_delivered_mask,
+            failed_mask,
+            last_delivered,
+            last_dep_gen,
+            used,
+        } = self;
+        let n = nodes.len();
+        if i < n {
+            unpack_from(&mut nodes[i], bytes);
+        } else if i < n + chans.len() {
+            unpack_from(&mut chans[i - n], bytes);
+        } else {
+            unpack_with(bytes, |r| {
+                posted.unpack(r);
+                delivered_mask.unpack(r);
+                gen_delivered_mask.unpack(r);
+                failed_mask.unpack(r);
+                last_delivered.unpack(r);
+                last_dep_gen.unpack(r);
+                used.unpack(r);
+            });
+        }
+    }
+}
 
 /// One atomic transition of the checked system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -134,8 +134,9 @@ impl Table {
 }
 
 /// Distinct byte strings, each stored once and numbered in order of
-/// first sight.
-struct Interner {
+/// first sight. The visited set interns key sections in one, the
+/// frontier image sections in another.
+pub(crate) struct Interner {
     arena: Vec<u8>,
     /// Section `id` is `arena[bounds[id]..bounds[id + 1]]`.
     bounds: Vec<usize>,
@@ -143,7 +144,7 @@ struct Interner {
 }
 
 impl Interner {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             arena: Vec::new(),
             bounds: vec![0],
@@ -155,7 +156,8 @@ impl Interner {
         self.bounds.len() - 1
     }
 
-    fn intern(&mut self, bytes: &[u8]) -> u32 {
+    /// The id of `bytes`, stored now if not seen before.
+    pub(crate) fn intern(&mut self, bytes: &[u8]) -> u32 {
         let (arena, bounds) = (&self.arena, &self.bounds);
         let is = |id| section(arena, bounds, id) == bytes;
         match self.table.find(hash_bytes(bytes), is) {
@@ -172,7 +174,13 @@ impl Interner {
         }
     }
 
-    fn bytes(&self) -> usize {
+    /// The bytes interned as `id`.
+    pub(crate) fn get(&self, id: u32) -> &[u8] {
+        section(&self.arena, &self.bounds, id)
+    }
+
+    /// Bytes held: the arena's contents, the bounds and the table.
+    pub(crate) fn bytes(&self) -> usize {
         self.arena.len() + self.bounds.len() * size_of::<usize>() + self.table.bytes()
     }
 }

@@ -11,9 +11,9 @@
 use std::collections::{HashSet, VecDeque};
 
 use san_fabric::fingerprint::Fnv;
-use san_ft::image::{pack_into, unpack_from};
 use san_mc::{
-    apply, check, enabled, encode, replay_model, replay_on_sim, CheckOpts, McConfig, SysState,
+    apply, check, enabled, encode, replay_model, replay_on_sim, CheckOpts, Frontier, McConfig,
+    SysState,
 };
 use san_telemetry::Telemetry;
 
@@ -193,13 +193,14 @@ fn fold_key(h: &mut Fnv, key: &[u8]) {
 
 /// A plain breadth-first search over the public, allocating model API
 /// (`enabled`, `apply`, `encode`), independent of the checker's scratch
-/// successor and packed frontier. Along the way it copies every newly
+/// successor and collapsed frontier. Along the way it copies every newly
 /// discovered state into two scratches that each hold the previous one:
-/// one by `clone_from`, one by packing the state's frontier image and
-/// unpacking it. Both must print exactly like the source, and the
-/// unpacked one must encode to the same key, so a field that
-/// `clone_from` or the image skips, or a container that unpacking fails
-/// to clear, shows.
+/// one by `clone_from`, one by pushing the state onto a [`Frontier`] and
+/// popping it, which unpacks only the image sections that differ from
+/// the previous pop's. Both must print exactly like the source, and the
+/// popped one must encode to the same key, so a field that `clone_from`
+/// or the image skips, a container that unpacking fails to clear, or a
+/// section that popping wrongly keeps, shows.
 fn reference_bfs(cfg: &McConfig) -> Walk {
     let init = SysState::initial(cfg);
     let mut h = Fnv::new();
@@ -208,8 +209,8 @@ fn reference_bfs(cfg: &McConfig) -> Walk {
     fold_key(&mut h, &key);
     visited.insert(key);
     let mut copied = init.clone();
-    let mut unpacked = init.clone();
-    let mut image = Vec::new();
+    let mut popped = init.clone();
+    let mut queued = Frontier::new(cfg);
     let mut frontier = VecDeque::from([init]);
     let (mut transitions, mut dedup_hits) = (0, 0);
     while let Some(st) = frontier.pop_front() {
@@ -226,10 +227,10 @@ fn reference_bfs(cfg: &McConfig) -> Walk {
             let printed = format!("{succ:?}");
             copied.clone_from(&succ);
             assert_eq!(format!("{copied:?}"), printed);
-            pack_into(&succ, &mut image);
-            unpack_from(&mut unpacked, &image);
-            assert_eq!(format!("{unpacked:?}"), printed);
-            assert_eq!(encode(cfg, &unpacked), key);
+            queued.push(&succ);
+            assert!(queued.pop(&mut popped), "a pushed state pops");
+            assert_eq!(format!("{popped:?}"), printed);
+            assert_eq!(encode(cfg, &popped), key);
             visited.insert(key);
             frontier.push_back(succ);
         }

@@ -8,15 +8,17 @@ use san_fabric::{NodeId, Packet};
 use san_nic::timing::host_send;
 use san_nic::{HostAgent, HostCtx};
 use san_sim::Time;
-use san_vmmc::{DeliveredMsg, ExportId, VmmcLib};
+use san_vmmc::{ExportId, VmmcLib};
 
 /// Results shared with the driver.
 #[derive(Debug, Default)]
 pub struct BenchState {
-    /// Completed round/message timestamps (start, end).
+    /// Completed ping-pong rounds (start, end).
     pub samples: Vec<(Time, Time)>,
-    /// Message-level completions seen by the sink.
-    pub received: Vec<DeliveredMsg>,
+    /// Messages the sink has completed.
+    pub received: u64,
+    /// Latest completion time of a message at the sink.
+    pub last_completed: Option<Time>,
     /// Total payload bytes completed at the sink.
     pub bytes: u64,
     /// The run is over.
@@ -168,7 +170,8 @@ impl HostAgent for UniSource {
     fn on_send_done(&mut self, _ctx: &mut HostCtx, _msg_id: u64) {}
 }
 
-/// Message sink: counts completed messages and records stamps.
+/// Message sink: counts completed messages and their bytes, and keeps the
+/// latest completion time.
 pub struct Sink {
     vmmc: VmmcLib,
     state: StateRef,
@@ -191,13 +194,13 @@ impl HostAgent for Sink {
         self.vmmc.export(EXPORT_SIZE, None);
     }
     fn on_wake(&mut self, _ctx: &mut HostCtx, _token: u64) {}
-    fn on_message(&mut self, ctx: &mut HostCtx, pkt: Packet) {
+    fn on_message(&mut self, _ctx: &mut HostCtx, pkt: Packet) {
         if let Some(dm) = self.vmmc.on_packet(&pkt) {
             let mut st = self.state.borrow_mut();
             st.bytes += dm.len as u64;
-            st.samples.push((dm.completed_at, ctx.now()));
-            st.received.push(dm);
-            if st.received.len() as u64 >= self.expect {
+            st.received += 1;
+            st.last_completed = st.last_completed.max(Some(dm.completed_at));
+            if st.received >= self.expect {
                 st.done = true;
             }
         }

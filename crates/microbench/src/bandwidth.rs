@@ -101,16 +101,13 @@ pub fn unidirectional_bandwidth(
     let mut cluster = pair_cluster(fw, cfg, hosts);
     let completed = run_until_done(&mut cluster, &st, deadline);
     let stb = st.borrow();
-    let mbps = if stb.received.is_empty() {
-        0.0
+    let secs = stb
+        .last_completed
+        .map_or(0.0, |last| last.since(Time::ZERO).as_secs_f64());
+    let mbps = if secs > 0.0 {
+        stb.bytes as f64 / secs / 1e6
     } else {
-        let last = stb.received.iter().map(|d| d.completed_at).max().unwrap();
-        let secs = last.since(Time::ZERO).as_secs_f64();
-        if secs > 0.0 {
-            stb.bytes as f64 / secs / 1e6
-        } else {
-            0.0
-        }
+        0.0
     };
     BwPoint {
         bytes,

@@ -188,27 +188,111 @@ pub fn disjoint_count(topo: &Topology, from: NodeId, routes: &[Route]) -> usize 
 /// candidates for single-fault injection. Host attachment links are never
 /// survivable (each host has exactly one), so only fabric links qualify.
 pub fn survivable_links(topo: &Topology) -> Vec<LinkId> {
+    let Some(cuts) = host_cuts(topo) else {
+        return Vec::new();
+    };
     topo.links()
         .filter(|(_, l)| l.a.host().is_none() && l.b.host().is_none())
         .map(|(id, _)| id)
-        .filter(|&id| hosts_connected(topo, |l| l != id))
+        .filter(|id| !cuts.links[id.idx()])
         .collect()
 }
 
 /// Host-less switches whose individual death leaves all hosts connected —
 /// the safe candidates for permanent switch kills.
 pub fn survivable_switches(topo: &Topology) -> Vec<SwitchId> {
+    let Some(cuts) = host_cuts(topo) else {
+        return Vec::new();
+    };
     (0..topo.num_switches())
         .map(|i| SwitchId(i as u16))
         .filter(|&s| topo.neighbors(s).all(|(_, _, far)| far.host().is_none()))
-        .filter(|&s| {
-            hosts_connected(topo, |l| {
-                let link = topo.link(l);
-                let touches = |ep: Endpoint| ep.switch().is_some_and(|(sw, _)| sw == s);
-                !(touches(link.a) || touches(link.b))
-            })
-        })
+        .filter(|s| !cuts.switches[s.idx()])
         .collect()
+}
+
+/// What cuts the hosts apart: per link id, whether its death alone would,
+/// and per switch, whether its death alone would.
+struct HostCuts {
+    links: Vec<bool>,
+    switches: Vec<bool>,
+}
+
+/// One iterative depth-first search from host 0 that finds every bridge
+/// and articulation point (Tarjan) and counts the hosts under each tree
+/// vertex. Host 0 is the root, so the part a cut leaves above always
+/// holds a host: a tree link cuts the hosts apart when it is a bridge
+/// with a host below it, and a switch when a child subtree it separates
+/// holds a host. Links and switches the search never reaches carry no
+/// host path. Parallel links are told apart by id, so only the link a
+/// vertex was entered by is its tree link; a self-loop link changes no
+/// low point. `None` when the hosts are not all wired and connected.
+fn host_cuts(topo: &Topology) -> Option<HostCuts> {
+    let n_hosts = topo.num_hosts();
+    let mut cuts = HostCuts {
+        links: vec![false; topo.num_links()],
+        switches: vec![false; topo.num_switches()],
+    };
+    if n_hosts == 0 {
+        return Some(cuts);
+    }
+    let host = |h: usize| Endpoint::Host(NodeId(h as u16));
+    if (0..n_hosts).any(|h| topo.link_at(host(h)).is_none()) {
+        return None;
+    }
+    // Vertices: hosts 0..n_hosts, then switches.
+    let vertex = |ep: Endpoint| match ep {
+        Endpoint::Host(h) => h.idx(),
+        Endpoint::Switch(s, _) => n_hosts + s.idx(),
+    };
+    // Port `i` of vertex `v`; a host has one.
+    let port = |v: usize, i: usize| {
+        if v < n_hosts {
+            (i == 0).then_some(host(v))
+        } else {
+            let s = SwitchId((v - n_hosts) as u16);
+            (i < usize::from(topo.switch_ports(s))).then_some(Endpoint::Switch(s, PortId(i as u8)))
+        }
+    };
+    let n = n_hosts + topo.num_switches();
+    // Discovery times start at 1, so 0 is unvisited.
+    let (mut disc, mut low, mut hosts_below) = (vec![0u32; n], vec![0u32; n], vec![0u32; n]);
+    let mut time = 1;
+    (disc[0], low[0], hosts_below[0]) = (time, time, 1);
+    // Frames: a vertex, the link it was entered by, the next port to scan.
+    let mut stack: Vec<(usize, Option<LinkId>, usize)> = vec![(0, None, 0)];
+    while let Some(top) = stack.last_mut() {
+        let (v, via, i) = *top;
+        if let Some(ep) = port(v, i) {
+            top.2 += 1;
+            let Some(link) = topo.link_at(ep).filter(|&l| Some(l) != via) else {
+                continue;
+            };
+            let w = vertex(topo.link(link).other(ep));
+            if disc[w] == 0 {
+                time += 1;
+                (disc[w], low[w], hosts_below[w]) = (time, time, u32::from(w < n_hosts));
+                stack.push((w, Some(link), 0));
+            } else {
+                low[v] = low[v].min(disc[w]);
+            }
+            continue;
+        }
+        // Every port of `v` is scanned: fold it into its parent.
+        stack.pop();
+        let (Some(&(p, _, _)), Some(via)) = (stack.last(), via) else {
+            continue;
+        };
+        low[p] = low[p].min(low[v]);
+        hosts_below[p] += hosts_below[v];
+        if hosts_below[v] > 0 {
+            cuts.links[via.idx()] |= low[v] > disc[p];
+            if p >= n_hosts {
+                cuts.switches[p - n_hosts] |= low[v] >= disc[p];
+            }
+        }
+    }
+    (0..n_hosts).all(|h| disc[h] > 0).then_some(cuts)
 }
 
 /// Full structural validation of an atlas fabric:

@@ -103,7 +103,7 @@ echo "== san-mc smoke (exhaustive 2-node model check + leak-knob canary)"
 # trips.
 cargo run --release -q -p san-mc -- check --smoke
 
-echo "== san-mc benchmark configs (2-node failure model, two-way traffic, 3-node incast: exact counts, frontier peaks and visited-set bytes per state)"
+echo "== san-mc benchmark configs (2-node failure model, two-way traffic, 3-node incast: exact counts, frontier peaks, visited-set bytes per state and frontier bytes per queued state)"
 # The perf digest pins every count here but the frontier peak, which
 # bounds the checker's memory; each config must verify with exactly
 # these states/transitions/depth/dedup/frontier.
@@ -129,6 +129,16 @@ for cfg in remap2 bidir2 incast3; do
     per_state=$(grep -E "^${cfg} " <<< "$mc_out" | grep -Eo '[0-9.]+ B/state' | cut -d' ' -f1)
     if [ -z "$per_state" ] || ! awk -v b="$per_state" 'BEGIN { exit !(b <= 64) }'; then
         echo "ERROR: ${cfg}'s visited set must hold at most 64 B per state, not ${per_state:-none}" >&2
+        exit 1
+    fi
+done
+# The frontier holds each queued state as a tuple of interned image
+# sections: at most 64 B per queued state at its peak (36.9, 28.7 and
+# 53.6), where a boxed image and its queue entry cost 241, 259 and 454 B.
+for cfg in remap2 bidir2 incast3; do
+    per_queued=$(grep -E "^${cfg} " <<< "$mc_out" | grep -Eo '[0-9.]+ B/queued' | cut -d' ' -f1)
+    if [ -z "$per_queued" ] || ! awk -v b="$per_queued" 'BEGIN { exit !(b <= 64) }'; then
+        echo "ERROR: ${cfg}'s frontier must hold at most 64 B per queued state, not ${per_queued:-none}" >&2
         exit 1
     fi
 done

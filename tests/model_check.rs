@@ -51,6 +51,10 @@ fn remap2_state_space_is_pinned() {
     // sections; remap2's keys alone average 131.9 bytes.
     let per_state = r.visited_bytes_per_state();
     assert!(per_state <= 64.0, "visited set: {per_state:.1} B/state");
+    // The frontier holds each queued state as a tuple of interned image
+    // sections; a boxed image and its queue entry cost about 241 bytes.
+    let per_queued = r.frontier_bytes_per_state();
+    assert!(per_queued <= 64.0, "frontier: {per_queued:.1} B/queued");
 }
 
 #[test]
